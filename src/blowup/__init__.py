@@ -1,5 +1,7 @@
 """Blow-up time estimation for autonomous ODEs with a priori adaptive stepping."""
 
+from types import ModuleType as _ModuleType
+
 from . import catalog
 from .baselines import InvalidExponent, MinStepUnderflow, solve_arclength, solve_rescaling_1d
 from .errors import BlowupError, SolverError
@@ -42,21 +44,12 @@ from .stepping import (
     Adaptive1D,
     AdaptiveND,
     AltND,
-    DegenerateJVP,
     LogNDImplicitN,
     NonpositiveDerivative,
     PowerUniformND,
-    RDCapped,
     Taylor1D,
     Uniform1D,
     UniformND,
-    h_adaptive_1d,
-    h_adaptive_nd,
-    h_alt_nd,
-    h_log_nd,
-    h_taylor_1d,
-    h_uniform_1d,
-    h_uniform_nd,
 )
 from .thresholds import (
     RADIUS_CAP,
@@ -73,4 +66,8 @@ from .thresholds import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -95,7 +95,7 @@ def solve_arclength(
         y = np.concatenate([np.asarray(problem.x0, dtype=float), [0.0]])
         rhs = problem.rhs
     r = thresholds.radius(rule, problem, eps)
-    warnings = list(_cap_warning(r))
+    warnings = thresholds.cap_warnings(r)
 
     n_evals = 0
     attempts = 0
@@ -148,11 +148,6 @@ def solve_arclength(
         warnings=tuple(warnings),
         meta={"method": "arclength", "rk_tol": rk_tol, "attempts": attempts},
     )
-
-
-def _cap_warning(r):
-    if r >= thresholds.RADIUS_CAP:
-        yield f"radius capped at {thresholds.RADIUS_CAP:g} (float64 range)"
 
 
 def solve_rescaling_1d(p_exponent: float, x0: float, M: float, eps: float) -> RunResult:

@@ -21,7 +21,6 @@ from .stepping import (
     AltND,
     LogNDImplicitN,
     PowerUniformND,
-    RDCapped,
     Taylor1D,
     Uniform1D,
     UniformND,
@@ -358,7 +357,7 @@ def _rd(m: int) -> CatalogEntry:
         id="rd",
         problem=problem,
         methods={
-            "adaptive": RDCapped(cap=cap),
+            "adaptive": AltND(cap=cap),
             "alt": AltND(),
             "uniform": UniformND(cap=cap),  # reconstructed: min(eps/log r, 1/(2 m^2))
         },

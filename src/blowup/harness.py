@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,13 +116,7 @@ def run_method(
         if entry.rescale_power is not None:
             known.append("rescaling")
         raise UnknownMethod(f"{method!r} not available for {entry.id!r}; known: {known}")
-    run_cfg = SolverConfig() if cfg is None else cfg
-    run_cfg = SolverConfig(
-        law=law,
-        max_steps=run_cfg.max_steps,
-        record_trace=run_cfg.record_trace,
-        overflow_guard=run_cfg.overflow_guard,
-    )
+    run_cfg = replace(cfg or SolverConfig(), law=law)
     if isinstance(problem, ScalarProblem):
         return solve_1d(problem, eps, run_cfg)
     if isinstance(law, LogNDImplicitN) and law.n_guess == 0:
@@ -157,6 +151,30 @@ def reference_value(
     if key not in _REFERENCE_CACHE:
         _REFERENCE_CACHE[key] = run_method(entry, "adaptive", eref, seed=seed).tau_hat
     return "pseudo", _REFERENCE_CACHE[key], notes
+
+
+def _study_row(problem, method, eps, res, ref_kind, ref_value, **extra) -> StudyRow:
+    """One table row; a failed cell (res None) carries NaNs and zero counts."""
+    if res is None:
+        return StudyRow(problem, method, eps, math.nan, 0, math.nan, ref_kind, ref_value, 0,
+                        **extra)
+    return StudyRow(
+        problem=problem,
+        method=method,
+        epsilon=eps,
+        tau_hat=res.tau_hat,
+        steps=res.steps,
+        error=abs(res.tau_hat - ref_value),
+        reference_kind=ref_kind,
+        reference_value=ref_value,
+        wall_ns=int(res.wall_time * 1e9),
+        **extra,
+    )
+
+
+def _log2_gap(a: float, b: float) -> float:
+    """log2|a - b|, or -inf where the two coincide."""
+    return math.log2(abs(a - b)) if a != b else -math.inf
 
 
 def run_study(
@@ -197,27 +215,10 @@ def run_study(
     else:
         outcomes = [cell(ce) for ce in cells]
 
-    rows = []
-    for method, eps, res, failure in outcomes:
-        if res is None:
-            rows.append(
-                StudyRow(entry.id, method, eps, math.nan, 0, math.nan,
-                         ref_kind, ref_value, 0, failed=failure)
-            )
-            continue
-        rows.append(
-            StudyRow(
-                problem=entry.id,
-                method=method,
-                epsilon=eps,
-                tau_hat=res.tau_hat,
-                steps=res.steps,
-                error=abs(res.tau_hat - ref_value),
-                reference_kind=ref_kind,
-                reference_value=ref_value,
-                wall_ns=int(res.wall_time * 1e9),
-            )
-        )
+    rows = [
+        _study_row(entry.id, method, eps, res, ref_kind, ref_value, failed=failure)
+        for method, eps, res, failure in outcomes
+    ]
 
     fitted = {}
     for method in methods:
@@ -247,64 +248,33 @@ def run_rd_study(
 ) -> StudyTable:
     """Reaction-diffusion tables: tau-hat plus the successive-difference column
     log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m)."""
-    rows = []
-    notes = []
     if mode == VARY_EPS:
         grid = list(eps_grid) if eps_grid is not None else [2.0**-k for k in range(18, 26)]
-        entry = catalog.get("rd", m=m)
-        for method in methods:
-            prev_tau = None
-            per_eps = []
-            for e in grid:
-                res = run_method(entry, method, e, seed=seed)
-                per_eps.append((e, res))
-            finest_tau = per_eps[-1][1].tau_hat
-            for e, res in per_eps:
-                diff = None if prev_tau is None else math.log2(abs(res.tau_hat - prev_tau))
-                prev_tau = res.tau_hat
-                rows.append(
-                    StudyRow(
-                        problem=f"rd({m})",
-                        method=method,
-                        epsilon=e,
-                        tau_hat=res.tau_hat,
-                        steps=res.steps,
-                        error=abs(res.tau_hat - finest_tau),
-                        reference_kind="pseudo",
-                        reference_value=finest_tau,
-                        wall_ns=int(res.wall_time * 1e9),
-                        m=m,
-                        succ_diff_log2=diff,
-                    )
-                )
-        notes.append(f"rd vary-eps: m = {m}; reference is each method's finest run")
+        cells = [(m, e) for e in grid]
+        notes = [f"rd vary-eps: m = {m}; reference is each method's finest run"]
     elif mode == VARY_M:
         grid_m = list(m_grid) if m_grid is not None else [4, 8, 16, 32, 64, 128, 256, 512]
-        for method in methods:
-            prev_tau = None
-            for mm in grid_m:
-                entry = catalog.get("rd", m=mm)
-                res = run_method(entry, method, eps, seed=seed)
-                diff = None if prev_tau is None else math.log2(abs(res.tau_hat - prev_tau))
-                prev_tau = res.tau_hat
-                rows.append(
-                    StudyRow(
-                        problem=f"rd({mm})",
-                        method=method,
-                        epsilon=eps,
-                        tau_hat=res.tau_hat,
-                        steps=res.steps,
-                        error=math.nan,
-                        reference_kind="none",
-                        reference_value=math.nan,
-                        wall_ns=int(res.wall_time * 1e9),
-                        m=mm,
-                        succ_diff_log2=diff,
-                    )
-                )
-        notes.append(f"rd vary-m: eps = {eps:g}; successive differences across m")
+        cells = [(mm, eps) for mm in grid_m]
+        notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
         raise ValueError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
+    rows = []
+    for method in methods:
+        runs = [
+            (mm, e, run_method(catalog.get("rd", m=mm), method, e, seed=seed)) for mm, e in cells
+        ]
+        if mode == VARY_EPS:
+            ref_kind, ref_value = "pseudo", runs[-1][2].tau_hat
+        else:
+            ref_kind, ref_value = "none", math.nan
+        prev_tau = None
+        for mm, e, res in runs:
+            diff = None if prev_tau is None else _log2_gap(res.tau_hat, prev_tau)
+            prev_tau = res.tau_hat
+            rows.append(
+                _study_row(f"rd({mm})", method, e, res, ref_kind, ref_value,
+                           m=mm, succ_diff_log2=diff)
+            )
     notes.append(
         "rd threshold rule is a reconstruction (polynomial growth, c_check = 1, "
         "alpha = 1, so r = 1/eps); the published table does not state its rule"

@@ -2,8 +2,9 @@
 
 The 1D loop advances x <- x + b(x)h while x < r(eps) (strict guard); the R^n
 loop advances while |x| <= r(eps). In both cases the accumulated time at the
-first crossing is the blow-up estimate. Step sizes come from the law selected
-in SolverConfig; see the stepping module for the laws themselves.
+first crossing is the blow-up estimate. Step sizes come from the step_size
+method of the law selected in SolverConfig, called once per run; solve_1d
+inlines the Adaptive1D and Taylor1D formulas instead (see the stepping module).
 """
 from __future__ import annotations
 
@@ -23,18 +24,7 @@ from .problems import (
     VectorProblem,
     structural_violations,
 )
-from .stepping import (
-    Adaptive1D,
-    AdaptiveND,
-    AltND,
-    LogNDImplicitN,
-    PowerUniformND,
-    RDCapped,
-    StepLaw,
-    Taylor1D,
-    Uniform1D,
-    UniformND,
-)
+from .stepping import Adaptive1D, AdaptiveND, LogNDImplicitN, StepLaw, Taylor1D, Uniform1D
 
 
 class StepBudgetExceeded(SolverError):
@@ -67,15 +57,6 @@ def _base_warnings(problem) -> list[str]:
     return [f"structural violation: {v}" for v in viol]
 
 
-def _radius_warning(r: float) -> list[str]:
-    if r >= thresholds.RADIUS_CAP:
-        return [
-            f"radius capped at {thresholds.RADIUS_CAP:g} (float64 range); "
-            "tail bound is no longer <= eps"
-        ]
-    return []
-
-
 def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None) -> RunResult:
     """Estimate the 1D blow-up time by integrating to the threshold radius."""
     if not eps > 0:
@@ -85,14 +66,14 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     warnings = _base_warnings(problem)
 
     r = thresholds.radius(problem.threshold, problem, eps)
-    warnings += _radius_warning(r)
+    warnings += thresholds.cap_warnings(r)
 
     b = problem.rhs
     bd = problem.rhs_deriv
     k = problem.k
     x = float(problem.x0)
     t = 0.0
-    n = 0
+    steps = 0
     trace = [(0.0, x)] if cfg.record_trace else None
     max_steps = cfg.max_steps
     guard = cfg.overflow_guard
@@ -100,61 +81,50 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     sqrt = math.sqrt
     start = time.perf_counter()
     if x < r:
-        if isinstance(law, Adaptive1D):
-            while x < r:
-                if n >= max_steps:
-                    raise StepBudgetExceeded(f"exceeded {max_steps} steps at x = {x!r}")
-                if x > guard or x != x:
-                    raise Overflow(f"state {x!r} exceeded guard {guard:g} below r = {r!r}")
+        if not isinstance(law, stepping.LAWS_1D):
+            raise TypeError(f"{law!r} is not a 1D step law")
+        if isinstance(law, Taylor1D) and law.m_bar != 2:
+            raise ValueError("only the second-order Taylor variant is implemented")
+        probes = not isinstance(law, Uniform1D)
+        second = isinstance(law, Taylor1D)
+        root = eps ** 0.5
+        if not probes:
+            h = law.step_size(problem, eps, r)
+        for n in range(max_steps):
+            if x > guard or x != x:
+                raise Overflow(f"state {x!r} exceeded guard {guard:g} below r = {r!r}")
+            if probes:
                 probe = k * x
                 if probe > r:
                     probe = r
                 d = bd(probe)
                 if d <= 0.0:
                     raise stepping.NonpositiveDerivative(f"b'({probe!r}) = {d!r}")
-                h = eps / sqrt(d)
-                x = x + b(x) * h
-                t += h
-                n += 1
-                if trace is not None:
-                    trace.append((t, x))
-        elif isinstance(law, Taylor1D):
-            if law.m_bar != 2:
-                raise ValueError("only the second-order Taylor variant is implemented")
-            while x < r:
-                if n >= max_steps:
-                    raise StepBudgetExceeded(f"exceeded {max_steps} steps at x = {x!r}")
-                if x > guard or x != x:
-                    raise Overflow(f"state {x!r} exceeded guard {guard:g} below r = {r!r}")
-                h = stepping.h_taylor_1d(eps, x, k, r, bd, 2)
-                bx = b(x)
+                if second:  # Taylor1D.step_size inlined: a call per step costs 20-30%
+                    h = root / float(d) ** (2.0 / 3.0)
+                else:  # Adaptive1D.step_size inlined, for the same reason
+                    h = eps / sqrt(d)
+            bx = b(x)
+            if second:
                 # second derivative of the solution via the chain rule: x'' = b'(x) b(x)
                 x = x + bx * h + 0.5 * bd(x) * bx * h * h
-                t += h
-                n += 1
-                if trace is not None:
-                    trace.append((t, x))
-        elif isinstance(law, Uniform1D):
-            h = stepping.h_uniform_1d(eps, x, r, b, bd)
-            while x < r:
-                if n >= max_steps:
-                    raise StepBudgetExceeded(f"exceeded {max_steps} steps at x = {x!r}")
-                if x > guard or x != x:
-                    raise Overflow(f"state {x!r} exceeded guard {guard:g} below r = {r!r}")
-                x = x + b(x) * h
-                t += h
-                n += 1
-                if trace is not None:
-                    trace.append((t, x))
+            else:
+                x = x + bx * h
+            t += h
+            if trace is not None:
+                trace.append((t, x))
+            if not x < r:
+                break
         else:
-            raise TypeError(f"{law!r} is not a 1D step law")
+            raise StepBudgetExceeded(f"exceeded {max_steps} steps at x = {x!r}")
+        steps = n + 1
     else:
         warnings.append(f"degenerate radius: r = {r!r} <= x0 = {x!r}; no steps taken")
     wall = time.perf_counter() - start
 
     return RunResult(
         tau_hat=t,
-        steps=n,
+        steps=steps,
         final_state=x,
         radius_used=r,
         epsilon=eps,
@@ -163,61 +133,6 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
         warnings=tuple(warnings),
         meta={"law": type(law).__name__},
     )
-
-
-_safe_norm = linalg.safe_norm
-
-
-def _nd_step_size(law, problem, eps, r, seed):
-    """Return h(x, bx) for the R^n laws, or a constant for the uniform ones."""
-    jac = problem.jacobian
-    dim = problem.dim
-    sqrt = math.sqrt
-
-    if isinstance(law, AdaptiveND):
-        def h_of(x, bx):
-            sn = linalg.spectral_norm(jac, x, dim, seed)
-            return eps / sqrt(sn if sn > 1.0 else 1.0)
-        return h_of
-
-    if isinstance(law, (AltND, RDCapped)):
-        cap = law.cap if isinstance(law, RDCapped) else None
-        jvp = jac.jvp if jac.jvp is not None else None
-        dense = jac.dense
-
-        def h_of(x, bx):
-            w = jvp(x, bx) if jvp is not None else dense(x) @ bx
-            jn = _safe_norm(w)
-            if jn <= 0.0:
-                sn = linalg.spectral_norm(jac, x, dim, seed)
-                h = eps / sqrt(sn if sn > 1.0 else 1.0)
-            else:
-                h = eps * sqrt(_safe_norm(bx)) / sqrt(jn)
-            if cap is not None and h > cap:
-                h = cap
-            return h
-        return h_of
-
-    if isinstance(law, LogNDImplicitN):
-        if law.n_guess < 1:
-            raise ValueError("LogNDImplicitN needs n_guess >= 1 here; use solve_log_nd")
-        n_guess = law.n_guess
-
-        def h_of(x, bx):
-            sn = linalg.spectral_norm(jac, x, dim, seed)
-            return sqrt(eps / (n_guess * (sn if sn > 1.0 else 1.0)))
-        return h_of
-
-    if isinstance(law, UniformND):
-        h = stepping.h_uniform_nd(eps, r)
-        if law.cap is not None:
-            h = min(h, law.cap)
-        return h
-
-    if isinstance(law, PowerUniformND):
-        return eps ** law.exponent
-
-    raise TypeError(f"{law!r} is not an R^n step law")
 
 
 def solve_nd(
@@ -235,16 +150,17 @@ def solve_nd(
 
     rule = thresholds.rule_for_growth(problem.growth)
     r = thresholds.radius(rule, problem, eps)
-    warnings += _radius_warning(r)
+    warnings += thresholds.cap_warnings(r)
 
     rhs = problem.rhs
+    norm = linalg.safe_norm
     x = np.array(problem.x0, dtype=float)
     t = 0.0
     n = 0
     max_steps = cfg.max_steps
     guard = cfg.overflow_guard
 
-    nx = _safe_norm(x)
+    nx = norm(x)
     trace = [(0.0, nx)] if cfg.record_trace else None
 
     start = time.perf_counter()
@@ -252,7 +168,9 @@ def solve_nd(
     if degenerate:
         warnings.append(f"degenerate radius: r = {r!r} < |x0| = {nx!r}; no steps taken")
     else:
-        h_rule = _nd_step_size(law, problem, eps, r, seed)
+        if not isinstance(law, stepping.LAWS_ND):
+            raise TypeError(f"{law!r} is not an R^n step law")
+        h_rule = law.step_size(problem, eps, r, seed)
         constant_h = not callable(h_rule)
         with np.errstate(over="ignore", invalid="ignore"):
             while nx <= r:
@@ -267,7 +185,7 @@ def solve_nd(
                 x = x + bx * h
                 t += h
                 n += 1
-                nx = _safe_norm(x)
+                nx = norm(x)
                 if trace is not None:
                     trace.append((t, nx))
     wall = time.perf_counter() - start

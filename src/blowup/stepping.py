@@ -1,14 +1,19 @@
-"""Step-size laws, each a pure function of the tolerance and local quantities.
+"""Step-size laws, one frozen dataclass each.
 
-Solvers pick a law via the small marker dataclasses below; the h_* functions
-are the laws themselves and can be used standalone.
+A law's ``step_size(problem, eps, r, seed)`` gives the step the solvers take:
+a function h(x) of the state for the adaptive 1D laws, h(x, bx) with
+bx = b(x) for the adaptive R^n laws, or a plain float for the constant-step
+laws. solve_nd calls it once per run. solve_1d does the same for Uniform1D but
+inlines the Adaptive1D and Taylor1D formulas in its loop, since a call per
+step costs 20-30%; the tests check that the inlined steps equal step_size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Union
 
+from . import linalg
 from .errors import SolverError
 
 
@@ -16,13 +21,25 @@ class NonpositiveDerivative(SolverError):
     """b' was <= 0 at the probe point; the 1D laws need b' > 0."""
 
 
-class DegenerateJVP(SolverError):
-    """|b'(x)b(x)| = 0; caller should fall back to the spectral-norm law."""
+def _probe_deriv(bd, k: float, x: float, r: float) -> float:
+    """b'(min(k*x, r)), which the adaptive 1D laws need positive."""
+    probe = min(k * x, r)
+    d = float(bd(probe))
+    if d <= 0.0:
+        raise NonpositiveDerivative(f"b'({probe!r}) = {d!r}")
+    return d
 
 
 @dataclass(frozen=True)
 class Adaptive1D:
     """h = eps / sqrt(b'(min(k*x, r)))."""
+
+    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+        bd, k, sqrt = problem.rhs_deriv, problem.k, math.sqrt
+
+        def h(x):
+            return eps / sqrt(_probe_deriv(bd, k, x, r))
+        return h
 
 
 @dataclass(frozen=True)
@@ -36,20 +53,67 @@ class Taylor1D:
         if self.m_bar < 2:
             raise ValueError("m_bar must be >= 2")
 
+    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+        bd, k = problem.rhs_deriv, problem.k
+        root, power = eps ** (1.0 / self.m_bar), self.m_bar / (self.m_bar + 1.0)
+
+        def h(x):
+            return root / _probe_deriv(bd, k, x, r) ** power
+        return h
+
 
 @dataclass(frozen=True)
 class Uniform1D:
     """Constant h = min(eps/log(b(r)/b(x0)), 1/(2 b'(r)))."""
+
+    def step_size(self, problem, eps: float, r: float, seed: int = 1) -> float:
+        x0 = float(problem.x0)
+        br, b0 = float(problem.rhs(r)), float(problem.rhs(x0))
+        if not br > b0:
+            raise ValueError(f"need b(r) > b(x0), got b({r!r}) = {br!r}, b({x0!r}) = {b0!r}")
+        h_bar = eps / math.log(br / b0)
+        d = float(problem.rhs_deriv(r))
+        if d <= 0.0:
+            raise NonpositiveDerivative(f"b'({r!r}) = {d!r}")
+        return min(h_bar, 1.0 / (2.0 * d))
 
 
 @dataclass(frozen=True)
 class AdaptiveND:
     """h = eps / sqrt(max(||b'(x)||, 1))."""
 
+    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+        jac, dim, sqrt = problem.jacobian, problem.dim, math.sqrt
+
+        def h(x, bx):
+            # looked up on the module at each call, so a patched spectral_norm is seen
+            sn = linalg.spectral_norm(jac, x, dim, seed)
+            return eps / sqrt(sn if sn > 1.0 else 1.0)
+        return h
+
 
 @dataclass(frozen=True)
 class AltND:
-    """h = eps * sqrt(|b(x)|) / sqrt(|b'(x) b(x)|); avoids spectral norms."""
+    """h = eps * sqrt(|b(x)|) / sqrt(|b'(x) b(x)|); avoids spectral norms.
+
+    Where b'(x) b(x) = 0 the law has no scale and the AdaptiveND step is taken.
+    ``cap`` optionally clips h, e.g. to the CFL-type 1/(2 m^2) of the
+    reaction-diffusion grid.
+    """
+
+    cap: Optional[float] = None
+
+    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+        jac, cap = problem.jacobian, self.cap
+        jvp, dense = jac.jvp, jac.dense
+        adaptive = AdaptiveND().step_size(problem, eps, r, seed)
+        norm, sqrt = linalg.safe_norm, math.sqrt
+
+        def h(x, bx):
+            jn = norm(jvp(x, bx) if jvp is not None else dense(x) @ bx)
+            step = adaptive(x, bx) if jn <= 0.0 else eps * sqrt(norm(bx)) / sqrt(jn)
+            return cap if cap is not None and step > cap else step
+        return h
 
 
 @dataclass(frozen=True)
@@ -59,12 +123,29 @@ class LogNDImplicitN:
 
     n_guess: int = 0
 
+    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+        if self.n_guess < 1:
+            raise ValueError("LogNDImplicitN needs n_guess >= 1 here; use solve_log_nd")
+        jac, dim, n_guess, sqrt = problem.jacobian, problem.dim, self.n_guess, math.sqrt
+
+        def h(x, bx):
+            sn = linalg.spectral_norm(jac, x, dim, seed)
+            return sqrt(eps / (n_guess * (sn if sn > 1.0 else 1.0)))
+        return h
+
 
 @dataclass(frozen=True)
 class UniformND:
-    """Constant h = eps / log(r), optionally clipped to a stability cap."""
+    """Constant h = eps / log(r), optionally clipped to a stability cap; needs
+    r > e so the step stays positive and sane."""
 
     cap: Optional[float] = None
+
+    def step_size(self, problem, eps: float, r: float, seed: int = 1) -> float:
+        if not r > math.e:
+            raise ValueError(f"uniform n-d law needs r > e, got {r!r}")
+        h = eps / math.log(r)
+        return h if self.cap is None else min(h, self.cap)
 
 
 @dataclass(frozen=True)
@@ -73,82 +154,11 @@ class PowerUniformND:
 
     exponent: float
 
-
-@dataclass(frozen=True)
-class RDCapped:
-    """AltND clipped to a CFL-type cap (1/(2 m^2) for the reaction-diffusion grid)."""
-
-    cap: float
+    def step_size(self, problem, eps: float, r: float, seed: int = 1) -> float:
+        return eps ** self.exponent
 
 
-StepLaw = (
-    Adaptive1D
-    | Taylor1D
-    | Uniform1D
-    | AdaptiveND
-    | AltND
-    | LogNDImplicitN
-    | UniformND
-    | PowerUniformND
-    | RDCapped
-)
+LAWS_1D = (Adaptive1D, Taylor1D, Uniform1D)
+LAWS_ND = (AdaptiveND, AltND, LogNDImplicitN, UniformND, PowerUniformND)
 
-
-def h_adaptive_1d(eps: float, xbar: float, k: float, r: float, b_deriv: Callable) -> float:
-    """h = eps / sqrt(b'(min(k*xbar, r)))."""
-    probe = min(k * xbar, r)
-    d = float(b_deriv(probe))
-    if d <= 0.0:
-        raise NonpositiveDerivative(f"b'({probe!r}) = {d!r}")
-    return eps / math.sqrt(d)
-
-
-def h_taylor_1d(
-    eps: float, xbar: float, k: float, r: float, b_deriv: Callable, m_bar: int
-) -> float:
-    """h = eps^(1/m) / b'(min(k*xbar, r))^(m/(m+1))."""
-    if m_bar < 2:
-        raise ValueError("m_bar must be >= 2")
-    probe = min(k * xbar, r)
-    d = float(b_deriv(probe))
-    if d <= 0.0:
-        raise NonpositiveDerivative(f"b'({probe!r}) = {d!r}")
-    return eps ** (1.0 / m_bar) / d ** (m_bar / (m_bar + 1.0))
-
-
-def h_uniform_1d(eps: float, x0: float, r: float, b: Callable, b_deriv: Callable) -> float:
-    """h = min(eps/log(b(r)/b(x0)), 1/(2 b'(r)))."""
-    br, b0 = float(b(r)), float(b(x0))
-    if not br > b0:
-        raise ValueError(f"need b(r) > b(x0), got b({r!r}) = {br!r}, b({x0!r}) = {b0!r}")
-    h_bar = eps / math.log(br / b0)
-    d = float(b_deriv(r))
-    if d <= 0.0:
-        raise NonpositiveDerivative(f"b'({r!r}) = {d!r}")
-    return min(h_bar, 1.0 / (2.0 * d))
-
-
-def h_adaptive_nd(eps: float, jac_norm: float) -> float:
-    """h = eps / sqrt(max(jac_norm, 1))."""
-    return eps / math.sqrt(max(jac_norm, 1.0))
-
-
-def h_alt_nd(eps: float, b_norm: float, jvp_norm: float) -> float:
-    """h = eps * sqrt(b_norm) / sqrt(jvp_norm), with jvp_norm = |b'(x) b(x)|."""
-    if jvp_norm <= 0.0:
-        raise DegenerateJVP(f"|b'(x) b(x)| = {jvp_norm!r}")
-    return eps * math.sqrt(b_norm) / math.sqrt(jvp_norm)
-
-
-def h_log_nd(eps: float, n_guess: int, jac_norm: float) -> float:
-    """h = sqrt(eps / (n_guess * max(1, jac_norm)))."""
-    if n_guess < 1:
-        raise ValueError("n_guess must be >= 1")
-    return math.sqrt(eps / (n_guess * max(1.0, jac_norm)))
-
-
-def h_uniform_nd(eps: float, r: float) -> float:
-    """h = eps / log(r); needs r > e so the constant step stays positive and sane."""
-    if not r > math.e:
-        raise ValueError(f"uniform n-d law needs r > e, got {r!r}")
-    return eps / math.log(r)
+StepLaw = Union[LAWS_1D + LAWS_ND]

@@ -5,9 +5,9 @@ O(eps) of the true blow-up time. Rules that only define r implicitly (through
 b(r) = F^-1(eps) or b'(r) = eps^-1 log(eps^-1)) are solved by bracketed
 bisection plus a few Newton polish steps.
 
-Radii that would exceed the float64 range are clamped to RADIUS_CAP; callers
-should surface a warning when they receive the cap, since the tail bound is
-then no longer <= eps.
+Radii that would exceed the float64 range are clamped to RADIUS_CAP, and
+cap_warnings gives the warning the solvers attach to such a run, since the
+tail bound is then no longer <= eps.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SolverError
-from .problems import POLYNOMIAL, ScalarProblem
+from .problems import POLYNOMIAL
 
 # Largest radius we let a rule request. Keeps r, b(r) and the iterates finite
 # in float64; well below the 1e300 overflow guard of the solvers.
@@ -153,6 +153,15 @@ def _capped(r: float) -> float:
     return r
 
 
+def cap_warnings(r: float) -> list[str]:
+    """The run warning for a radius clamped to RADIUS_CAP, if r is one."""
+    if r >= RADIUS_CAP:
+        return [
+            f"radius capped at {RADIUS_CAP:g} (float64 range); tail bound is no longer <= eps"
+        ]
+    return []
+
+
 def radius(rule: ThresholdRule, problem, epsilon: float) -> float:
     """Truncation radius r(eps) for the given rule; clamped to RADIUS_CAP."""
     if not epsilon > 0:
@@ -208,7 +217,3 @@ def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
             return math.nan
         return (rule.tail_constant + 1.0) * math.log(bp) / bp
     raise TypeError(f"unknown threshold rule {rule!r}")
-
-
-def scalar_radius(problem: ScalarProblem, epsilon: float) -> float:
-    return radius(problem.threshold, problem, epsilon)

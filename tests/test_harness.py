@@ -135,6 +135,13 @@ class TestRdStudy:
         with pytest.raises(ValueError):
             run_rd_study("vary-all")
 
+    def test_equal_successive_tau_gives_minus_infinity(self):
+        # both radii fall below |x0|, so both runs are degenerate with tau_hat 0
+        table = run_rd_study("vary-eps", m=4, eps_grid=[0.5, 0.25], methods=("adaptive",))
+        assert [r.tau_hat for r in table.rows] == [0.0, 0.0]
+        assert table.rows[0].succ_diff_log2 is None
+        assert table.rows[1].succ_diff_log2 == -math.inf
+
 
 class TestEmission:
     def test_csv_round_trip_and_determinism(self, tmp_path):

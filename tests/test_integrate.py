@@ -15,7 +15,7 @@ from blowup.integrate import (
 )
 from blowup.linalg import spectral_norm
 from blowup.problems import ScalarProblem
-from blowup.stepping import AdaptiveND, Taylor1D, Uniform1D
+from blowup.stepping import Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, Taylor1D, Uniform1D
 from blowup.thresholds import ExplicitRadius
 
 
@@ -97,6 +97,42 @@ class TestSolve1D:
         a = solve_1d(sq, 2.0**-12)
         b = solve_1d(sq, 2.0**-12)
         assert a.tau_hat == b.tau_hat and a.steps == b.steps
+
+
+class TestStepBudget:
+    """A run that needs N steps passes with max_steps = N and fails with N - 1."""
+
+    @pytest.mark.parametrize("law", [Adaptive1D(), Taylor1D(2), Uniform1D()])
+    def test_1d_boundary(self, sq, law):
+        self._check(solve_1d, sq, law)
+
+    def test_nd_boundary(self, uncoupled):
+        self._check(solve_nd, uncoupled, AdaptiveND())
+
+    @staticmethod
+    def _check(solve, problem, law):
+        eps = 2.0**-6
+        full = solve(problem, eps, SolverConfig(law=law))
+        n = full.steps
+        assert n > 1
+        exact = solve(problem, eps, SolverConfig(law=law, max_steps=n))
+        assert (exact.tau_hat, exact.steps) == (full.tau_hat, n)
+        with pytest.raises(StepBudgetExceeded):
+            solve(problem, eps, SolverConfig(law=law, max_steps=n - 1))
+
+
+class TestLawDispatch:
+    def test_1d_solver_rejects_nd_law(self, sq):
+        with pytest.raises(TypeError):
+            solve_1d(sq, 2.0**-6, SolverConfig(law=AltND()))
+
+    def test_nd_solver_rejects_1d_law(self, uncoupled):
+        with pytest.raises(TypeError):
+            solve_nd(uncoupled, 2.0**-6, SolverConfig(law=Adaptive1D()))
+
+    def test_implicit_n_sentinel_needs_outer_loop(self, uncoupled):
+        with pytest.raises(ValueError):
+            solve_nd(uncoupled, 2.0**-6, SolverConfig(law=LogNDImplicitN(0)))
 
 
 class TestStepCountLaws:

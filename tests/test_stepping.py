@@ -4,32 +4,62 @@ import numpy as np
 import pytest
 
 from blowup import catalog
+from blowup.integrate import SolverConfig, solve_1d
+from blowup.linalg import JacobianAccess, safe_norm
+from blowup.problems import POLYNOMIAL, GrowthSpec, ScalarProblem, VectorProblem
 from blowup.stepping import (
-    DegenerateJVP,
+    LAWS_1D,
+    LAWS_ND,
+    Adaptive1D,
+    AdaptiveND,
+    AltND,
+    LogNDImplicitN,
     NonpositiveDerivative,
-    h_adaptive_1d,
-    h_adaptive_nd,
-    h_alt_nd,
-    h_log_nd,
-    h_taylor_1d,
-    h_uniform_1d,
-    h_uniform_nd,
+    Taylor1D,
+    Uniform1D,
+    UniformND,
 )
 
 B_SQ = lambda x: x * x
 DB_SQ = lambda x: 2.0 * x
 
 
+def step_1d(law, eps, x, r, db=DB_SQ, b=B_SQ, x0=0.5, k=1.1):
+    """law's step at state x for the problem x' = b(x) from x0 with probe factor k."""
+    prob = ScalarProblem(rhs=b, rhs_deriv=db, x0=x0, k=k, threshold=None)
+    h = law.step_size(prob, eps, r)
+    return h(x) if callable(h) else h
+
+
+def planar(jacobian):
+    return VectorProblem(
+        dim=2,
+        rhs=lambda x: x,
+        jacobian=jacobian,
+        growth=GrowthSpec(POLYNOMIAL, 1.0, 1.0),
+        delta=1.0,
+        x0=np.ones(2),
+    )
+
+
+def step_nd(law, eps, r=1e6, jac_norm=1.0, b_norm=1.0, jvp_norm=1.0):
+    """law's step at a state where ||b'(x)|| = jac_norm, |b(x)| = b_norm and
+    |b'(x) b(x)| = jvp_norm."""
+    jac = JacobianAccess.matrix_free(
+        lambda x, v: np.array([jvp_norm, 0.0]), norm_hint=lambda x: jac_norm
+    )
+    h = law.step_size(planar(jac), eps, r)
+    return h(np.ones(2), np.array([b_norm, 0.0])) if callable(h) else h
+
+
 class TestAdaptive1D:
     def test_probe_below_radius(self):
         eps = 2.0**-10
-        assert h_adaptive_1d(eps, 0.5, 1.1, 1024.0, DB_SQ) == eps / math.sqrt(
-            DB_SQ(1.1 * 0.5)
-        )
+        assert step_1d(Adaptive1D(), eps, 0.5, 1024.0) == eps / math.sqrt(DB_SQ(1.1 * 0.5))
 
     def test_probe_clamps_at_radius(self):
         eps = 2.0**-10
-        h = h_adaptive_1d(eps, 2000.0, 1.1, 1024.0, DB_SQ)
+        h = step_1d(Adaptive1D(), eps, 2000.0, 1024.0)
         assert h == eps / math.sqrt(2048.0)
         assert h == pytest.approx(2.1579e-5, rel=1e-4)
 
@@ -37,80 +67,124 @@ class TestAdaptive1D:
         eps = 1e-3
         db = lambda x: 2.0 * x * math.exp(x * x)
         expected = eps / math.sqrt(2.2 * math.exp(1.21))
-        assert h_adaptive_1d(eps, 1.0, 1.1, 100.0, db) == pytest.approx(expected, rel=1e-15)
+        assert step_1d(Adaptive1D(), eps, 1.0, 100.0, db) == pytest.approx(expected, rel=1e-15)
 
     def test_nonpositive_derivative(self):
         with pytest.raises(NonpositiveDerivative):
-            h_adaptive_1d(0.01, 1.0, 1.1, 10.0, lambda x: -1.0)
+            step_1d(Adaptive1D(), 0.01, 1.0, 10.0, lambda x: -1.0)
 
     def test_independent_of_state_once_clamped(self):
         eps = 2.0**-8
         r = 64.0
-        ref = h_adaptive_1d(eps, r / 1.1, 1.1, r, DB_SQ)
+        ref = step_1d(Adaptive1D(), eps, r / 1.1, r)
         for i in range(10):
             xbar = r / 1.1 * (1.0 + 0.37 * (i + 1))
-            assert h_adaptive_1d(eps, xbar, 1.1, r, DB_SQ) == ref
+            assert step_1d(Adaptive1D(), eps, xbar, r) == ref
 
 
 class TestTaylor1D:
     def test_second_order_example(self):
         eps = 2.0**-10
-        h = h_taylor_1d(eps, 0.5, 1.1, 1024.0, DB_SQ, 2)
+        h = step_1d(Taylor1D(2), eps, 0.5, 1024.0)
         assert h == math.sqrt(eps) / 1.1 ** (2.0 / 3.0)
         assert h == pytest.approx(0.029326, rel=1e-4)
 
     def test_identity_case(self):
-        assert h_taylor_1d(1.0, 5.0, 1.1, 10.0, lambda x: 1.0, 2) == 1.0
+        assert step_1d(Taylor1D(2), 1.0, 5.0, 10.0, lambda x: 1.0) == 1.0
 
     def test_third_order_formula(self):
-        h = h_taylor_1d(2.0**-12, 1.0, 1.1, 10.0, lambda x: 16.0, 3)
+        h = step_1d(Taylor1D(3), 2.0**-12, 1.0, 10.0, lambda x: 16.0)
         assert h == pytest.approx(0.0078125, rel=1e-15)
 
     def test_m_bar_validation(self):
         with pytest.raises(ValueError):
-            h_taylor_1d(0.1, 1.0, 1.1, 10.0, DB_SQ, 1)
+            Taylor1D(1)
 
 
 class TestUniform1D:
     def test_sq_example(self):
         eps = 2.0**-10
-        h = h_uniform_1d(eps, 0.5, 1024.0, B_SQ, DB_SQ)
+        h = step_1d(Uniform1D(), eps, None, 1024.0, x0=0.5)
         h_bar = eps / math.log(B_SQ(1024.0) / B_SQ(0.5))
         assert math.log(B_SQ(1024.0) / B_SQ(0.5)) == pytest.approx(22 * math.log(2), rel=1e-15)
         assert h == min(h_bar, 1.0 / 4096.0)
         assert h == h_bar  # the log branch binds here
 
     def test_derivative_branch_binds_for_large_eps(self):
-        h = h_uniform_1d(100.0, 0.5, 1024.0, B_SQ, DB_SQ)
+        h = step_1d(Uniform1D(), 100.0, None, 1024.0, x0=0.5)
         assert h == 1.0 / (2.0 * DB_SQ(1024.0))
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            h_uniform_1d(0.1, 2.0, 2.0, B_SQ, DB_SQ)
+            step_1d(Uniform1D(), 0.1, None, 2.0, x0=2.0)
+
+
+class TestInlinedLawsAgree:
+    """solve_1d inlines the Adaptive1D and Taylor1D formulas; every step of a
+    full run must be bit-equal to the update built from the law's step_size."""
+
+    @pytest.mark.parametrize(
+        "pid, method, eps",
+        [
+            ("sq", "adaptive", 2.0**-10),
+            ("sq", "taylor2", 2.0**-14),
+            ("sq", "uniform", 2.0**-8),
+            ("expsq", "adaptive", 2.0**-8),
+        ],
+    )
+    def test_every_step(self, pid, method, eps):
+        entry = catalog.get(pid)
+        prob, law = entry.problem, entry.methods[method]
+        res = solve_1d(prob, eps, SolverConfig(law=law, record_trace=True))
+        h_of = law.step_size(prob, eps, res.radius_used)
+        b, bd = prob.rhs, prob.rhs_deriv
+        assert len(res.trace) == res.steps + 1 > 100
+        for (t0, x0), (t1, x1) in zip(res.trace, res.trace[1:]):
+            h = h_of(x0) if callable(h_of) else h_of
+            expected = x0 + b(x0) * h
+            if isinstance(law, Taylor1D):
+                expected = expected + 0.5 * bd(x0) * b(x0) * h * h
+            assert (t1, x1) == (t0 + h, expected)
 
 
 class TestAdaptiveND:
     def test_example(self):
-        assert h_adaptive_nd(0.01, 15.0) == pytest.approx(0.01 / math.sqrt(15.0), rel=1e-15)
-        assert h_adaptive_nd(0.01, 15.0) == pytest.approx(2.5820e-3, rel=1e-4)
+        assert step_nd(AdaptiveND(), 0.01, jac_norm=15.0) == pytest.approx(
+            0.01 / math.sqrt(15.0), rel=1e-15
+        )
+        assert step_nd(AdaptiveND(), 0.01, jac_norm=15.0) == pytest.approx(2.5820e-3, rel=1e-4)
 
     def test_clamps_small_norms(self):
-        assert h_adaptive_nd(0.01, 0.3) == 0.01
+        assert step_nd(AdaptiveND(), 0.01, jac_norm=0.3) == 0.01
 
     def test_powers_of_two(self):
-        assert h_adaptive_nd(2.0**-5, 4.0) == 2.0**-6
+        assert step_nd(AdaptiveND(), 2.0**-5, jac_norm=4.0) == 2.0**-6
 
 
 class TestAltND:
     def test_example(self):
-        assert h_alt_nd(1e-3, 4.0, 16.0) == pytest.approx(5e-4, rel=1e-15)
+        h = step_nd(AltND(), 1e-3, b_norm=4.0, jvp_norm=16.0)
+        assert h == pytest.approx(5e-4, rel=1e-15)
 
     def test_identity_case(self):
-        assert h_alt_nd(1e-3, 1.0, 1.0) == 1e-3
+        assert step_nd(AltND(), 1e-3, b_norm=1.0, jvp_norm=1.0) == 1e-3
 
-    def test_degenerate_jvp(self):
-        with pytest.raises(DegenerateJVP):
-            h_alt_nd(1e-3, 1.0, 0.0)
+    def test_cap_clips(self):
+        assert step_nd(AltND(cap=2e-4), 1e-3, b_norm=4.0, jvp_norm=16.0) == 2e-4
+        assert step_nd(AltND(cap=1e-3), 1e-3, b_norm=4.0, jvp_norm=16.0) == 5e-4
+
+    def test_falls_back_to_adaptive_where_jvp_vanishes(self):
+        # J = [[0, 3], [0, 0]] is nilpotent: J(x) b(x) = 0 for b(x) = (1, 0), ||J|| = 3
+        prob = planar(JacobianAccess.from_dense(lambda x: np.array([[0.0, 3.0], [0.0, 0.0]])))
+        x, bx = np.ones(2), np.array([1.0, 0.0])
+        eps = 2.0**-10
+        adaptive = AdaptiveND().step_size(prob, eps, 1e6)(x, bx)
+        assert adaptive == pytest.approx(eps / 3.0**0.5, rel=1e-15)
+        for law in (AltND(), AltND(cap=1.0)):
+            assert law.step_size(prob, eps, 1e6)(x, bx) == adaptive
+        assert AltND(cap=adaptive / 2).step_size(prob, eps, 1e6)(x, bx) == adaptive / 2
+        # the same through the matrix-free path
+        assert step_nd(AltND(), eps, jac_norm=3.0, jvp_norm=0.0) == adaptive
 
     def test_rd_initial_profile_against_dense_oracle(self):
         # oracle: dense tridiagonal assembly at m = 32
@@ -127,11 +201,16 @@ class TestAltND:
         assert jvp_norm_matfree == pytest.approx(jvp_norm_oracle, rel=1e-12)
 
         eps = 2.0**-18
-        h_alt = h_alt_nd(eps, b_norm, jvp_norm_oracle)
         cap = 1.0 / (2.0 * m * m)
+        h_alt = AltND(cap=cap).step_size(prob, eps, 1.0 / eps)(x, bx)
         # the adaptive branch, not the cap, binds at t = 0 for this tolerance
-        assert min(h_alt, cap) == h_alt
-        assert h_alt == eps * math.sqrt(b_norm) / math.sqrt(jvp_norm_oracle)
+        assert h_alt < cap
+        assert h_alt == pytest.approx(
+            eps * math.sqrt(b_norm) / math.sqrt(jvp_norm_oracle), rel=1e-12
+        )
+        assert h_alt == eps * math.sqrt(safe_norm(bx)) / math.sqrt(
+            safe_norm(prob.jacobian.jvp(x, bx))
+        )
 
     def test_relation_to_adaptive_law(self):
         # h_alt == h_adaptive * sqrt(norm * |b| / |b'b|) whenever norm >= 1
@@ -141,51 +220,63 @@ class TestAltND:
             bn = float(rng.uniform(0.1, 1e3))
             jn = float(rng.uniform(0.1, 1e3))
             norm = float(rng.uniform(1.0, 1e4))
-            lhs = h_alt_nd(eps, bn, jn)
-            rhs = h_adaptive_nd(eps, norm) * math.sqrt(norm * bn / jn)
+            lhs = step_nd(AltND(), eps, b_norm=bn, jvp_norm=jn)
+            rhs = step_nd(AdaptiveND(), eps, jac_norm=norm) * math.sqrt(norm * bn / jn)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestLogND:
     def test_example(self):
-        assert h_log_nd(0.01, 100, 4.0) == pytest.approx(5e-3, rel=1e-15)
+        assert step_nd(LogNDImplicitN(100), 0.01, jac_norm=4.0) == pytest.approx(
+            5e-3, rel=1e-15
+        )
 
     def test_identity_case(self):
-        assert h_log_nd(1.0, 1, 0.5) == 1.0
+        assert step_nd(LogNDImplicitN(1), 1.0, jac_norm=0.5) == 1.0
 
     def test_powers_of_two(self):
-        assert h_log_nd(2.0**-8, 2**10, 2.0**6) == 2.0**-12
+        assert step_nd(LogNDImplicitN(2**10), 2.0**-8, jac_norm=2.0**6) == 2.0**-12
 
     def test_guess_validation(self):
         with pytest.raises(ValueError):
-            h_log_nd(0.1, 0, 1.0)
+            step_nd(LogNDImplicitN(0), 0.1, jac_norm=1.0)
 
 
 class TestUniformND:
     def test_example(self):
-        h = h_uniform_nd(2.0**-10, 2.0**10)
+        h = step_nd(UniformND(), 2.0**-10, r=2.0**10)
         assert h == pytest.approx(2.0**-10 / (10.0 * math.log(2.0)), rel=1e-15)
 
     def test_radius_must_exceed_e(self):
         with pytest.raises(ValueError):
-            h_uniform_nd(0.1, math.e)
+            step_nd(UniformND(), 0.1, r=math.e)
 
     def test_large_radius(self):
-        assert h_uniform_nd(0.01, math.exp(100.0)) == pytest.approx(1e-4, rel=1e-12)
+        assert step_nd(UniformND(), 0.01, r=math.exp(100.0)) == pytest.approx(1e-4, rel=1e-12)
+
+    def test_cap_clips(self):
+        assert step_nd(UniformND(cap=1e-5), 0.01, r=math.exp(100.0)) == 1e-5
 
 
 def test_every_law_increasing_in_eps():
     eps_grid = [2.0**-k for k in range(8, 13)]
     laws = [
-        lambda e: h_adaptive_1d(e, 0.5, 1.1, 1024.0, DB_SQ),
-        lambda e: h_taylor_1d(e, 0.5, 1.1, 1024.0, DB_SQ, 2),
+        lambda e: step_1d(Adaptive1D(), e, 0.5, 1024.0),
+        lambda e: step_1d(Taylor1D(2), e, 0.5, 1024.0),
         # small eps so the log branch binds; the 1/(2 b'(r)) cap has no eps in it
-        lambda e: h_uniform_1d(e, 0.5, 1024.0, B_SQ, DB_SQ),
-        lambda e: h_adaptive_nd(e, 7.0),
-        lambda e: h_alt_nd(e, 3.0, 11.0),
-        lambda e: h_log_nd(e, 64, 7.0),
-        lambda e: h_uniform_nd(e, 100.0),
+        lambda e: step_1d(Uniform1D(), e, None, 1024.0, x0=0.5),
+        lambda e: step_nd(AdaptiveND(), e, jac_norm=7.0),
+        lambda e: step_nd(AltND(), e, b_norm=3.0, jvp_norm=11.0),
+        lambda e: step_nd(LogNDImplicitN(64), e, jac_norm=7.0),
+        lambda e: step_nd(UniformND(), e, r=100.0),
     ]
     for law in laws:
         hs = [law(e) for e in eps_grid]
         assert all(h1 > h2 for h1, h2 in zip(hs, hs[1:]))
+
+
+def test_every_catalog_law_has_step_size():
+    for pid in catalog.list_ids():
+        for law in catalog.get(pid).methods.values():
+            assert isinstance(law, LAWS_1D + LAWS_ND)
+            assert callable(law.step_size)
