@@ -7,7 +7,6 @@ baseline); wall time is recorded but never asserted on.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -95,7 +94,6 @@ def run_method(
     method: str,
     eps: float,
     *,
-    seed: int = 1,
     rk_tol: float = 1e-10,
     rescale_threshold: float = 4.0,
     cfg: SolverConfig | None = None,
@@ -120,8 +118,8 @@ def run_method(
     if isinstance(problem, ScalarProblem):
         return solve_1d(problem, eps, run_cfg)
     if isinstance(law, LogNDImplicitN) and law.n_guess == 0:
-        return solve_log_nd(problem, eps, run_cfg, seed=seed)
-    return solve_nd(problem, eps, run_cfg, seed=seed)
+        return solve_log_nd(problem, eps, run_cfg)
+    return solve_nd(problem, eps, run_cfg)
 
 
 _REFERENCE_CACHE: dict = {}
@@ -131,7 +129,6 @@ def reference_value(
     entry: catalog.CatalogEntry,
     *,
     eps_ref: float | None = None,
-    seed: int = 1,
 ) -> tuple[str, float, list[str]]:
     """(kind, value, notes) for the entry's reference; pseudo references are
     generated with the entry's adaptive method and cached by (id, eps_ref)."""
@@ -147,10 +144,18 @@ def reference_value(
             f"pseudo reference for {entry.id!r} generated at eps_ref = {eps_ref:g} "
             f"instead of the published {ref.eps_ref:g} (desk-scale substitute)"
         )
-    key = (entry.id, entry.notes, eref, seed)
+    key = (entry.id, entry.notes, eref)
     if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = run_method(entry, "adaptive", eref, seed=seed).tau_hat
+        _REFERENCE_CACHE[key] = run_method(entry, "adaptive", eref).tau_hat
     return "pseudo", _REFERENCE_CACHE[key], notes
+
+
+def _run_cell(entry, method, eps, **kw) -> tuple[Optional[RunResult], str]:
+    """(result, "") from run_method, or (None, the failure) on a SolverError."""
+    try:
+        return run_method(entry, method, eps, **kw), ""
+    except SolverError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _study_row(problem, method, eps, res, ref_kind, ref_value, **extra) -> StudyRow:
@@ -190,7 +195,9 @@ def run_study(
     jobs: int | None = None,
 ) -> StudyTable:
     """Run all (method, eps) cells, compute errors against the entry's
-    reference, and fit log-log error/cost slopes per method."""
+    reference, and fit log-log error/cost slopes per method. A cell that
+    raises a SolverError becomes a failed row. ``seed`` and ``jobs`` are
+    accepted and ignored: every cell is deterministic and runs in turn."""
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid must be strictly decreasing")
@@ -198,27 +205,14 @@ def run_study(
     if not methods:
         return StudyTable(rows=(), fitted={}, notes=())
 
-    ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref, seed=seed)
+    ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
 
-    def cell(method_eps):
-        method, eps = method_eps
-        try:
-            res = run_method(entry, method, eps, seed=seed, rk_tol=rk_tol)
-            return method, eps, res, ""
-        except SolverError as exc:
-            return method, eps, None, f"{type(exc).__name__}: {exc}"
-
-    cells = [(meth, eps) for meth in methods for eps in eps_grid]
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(cell, cells))
-    else:
-        outcomes = [cell(ce) for ce in cells]
-
-    rows = [
-        _study_row(entry.id, method, eps, res, ref_kind, ref_value, failed=failure)
-        for method, eps, res, failure in outcomes
-    ]
+    rows = []
+    for method in methods:
+        for eps in eps_grid:
+            res, failure = _run_cell(entry, method, eps, rk_tol=rk_tol)
+            rows.append(_study_row(entry.id, method, eps, res, ref_kind, ref_value,
+                                   failed=failure))
 
     fitted = {}
     for method in methods:
@@ -247,7 +241,11 @@ def run_rd_study(
     seed: int = 1,
 ) -> StudyTable:
     """Reaction-diffusion tables: tau-hat plus the successive-difference column
-    log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m)."""
+    log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m).
+
+    A cell that raises a SolverError becomes a failed row; the differences
+    next to it are left empty, and the vary-eps reference is the finest run
+    that did not fail. ``seed`` is accepted and ignored."""
     if mode == VARY_EPS:
         grid = list(eps_grid) if eps_grid is not None else [2.0**-k for k in range(18, 26)]
         cells = [(m, e) for e in grid]
@@ -260,20 +258,20 @@ def run_rd_study(
         raise ValueError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
     rows = []
     for method in methods:
-        runs = [
-            (mm, e, run_method(catalog.get("rd", m=mm), method, e, seed=seed)) for mm, e in cells
-        ]
+        runs = [(mm, e, *_run_cell(catalog.get("rd", m=mm), method, e)) for mm, e in cells]
         if mode == VARY_EPS:
-            ref_kind, ref_value = "pseudo", runs[-1][2].tau_hat
+            done = [res.tau_hat for _, _, res, _ in runs if res is not None]
+            ref_kind, ref_value = "pseudo", (done[-1] if done else math.nan)
         else:
             ref_kind, ref_value = "none", math.nan
         prev_tau = None
-        for mm, e, res in runs:
-            diff = None if prev_tau is None else _log2_gap(res.tau_hat, prev_tau)
-            prev_tau = res.tau_hat
+        for mm, e, res, failure in runs:
+            tau = None if res is None else res.tau_hat
+            diff = None if tau is None or prev_tau is None else _log2_gap(tau, prev_tau)
+            prev_tau = tau
             rows.append(
                 _study_row(f"rd({mm})", method, e, res, ref_kind, ref_value,
-                           m=mm, succ_diff_log2=diff)
+                           m=mm, succ_diff_log2=diff, failed=failure)
             )
     notes.append(
         "rd threshold rule is a reconstruction (polynomial growth, c_check = 1, "

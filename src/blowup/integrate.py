@@ -63,6 +63,10 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
         raise ValueError(f"eps must be positive, got {eps!r}")
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else Adaptive1D()
+    if not isinstance(law, stepping.LAWS_1D):
+        raise TypeError(f"{law!r} is not a 1D step law")
+    if isinstance(law, Taylor1D) and law.m_bar != 2:
+        raise ValueError("only the second-order Taylor variant is implemented")
     warnings = _base_warnings(problem)
 
     r = thresholds.radius(problem.threshold, problem, eps)
@@ -81,10 +85,6 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     sqrt = math.sqrt
     start = time.perf_counter()
     if x < r:
-        if not isinstance(law, stepping.LAWS_1D):
-            raise TypeError(f"{law!r} is not a 1D step law")
-        if isinstance(law, Taylor1D) and law.m_bar != 2:
-            raise ValueError("only the second-order Taylor variant is implemented")
         probes = not isinstance(law, Uniform1D)
         second = isinstance(law, Taylor1D)
         root = eps ** 0.5
@@ -139,13 +139,14 @@ def solve_nd(
     problem: VectorProblem,
     eps: float,
     cfg: SolverConfig | None = None,
-    seed: int = 1,
 ) -> RunResult:
     """Estimate the blow-up time of a system by integrating to |x| > r(eps)."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else AdaptiveND()
+    if not isinstance(law, stepping.LAWS_ND):
+        raise TypeError(f"{law!r} is not an R^n step law")
     warnings = _base_warnings(problem)
 
     rule = thresholds.rule_for_growth(problem.growth)
@@ -168,9 +169,7 @@ def solve_nd(
     if degenerate:
         warnings.append(f"degenerate radius: r = {r!r} < |x0| = {nx!r}; no steps taken")
     else:
-        if not isinstance(law, stepping.LAWS_ND):
-            raise TypeError(f"{law!r} is not an R^n step law")
-        h_rule = law.step_size(problem, eps, r, seed)
+        h_rule = law.step_size(problem, eps, r)
         constant_h = not callable(h_rule)
         with np.errstate(over="ignore", invalid="ignore"):
             while nx <= r:
@@ -199,7 +198,7 @@ def solve_nd(
         wall_time=wall,
         trace=tuple(trace) if trace is not None else None,
         warnings=tuple(warnings),
-        meta={"law": type(law).__name__, "radius_rule": type(rule).__name__, "seed": seed},
+        meta={"law": type(law).__name__, "radius_rule": type(rule).__name__},
     )
 
 
@@ -207,7 +206,6 @@ def solve_log_nd(
     problem: VectorProblem,
     eps: float,
     cfg: SolverConfig | None = None,
-    seed: int = 1,
 ) -> RunResult:
     """Slow-growth solver: the step law needs the unknown step count N, so an
     outer loop guesses N, runs, and accepts once N_actual <= guess <= 4*N_actual.
@@ -226,7 +224,7 @@ def solve_log_nd(
     start = time.perf_counter()
     for outer in range(1, 41):
         run_cfg = replace(cfg, law=LogNDImplicitN(n_guess))
-        res = solve_nd(problem, eps, run_cfg, seed=seed)
+        res = solve_nd(problem, eps, run_cfg)
         actual = res.steps
         total_steps += actual
         if actual == 0 or (actual <= n_guess <= 4 * actual):

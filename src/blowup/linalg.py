@@ -1,8 +1,10 @@
 """Jacobian norm machinery.
 
-Spectral norms (induced matrix 2-norm) are taken from, in order of preference:
-a user-supplied closed form, exact eigenvalues for small symmetric matrices,
-or power iteration on J^T J with a deterministic seeded start vector.
+The spectral norm (induced matrix 2-norm) comes from a user-supplied closed
+form when the Jacobian carries one, and otherwise is exact on the dense
+Jacobian: a closed form in the entries for 2x2 matrices, the largest singular
+value from numpy's SVD for every other size. A matrix-free Jacobian without a
+closed form has no 2-norm here.
 """
 from __future__ import annotations
 
@@ -50,13 +52,6 @@ class JacobianAccess:
         return np.asarray(self.dense(x), dtype=float) @ v
 
 
-# 2^64 LCG (Knuth MMIX constants); used only to seed power iteration so that
-# benchmark runs are bit-reproducible.
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
-
-
 def safe_norm(x) -> float:
     """Euclidean norm that survives |x|^2 overflowing float64."""
     s = float(x @ x)
@@ -67,111 +62,14 @@ def safe_norm(x) -> float:
     return m * math.sqrt(float(u @ u))
 
 
-def lcg_unit_vector(dim: int, seed: int) -> np.ndarray:
-    """Deterministic pseudo-random unit vector from a 64-bit LCG."""
-    state = (2 * seed + 1) & _LCG_MASK
-    vals = np.empty(dim)
-    for i in range(dim):
-        state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
-        vals[i] = (state >> 11) / float(1 << 53) - 0.5
-    n = math.sqrt(float(vals @ vals))
-    if n == 0.0:
-        vals[0] = 1.0
-        n = 1.0
-    return vals / n
+def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:
+    """||J(x)||_2: the norm hint, else the exact norm of the dense Jacobian.
 
-
-def _sym_norm_small(J: np.ndarray) -> float:
-    """Largest |eigenvalue| of a symmetric matrix with dim <= 3."""
-    n = J.shape[0]
-    if n == 1:
-        return abs(float(J[0, 0]))
-    if n == 2:
-        a, b, d = float(J[0, 0]), float(J[0, 1]), float(J[1, 1])
-        mid = 0.5 * (a + d)
-        rad = math.hypot(0.5 * (a - d), b)
-        return max(abs(mid + rad), abs(mid - rad))
-    w = np.linalg.eigvalsh(J)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def _gram_norm_small(J: np.ndarray) -> float:
-    """Exact sigma_max for a general matrix with dim <= 3, via eigenvalues of
-    the (symmetric) Gram matrix J^T J. Power iteration stalls when the top two
-    singular values nearly coincide, which these small Jacobians often do."""
-    n = J.shape[0]
-    if n == 1:
-        return abs(float(J[0, 0]))
-    if n == 2:
-        a, b = float(J[0, 0]), float(J[0, 1])
-        c, d = float(J[1, 0]), float(J[1, 1])
-        g11 = a * a + c * c
-        g12 = a * b + c * d
-        g22 = b * b + d * d
-        mid = 0.5 * (g11 + g22)
-        rad = math.hypot(0.5 * (g11 - g22), g12)
-        return math.sqrt(max(mid + rad, 0.0))
-    w = np.linalg.eigvalsh(J.T @ J)
-    return math.sqrt(max(float(w[-1]), 0.0))
-
-
-def power_iteration_norm(
-    J: np.ndarray,
-    seed: int = 1,
-    rel_tol: float = 1e-10,
-    max_iter: int = 500,
-) -> float:
-    """2-norm of a dense matrix via power iteration on J^T J.
-
-    A final Rayleigh-Ritz extraction on span{v, Gv} recovers the top
-    eigenvalue even when the two leading singular values nearly coincide,
-    where the plain iteration stalls.
+    A 2x2 Jacobian [[a, b], [c, d]] takes the closed form
+    sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2 on Python
+    floats; every other size takes the largest singular value from numpy's
+    SVD. ``seed`` is accepted and ignored; both paths are deterministic.
     """
-    J = np.asarray(J, dtype=float)
-    dim = J.shape[1]
-
-    def gram(w):
-        return J.T @ (J @ w)
-
-    v = lcg_unit_vector(dim, seed)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = gram(v)
-        nu = math.sqrt(float(u @ u))
-        if nu == 0.0:
-            return 0.0
-        new_lam = float(v @ u)
-        v = u / nu
-        if abs(new_lam - lam) <= rel_tol * abs(new_lam):
-            lam = new_lam
-            break
-        lam = new_lam
-
-    gv = gram(v)
-    theta = float(v @ gv)
-    resid = gv - theta * v
-    resid = resid - float(v @ resid) * v
-    nr = math.sqrt(float(resid @ resid))
-    # below ~1e-8*theta the residual is roundoff and theta is already accurate
-    if nr > 1e-8 * max(abs(theta), 1e-300):
-        u = resid / nr
-        gu = gram(u)
-        a, b = theta, float(v @ gu)
-        d = float(u @ gu)
-        lam = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-    else:
-        lam = theta
-    return math.sqrt(max(lam, 0.0))
-
-
-def _is_symmetric(J: np.ndarray) -> bool:
-    off = float(np.max(np.abs(J - J.T)))
-    scale = float(np.max(np.abs(J)))
-    return off <= 1e-12 * scale
-
-
-def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed: int = 1) -> float:
-    """||J(x)||_2: norm hint, exact small symmetric eigenvalues, or power iteration."""
     if jac.norm_hint is not None:
         return float(jac.norm_hint(x))
     if jac.dense is None:
@@ -183,11 +81,10 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed: int = 1)
     n = J.shape[0]
     if dim is not None and n != dim:
         raise ValueError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
-    if n <= 3:
-        if _is_symmetric(J):
-            return _sym_norm_small(J)
-        return _gram_norm_small(J)
-    return power_iteration_norm(J, seed=seed)
+    if J.shape == (2, 2):
+        (a, b), (c, d) = J.tolist()
+        return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
+    return float(np.linalg.svd(J, compute_uv=False)[0])
 
 
 def jvp_norm(jac: JacobianAccess, x, v) -> float:

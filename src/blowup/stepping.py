@@ -1,6 +1,6 @@
 """Step-size laws, one frozen dataclass each.
 
-A law's ``step_size(problem, eps, r, seed)`` gives the step the solvers take:
+A law's ``step_size(problem, eps, r)`` gives the step the solvers take:
 a function h(x) of the state for the adaptive 1D laws, h(x, bx) with
 bx = b(x) for the adaptive R^n laws, or a plain float for the constant-step
 laws. solve_nd calls it once per run. solve_1d does the same for Uniform1D but
@@ -34,7 +34,7 @@ def _probe_deriv(bd, k: float, x: float, r: float) -> float:
 class Adaptive1D:
     """h = eps / sqrt(b'(min(k*x, r)))."""
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+    def step_size(self, problem, eps: float, r: float):
         bd, k, sqrt = problem.rhs_deriv, problem.k, math.sqrt
 
         def h(x):
@@ -53,7 +53,7 @@ class Taylor1D:
         if self.m_bar < 2:
             raise ValueError("m_bar must be >= 2")
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+    def step_size(self, problem, eps: float, r: float):
         bd, k = problem.rhs_deriv, problem.k
         root, power = eps ** (1.0 / self.m_bar), self.m_bar / (self.m_bar + 1.0)
 
@@ -66,7 +66,7 @@ class Taylor1D:
 class Uniform1D:
     """Constant h = min(eps/log(b(r)/b(x0)), 1/(2 b'(r)))."""
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1) -> float:
+    def step_size(self, problem, eps: float, r: float) -> float:
         x0 = float(problem.x0)
         br, b0 = float(problem.rhs(r)), float(problem.rhs(x0))
         if not br > b0:
@@ -82,12 +82,12 @@ class Uniform1D:
 class AdaptiveND:
     """h = eps / sqrt(max(||b'(x)||, 1))."""
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+    def step_size(self, problem, eps: float, r: float):
         jac, dim, sqrt = problem.jacobian, problem.dim, math.sqrt
 
         def h(x, bx):
             # looked up on the module at each call, so a patched spectral_norm is seen
-            sn = linalg.spectral_norm(jac, x, dim, seed)
+            sn = linalg.spectral_norm(jac, x, dim)
             return eps / sqrt(sn if sn > 1.0 else 1.0)
         return h
 
@@ -103,10 +103,10 @@ class AltND:
 
     cap: Optional[float] = None
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+    def step_size(self, problem, eps: float, r: float):
         jac, cap = problem.jacobian, self.cap
         jvp, dense = jac.jvp, jac.dense
-        adaptive = AdaptiveND().step_size(problem, eps, r, seed)
+        adaptive = AdaptiveND().step_size(problem, eps, r)
         norm, sqrt = linalg.safe_norm, math.sqrt
 
         def h(x, bx):
@@ -123,13 +123,13 @@ class LogNDImplicitN:
 
     n_guess: int = 0
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1):
+    def step_size(self, problem, eps: float, r: float):
         if self.n_guess < 1:
             raise ValueError("LogNDImplicitN needs n_guess >= 1 here; use solve_log_nd")
         jac, dim, n_guess, sqrt = problem.jacobian, problem.dim, self.n_guess, math.sqrt
 
         def h(x, bx):
-            sn = linalg.spectral_norm(jac, x, dim, seed)
+            sn = linalg.spectral_norm(jac, x, dim)
             return sqrt(eps / (n_guess * (sn if sn > 1.0 else 1.0)))
         return h
 
@@ -141,7 +141,7 @@ class UniformND:
 
     cap: Optional[float] = None
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1) -> float:
+    def step_size(self, problem, eps: float, r: float) -> float:
         if not r > math.e:
             raise ValueError(f"uniform n-d law needs r > e, got {r!r}")
         h = eps / math.log(r)
@@ -154,7 +154,7 @@ class PowerUniformND:
 
     exponent: float
 
-    def step_size(self, problem, eps: float, r: float, seed: int = 1) -> float:
+    def step_size(self, problem, eps: float, r: float) -> float:
         return eps ** self.exponent
 
 

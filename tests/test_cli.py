@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from blowup import cli
 from blowup.cli import main, parse_eps
 
 
@@ -131,7 +132,7 @@ def test_study_writes_outputs(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "study", "--problem", "sq", "--methods", "adaptive,uniform",
         "--eps-start", "2^-6", "--eps-stop", "2^-10",
-        "--out", str(csv), "--svg", str(svg), "--jobs", "2",
+        "--out", str(csv), "--svg", str(svg),
     )
     assert code == 0
     assert csv.exists() and svg.exists()
@@ -152,8 +153,19 @@ def test_rd_study_writes_table(capsys, tmp_path):
 
 
 def test_env_seed_override(capsys, monkeypatch):
+    seeds = []
+    real = cli.check_assumptions
+
+    def recording(problem, samples, seed):
+        seeds.append(seed)
+        return real(problem, samples=samples, seed=seed)
+
+    monkeypatch.setattr(cli, "check_assumptions", recording)
     monkeypatch.setenv("BLOWUP_SEED", "7")
-    code, out, _ = run_cli(
-        capsys, "run", "--problem", "uncoupled", "--method", "adaptive", "--eps", "2^-6"
+    code, _, _ = run_cli(capsys, "check", "--problem", "uncoupled", "--samples", "200")
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "check", "--problem", "uncoupled", "--samples", "200", "--seed", "3"
     )
     assert code == 0
+    assert seeds == [7, 3]

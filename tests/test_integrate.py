@@ -130,6 +130,15 @@ class TestLawDispatch:
         with pytest.raises(TypeError):
             solve_nd(uncoupled, 2.0**-6, SolverConfig(law=Adaptive1D()))
 
+    def test_wrong_law_rejected_at_degenerate_radius(self, sq, uncoupled):
+        # both radii lie below the start, so no step would be taken
+        with pytest.raises(TypeError):
+            solve_1d(sq, 4.0, SolverConfig(law=AltND()))
+        with pytest.raises(TypeError):
+            solve_nd(uncoupled, 0.6, SolverConfig(law=Adaptive1D()))
+        with pytest.raises(ValueError):
+            solve_1d(sq, 4.0, SolverConfig(law=Taylor1D(3)))
+
     def test_implicit_n_sentinel_needs_outer_loop(self, uncoupled):
         with pytest.raises(ValueError):
             solve_nd(uncoupled, 2.0**-6, SolverConfig(law=LogNDImplicitN(0)))
@@ -178,7 +187,7 @@ class TestSolveND:
         t = 0.0
         n = 0
         while math.sqrt(float(x @ x)) <= r:
-            sn = spectral_norm(uncoupled.jacobian, x, 2, seed=1)
+            sn = spectral_norm(uncoupled.jacobian, x, 2)
             h = eps / math.sqrt(max(sn, 1.0))
             x = x + uncoupled.rhs(x) * h
             t += h

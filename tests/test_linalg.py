@@ -8,8 +8,6 @@ from blowup.linalg import (
     JacobianAccess,
     TransposeUnavailable,
     jvp_norm,
-    lcg_unit_vector,
-    power_iteration_norm,
     safe_norm,
     spectral_norm,
 )
@@ -60,15 +58,51 @@ def test_coupled_norm_identity_at_random_points():
         assert spectral_norm(jac, x) == pytest.approx(expected, rel=1e-10)
 
 
-def test_power_iteration_against_exact_eigenvalues():
+def _dense(J):
+    return JacobianAccess.from_dense(lambda x: J)
+
+
+def test_dense_norm_against_exact_eigenvalues():
     rng = np.random.default_rng(314)
-    for trial in range(100):
+    for _ in range(100):
         dim = int(rng.integers(2, 7))
         A = rng.normal(size=(dim, dim))
         sym = 0.5 * (A + A.T)
         exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-        approx = power_iteration_norm(sym, seed=trial + 1)
-        assert approx == pytest.approx(exact, rel=1e-8)
+        assert spectral_norm(_dense(sym), np.zeros(dim)) == pytest.approx(exact, rel=1e-8)
+
+
+class TestTwoByTwoClosedForm:
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("kind", ["symmetric", "diagonal", "general"])
+    def test_against_svd(self, kind, scale):
+        rng = np.random.default_rng(2718)
+        for _ in range(200):
+            A = rng.normal(size=(2, 2))
+            if kind == "symmetric":
+                A = 0.5 * (A + A.T)
+            elif kind == "diagonal":
+                A = np.diag(np.diag(A))
+            J = scale * A
+            expected = float(np.linalg.svd(J, compute_uv=False)[0])
+            assert spectral_norm(_dense(J), np.zeros(2)) == pytest.approx(expected, rel=1e-14)
+
+    def test_no_overflow_where_the_gram_matrix_would(self):
+        # J^T J has entries near 1e400; the exact norm is 1.10521820951191917...e200
+        J = np.array([[1e200, 3e199], [2e199, 5e199]])
+        assert spectral_norm(_dense(J), np.zeros(2)) == pytest.approx(
+            1.1052182095119192e200, rel=1e-15
+        )
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_other_dense_sizes_against_svd(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        J = rng.normal(size=(dim, dim))
+        expected = float(np.linalg.svd(J, compute_uv=False)[0])
+        assert spectral_norm(_dense(J), np.zeros(dim), dim) == pytest.approx(expected, rel=1e-12)
+    assert spectral_norm(_dense(np.array([[-4.0]])), np.zeros(1)) == 4.0
 
 
 class TestJvpNorm:
@@ -114,17 +148,6 @@ def test_rd_jvp_linearity():
             lhs = jvp(x, a * u + v)
             rhs = a * jvp(x, u) + jvp(x, v)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-class TestDeterministicStart:
-    def test_same_seed_same_vector(self):
-        v1 = lcg_unit_vector(5, 123)
-        v2 = lcg_unit_vector(5, 123)
-        assert np.array_equal(v1, v2)
-        assert abs(float(v1 @ v1) - 1.0) < 1e-14
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(lcg_unit_vector(5, 1), lcg_unit_vector(5, 2))
 
 
 def test_safe_norm_survives_overflow():
