@@ -30,7 +30,7 @@ from .integrate import (
     solve_nd,
     solve_separable,
 )
-from .linalg import JacobianAccess, TransposeUnavailable, jvp_norm, spectral_norm
+from .linalg import JacobianAccess, TransposeUnavailable, spectral_norm
 from .problems import (
     AssumptionReport,
     GrowthSpec,

@@ -147,6 +147,8 @@ def solve_nd(
     law = cfg.law if cfg.law is not None else AdaptiveND()
     if not isinstance(law, stepping.LAWS_ND):
         raise TypeError(f"{law!r} is not an R^n step law")
+    if isinstance(law, LogNDImplicitN) and law.n_guess < 1:
+        raise ValueError("LogNDImplicitN needs n_guess >= 1 here; use solve_log_nd")
     warnings = _base_warnings(problem)
 
     rule = thresholds.rule_for_growth(problem.growth)

@@ -53,13 +53,16 @@ class JacobianAccess:
 
 
 def safe_norm(x) -> float:
-    """Euclidean norm that survives |x|^2 overflowing float64."""
-    s = float(x @ x)
+    """Euclidean norm that survives |x|^2 overflowing float64; inf if any |x_i| is."""
+    # np.dot reaches the same BLAS ddot as x @ x without the matmul ufunc's overhead
+    s = np.dot(x, x)
     if s != math.inf:
         return math.sqrt(s)
     m = float(np.max(np.abs(x)))
+    if m == math.inf:
+        return m
     u = x / m
-    return m * math.sqrt(float(u @ u))
+    return m * math.sqrt(np.dot(u, u))
 
 
 def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:
@@ -85,9 +88,3 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
         (a, b), (c, d) = J.tolist()
         return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
     return float(np.linalg.svd(J, compute_uv=False)[0])
-
-
-def jvp_norm(jac: JacobianAccess, x, v) -> float:
-    """Euclidean norm |J(x) v|."""
-    w = np.asarray(jac.apply(x, v), dtype=float)
-    return math.sqrt(float(w @ w))

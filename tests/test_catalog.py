@@ -90,6 +90,31 @@ class TestReactionDiffusion:
             )
             assert np.allclose(prob.jacobian.jvp(x, v), dense @ v, rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 32, 64])
+    def test_kernels_match_padded_stencil_bytewise(self, m):
+        # Reference: the zero-padded three-slice Laplacian, summed as
+        # (v[i-1] - 2 v[i]) + v[i+1]; the kernels must round exactly like it.
+        def padded_laplacian(v):
+            pad = np.zeros(m + 1)
+            pad[1:-1] = v
+            return pad[:-2] - 2.0 * v + pad[2:]
+
+        prob = build_reaction_diffusion(m)
+        m2 = float(m * m)
+        rng = np.random.default_rng(1000 + m)
+        for _ in range(50):
+            scale = 10.0 ** rng.uniform(-5.0, 10.0, size=m - 1)
+            x = rng.normal(size=m - 1) * scale
+            v = rng.normal(size=m - 1) * scale[::-1]
+            f = prob.rhs(x)
+            jv = prob.jacobian.jvp(x, v)
+            assert f.tobytes() == (m2 * padded_laplacian(x) + x * x).tobytes()
+            assert jv.tobytes() == (m2 * padded_laplacian(v) + 2.0 * x * v).tobytes()
+            again = prob.rhs(x)
+            assert again.tobytes() == f.tobytes()
+            for a, b in ((f, again), (f, x), (jv, prob.jacobian.jvp(x, v)), (jv, v)):
+                assert not np.shares_memory(a, b)
+
     def test_m_validation(self):
         with pytest.raises(ValueError):
             build_reaction_diffusion(1)

@@ -138,6 +138,8 @@ class TestLawDispatch:
             solve_nd(uncoupled, 0.6, SolverConfig(law=Adaptive1D()))
         with pytest.raises(ValueError):
             solve_1d(sq, 4.0, SolverConfig(law=Taylor1D(3)))
+        with pytest.raises(ValueError):
+            solve_nd(uncoupled, 0.6, SolverConfig(law=LogNDImplicitN(0)))
 
     def test_implicit_n_sentinel_needs_outer_loop(self, uncoupled):
         with pytest.raises(ValueError):

