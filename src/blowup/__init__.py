@@ -28,7 +28,6 @@ from .integrate import (
     solve_1d,
     solve_log_nd,
     solve_nd,
-    solve_separable,
 )
 from .linalg import JacobianAccess, TransposeUnavailable, spectral_norm
 from .problems import (
@@ -44,6 +43,7 @@ from .stepping import (
     Adaptive1D,
     AdaptiveND,
     AltND,
+    LogNDFixedN,
     LogNDImplicitN,
     NonpositiveDerivative,
     PowerUniformND,

@@ -83,7 +83,7 @@ def _sq() -> CatalogEntry:
     return CatalogEntry(
         id="sq",
         problem=problem,
-        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(2), "uniform": Uniform1D()},
+        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()},
         reference=Exact(2.0),
         rescale_power=2.0,
         notes="b = x^2 from x0 = 1/2; tau = 2; radius solves b(r) = eps^-2, i.e. r = 1/eps",
@@ -104,7 +104,7 @@ def _expsq() -> CatalogEntry:
     return CatalogEntry(
         id="expsq",
         problem=problem,
-        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(2), "uniform": Uniform1D()},
+        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()},
         reference=Pseudo(2.0**-33),
         notes=(
             "b = exp(x^2) from x0 = 1; no closed-form tau. The published protocol "
@@ -143,7 +143,7 @@ def _xlog(c: float) -> CatalogEntry:
     return CatalogEntry(
         id="xlog_c",
         problem=problem,
-        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(2), "uniform": Uniform1D()},
+        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()},
         reference=Exact(problem.exact_tau),
         notes=(
             f"b = x log(x)^(1+c) with c = {c}; tau = 1/(c log(2)^c). The closed-form "
@@ -279,7 +279,7 @@ def _slowlog(c: float) -> CatalogEntry:
         id="slowlog_c",
         problem=problem,
         methods={
-            "adaptive": LogNDImplicitN(0),  # resolved by the implicit-N outer loop
+            "adaptive": LogNDImplicitN(),  # resolved by the implicit-N outer loop
             "uniform": UniformND(),
             "log-uniform": UniformND(),
         },
@@ -358,6 +358,8 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
 
 @lru_cache(maxsize=None)
 def _rd(m: int) -> CatalogEntry:
+    if m < 2:
+        raise UnknownId(f"rd needs m >= 2, got {m!r}")
     problem = build_reaction_diffusion(m)
     cap = 1.0 / (2.0 * m * m)
     return CatalogEntry(

@@ -33,17 +33,33 @@ METHODS = ("adaptive", "taylor2", "uniform", "log-uniform", "arclength", "rescal
 
 
 def parse_eps(text: str) -> float:
-    """Parse '2^-12' or a plain decimal."""
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        try:
-            return float(base) ** float(exp)
-        except ValueError:
-            raise UsageError(f"bad tolerance {text!r}") from None
+    """Parse '2^-12' or a plain decimal; the tolerance must be positive and finite."""
+    base, caret, exp = text.partition("^")
     try:
-        return float(text)
-    except ValueError:
+        eps = float(base) ** float(exp) if caret else float(text)
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise UsageError(f"bad tolerance {text!r}") from None
+    if not (isinstance(eps, float) and 0.0 < eps < math.inf):
+        raise UsageError(f"tolerance must be positive and finite, got {text!r}")
+    return eps
+
+
+def _halving_grid(start: float, stop: float) -> list[float]:
+    """start, start/2, start/4, ... down to stop (within a relative 1e-12)."""
+    if not 0 < stop <= start:
+        raise UsageError("need 0 < eps-stop <= eps-start")
+    grid = []
+    e = start
+    while e >= stop * (1.0 - 1e-12):
+        grid.append(e)
+        e /= 2.0
+    return grid
+
+
+def _positive_int(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return int(text)
 
 
 def _default_seed() -> int:
@@ -72,7 +88,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--m", type=int, help="grid refinement for rd")
     run.add_argument("--M", type=float, default=4.0, help="rescaling threshold")
     run.add_argument("--rk-tol", type=float, default=1e-10, help="arclength RK tolerance")
-    run.add_argument("--max-steps", type=int, default=2**30, help="step budget")
+    run.add_argument("--max-steps", type=_positive_int, default=2**30, help="step budget")
     run.add_argument("--trace", help="write (t, |x|) pairs to this CSV path")
     run.add_argument(
         "--expr-deriv-check",
@@ -110,7 +126,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--threshold")
     check.add_argument("--c", type=float)
     check.add_argument("--m", type=int)
-    check.add_argument("--samples", type=int, default=10000)
+    check.add_argument("--samples", type=_positive_int, default=10000)
     check.add_argument("--seed", type=int, default=None)
 
     sub.add_parser("list", help="print catalog ids")
@@ -197,7 +213,7 @@ def _cmd_run(args) -> int:
         problem = _expr_problem(args)
         if args.method not in ("adaptive", "taylor2", "uniform"):
             raise UsageError(f"--expr supports adaptive/taylor2/uniform, not {args.method!r}")
-        law = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(2), "uniform": Uniform1D()}[
+        law = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()}[
             args.method
         ]
         cfg = SolverConfig(law=law, record_trace=args.trace is not None,
@@ -226,15 +242,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    start = parse_eps(args.eps_start)
-    stop = parse_eps(args.eps_stop)
-    if not 0 < stop <= start:
-        raise UsageError("need 0 < eps-stop <= eps-start")
-    grid = []
-    e = start
-    while e >= stop * (1.0 - 1e-12):
-        grid.append(e)
-        e /= 2.0
+    grid = _halving_grid(parse_eps(args.eps_start), parse_eps(args.eps_stop))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     eps_ref = parse_eps(args.eps_ref) if args.eps_ref else None
     table = harness.run_study(
@@ -262,11 +270,7 @@ def _cmd_rd_study(args) -> int:
     if args.eps_start or args.eps_stop:
         start = parse_eps(args.eps_start) if args.eps_start else 2.0**-18
         stop = parse_eps(args.eps_stop) if args.eps_stop else 2.0**-25
-        eps_grid = []
-        e = start
-        while e >= stop * (1.0 - 1e-12):
-            eps_grid.append(e)
-            e /= 2.0
+        eps_grid = _halving_grid(start, stop)
     m_grid = None
     if args.m_grid:
         m_grid = [int(v) for v in args.m_grid.split(",") if v.strip()]

@@ -117,7 +117,7 @@ def run_method(
     run_cfg = replace(cfg or SolverConfig(), law=law)
     if isinstance(problem, ScalarProblem):
         return solve_1d(problem, eps, run_cfg)
-    if isinstance(law, LogNDImplicitN) and law.n_guess == 0:
+    if isinstance(law, LogNDImplicitN):
         return solve_log_nd(problem, eps, run_cfg)
     return solve_nd(problem, eps, run_cfg)
 

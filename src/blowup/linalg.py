@@ -45,12 +45,6 @@ class JacobianAccess:
     def matrix_free(cls, jvp: Callable, norm_hint: Callable | None = None) -> "JacobianAccess":
         return cls(jvp=jvp, norm_hint=norm_hint)
 
-    def apply(self, x, v):
-        """J(x) @ v through whichever representation is available."""
-        if self.jvp is not None:
-            return self.jvp(x, v)
-        return np.asarray(self.dense(x), dtype=float) @ v
-
 
 def safe_norm(x) -> float:
     """Euclidean norm that survives |x|^2 overflowing float64; inf if any |x_i| is."""

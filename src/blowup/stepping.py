@@ -1,11 +1,12 @@
 """Step-size laws, one frozen dataclass each.
 
-A law's ``step_size(problem, eps, r)`` gives the step the solvers take:
-a function h(x) of the state for the adaptive 1D laws, h(x, bx) with
-bx = b(x) for the adaptive R^n laws, or a plain float for the constant-step
-laws. solve_nd calls it once per run. solve_1d does the same for Uniform1D but
-inlines the Adaptive1D and Taylor1D formulas in its loop, since a call per
-step costs 20-30%; the tests check that the inlined steps equal step_size.
+The R^n laws and Uniform1D have ``step_size(problem, eps, r)``, which gives the
+step the solvers take: h(x, bx) with bx = b(x) for the adaptive R^n laws, or a
+plain float for the constant-step laws. solve_nd calls it once per run, and
+solve_1d calls Uniform1D's once. The two per-state 1D laws, Adaptive1D and
+Taylor1D, have no step_size: solve_1d computes their steps in its loop, since a
+call per step costs 20-30%. LogNDImplicitN has none either: solve_log_nd
+resolves its step count N by running LogNDFixedN passes.
 """
 from __future__ import annotations
 
@@ -21,45 +22,15 @@ class NonpositiveDerivative(SolverError):
     """b' was <= 0 at the probe point; the 1D laws need b' > 0."""
 
 
-def _probe_deriv(bd, k: float, x: float, r: float) -> float:
-    """b'(min(k*x, r)), which the adaptive 1D laws need positive."""
-    probe = min(k * x, r)
-    d = float(bd(probe))
-    if d <= 0.0:
-        raise NonpositiveDerivative(f"b'({probe!r}) = {d!r}")
-    return d
-
-
 @dataclass(frozen=True)
 class Adaptive1D:
-    """h = eps / sqrt(b'(min(k*x, r)))."""
-
-    def step_size(self, problem, eps: float, r: float):
-        bd, k, sqrt = problem.rhs_deriv, problem.k, math.sqrt
-
-        def h(x):
-            return eps / sqrt(_probe_deriv(bd, k, x, r))
-        return h
+    """h = eps / sqrt(b'(min(k*x, r))); solve_1d computes it."""
 
 
 @dataclass(frozen=True)
 class Taylor1D:
-    """Second (and in principle higher) order Taylor update with
-    h = eps^(1/m) / b'(min(k*x, r))^(m/(m+1))."""
-
-    m_bar: int = 2
-
-    def __post_init__(self):
-        if self.m_bar < 2:
-            raise ValueError("m_bar must be >= 2")
-
-    def step_size(self, problem, eps: float, r: float):
-        bd, k = problem.rhs_deriv, problem.k
-        root, power = eps ** (1.0 / self.m_bar), self.m_bar / (self.m_bar + 1.0)
-
-        def h(x):
-            return root / _probe_deriv(bd, k, x, r) ** power
-        return h
+    """Second-order Taylor update with h = eps^(1/2) / b'(min(k*x, r))^(2/3);
+    solve_1d computes it."""
 
 
 @dataclass(frozen=True)
@@ -117,21 +88,28 @@ class AltND:
 
 
 @dataclass(frozen=True)
-class LogNDImplicitN:
-    """h = sqrt(eps / (N * max(1, ||b'(x)||))); N resolved by an outer
-    fixed-point iteration when n_guess == 0 (see integrate.solve_log_nd)."""
+class LogNDFixedN:
+    """h = sqrt(eps / (N * max(1, ||b'(x)||))) for a given step count N >= 1."""
 
-    n_guess: int = 0
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"LogNDFixedN needs n >= 1, got {self.n!r}")
 
     def step_size(self, problem, eps: float, r: float):
-        if self.n_guess < 1:
-            raise ValueError("LogNDImplicitN needs n_guess >= 1 here; use solve_log_nd")
-        jac, dim, n_guess, sqrt = problem.jacobian, problem.dim, self.n_guess, math.sqrt
+        jac, dim, n, sqrt = problem.jacobian, problem.dim, self.n, math.sqrt
 
         def h(x, bx):
             sn = linalg.spectral_norm(jac, x, dim)
-            return sqrt(eps / (n_guess * (sn if sn > 1.0 else 1.0)))
+            return sqrt(eps / (n * (sn if sn > 1.0 else 1.0)))
         return h
+
+
+@dataclass(frozen=True)
+class LogNDImplicitN:
+    """The LogNDFixedN law with N the run's own step count, found by the outer
+    fixed-point iteration of integrate.solve_log_nd; solve_nd does not take it."""
 
 
 @dataclass(frozen=True)
@@ -159,6 +137,6 @@ class PowerUniformND:
 
 
 LAWS_1D = (Adaptive1D, Taylor1D, Uniform1D)
-LAWS_ND = (AdaptiveND, AltND, LogNDImplicitN, UniformND, PowerUniformND)
+LAWS_ND = (AdaptiveND, AltND, LogNDFixedN, UniformND, PowerUniformND)
 
-StepLaw = Union[LAWS_1D + LAWS_ND]
+StepLaw = Union[LAWS_1D + LAWS_ND + (LogNDImplicitN,)]

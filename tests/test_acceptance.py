@@ -43,7 +43,7 @@ def sq_adaptive(sq_entry):
 
 @pytest.fixture(scope="session")
 def sq_taylor(sq_entry):
-    cfg = SolverConfig(law=Taylor1D(2))
+    cfg = SolverConfig(law=Taylor1D())
     return {k: solve_1d(sq_entry.problem, 2.0**-k, cfg) for k in range(6, 21)}
 
 

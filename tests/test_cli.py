@@ -125,6 +125,34 @@ class TestExitCodes:
         assert code == 3
         assert "StepBudgetExceeded" in err
 
+    def test_nan_state_is_3(self, capsys):
+        # exp(exp(x)) / exp(exp(x)) is inf / inf = NaN once exp(x) > 709.8, below r = 256
+        code, _, err = run_cli(
+            capsys, "run", "--expr", "x^2 * (exp(exp(x)) / exp(exp(x)))", "--x0", "0.5",
+            "--threshold", "radius:eps^-1", "--eps", "2^-8",
+        )
+        assert code == 3
+        assert "Overflow: state is nan after 748 steps" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--problem", "sq", "--eps", "0"),
+            ("run", "--problem", "sq", "--eps", "-1"),
+            ("run", "--problem", "sq", "--eps", "0^-1"),
+            ("run", "--problem", "sq", "--eps", "10^400"),
+            ("run", "--problem", "sq", "--eps", "nan"),
+            ("run", "--problem", "sq", "--eps", "-2^0.5"),
+            ("run", "--problem", "sq", "--eps", "2^-8", "--max-steps", "0"),
+            ("check", "--problem", "sq", "--samples", "0"),
+            ("run", "--problem", "rd", "--m", "1", "--eps", "2^-8"),
+        ],
+    )
+    def test_edge_inputs_are_usage_errors(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error: ")
+
 
 def test_study_writes_outputs(capsys, tmp_path):
     csv = tmp_path / "study.csv"

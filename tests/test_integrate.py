@@ -11,10 +11,9 @@ from blowup.integrate import (
     solve_1d,
     solve_log_nd,
     solve_nd,
-    solve_separable,
 )
-from blowup.linalg import spectral_norm
-from blowup.problems import ScalarProblem
+from blowup.linalg import JacobianAccess, spectral_norm
+from blowup.problems import POLYNOMIAL, GrowthSpec, ScalarProblem, VectorProblem
 from blowup.stepping import Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, Taylor1D, Uniform1D
 from blowup.thresholds import ExplicitRadius
 
@@ -66,7 +65,7 @@ class TestSolve1D:
             k=sq.k,
             threshold=ExplicitRadius(lambda e: sq.x0 * 1.0000001, tail_is_eps=False),
         )
-        res = solve_1d(prob, eps, SolverConfig(law=Taylor1D(2)))
+        res = solve_1d(prob, eps, SolverConfig(law=Taylor1D()))
         r = res.radius_used
         h = math.sqrt(eps) / sq.rhs_deriv(min(sq.k * sq.x0, r)) ** (2.0 / 3.0)
         b0 = sq.rhs(sq.x0)
@@ -74,10 +73,6 @@ class TestSolve1D:
         assert res.steps == 1
         assert res.final_state == expected
         assert res.tau_hat == h
-
-    def test_taylor_only_m2(self, sq):
-        with pytest.raises(ValueError):
-            solve_1d(sq, 0.1, SolverConfig(law=Taylor1D(3)))
 
     def test_step_budget(self, sq):
         with pytest.raises(StepBudgetExceeded):
@@ -98,11 +93,23 @@ class TestSolve1D:
         b = solve_1d(sq, 2.0**-12)
         assert a.tau_hat == b.tau_hat and a.steps == b.steps
 
+    def test_nan_state_raises_overflow(self):
+        # b turns NaN past x = 1, long before r = 1/eps; a NaN state is no crossing
+        prob = ScalarProblem(
+            rhs=lambda x: x * x if x <= 1.0 else math.nan,
+            rhs_deriv=lambda x: 2.0 * x,
+            x0=0.5,
+            k=1.1,
+            threshold=ExplicitRadius(lambda e: 1.0 / e, tail_is_eps=False),
+        )
+        with pytest.raises(Overflow, match="nan after 317 steps"):
+            solve_1d(prob, 2.0**-8)
+
 
 class TestStepBudget:
     """A run that needs N steps passes with max_steps = N and fails with N - 1."""
 
-    @pytest.mark.parametrize("law", [Adaptive1D(), Taylor1D(2), Uniform1D()])
+    @pytest.mark.parametrize("law", [Adaptive1D(), Taylor1D(), Uniform1D()])
     def test_1d_boundary(self, sq, law):
         self._check(solve_1d, sq, law)
 
@@ -136,21 +143,20 @@ class TestLawDispatch:
             solve_1d(sq, 4.0, SolverConfig(law=AltND()))
         with pytest.raises(TypeError):
             solve_nd(uncoupled, 0.6, SolverConfig(law=Adaptive1D()))
-        with pytest.raises(ValueError):
-            solve_1d(sq, 4.0, SolverConfig(law=Taylor1D(3)))
-        with pytest.raises(ValueError):
-            solve_nd(uncoupled, 0.6, SolverConfig(law=LogNDImplicitN(0)))
+        with pytest.raises(TypeError):
+            solve_nd(uncoupled, 0.6, SolverConfig(law=LogNDImplicitN()))
 
     def test_implicit_n_sentinel_needs_outer_loop(self, uncoupled):
-        with pytest.raises(ValueError):
-            solve_nd(uncoupled, 2.0**-6, SolverConfig(law=LogNDImplicitN(0)))
+        # implicit N is its own law type, which only solve_log_nd runs
+        with pytest.raises(TypeError):
+            solve_nd(uncoupled, 2.0**-6, SolverConfig(law=LogNDImplicitN()))
 
 
 class TestStepCountLaws:
     def test_adaptive_and_taylor_cost_slopes(self, sq):
         grid = [2.0**-k for k in range(6, 15)]
         ada = [(e, float(solve_1d(sq, e).steps)) for e in grid]
-        tay = [(e, float(solve_1d(sq, e, SolverConfig(law=Taylor1D(2))).steps)) for e in grid]
+        tay = [(e, float(solve_1d(sq, e, SolverConfig(law=Taylor1D())).steps)) for e in grid]
         assert fit_rate(ada).slope == pytest.approx(-1.0, abs=0.1)
         assert fit_rate(tay).slope == pytest.approx(-0.5, abs=0.1)
 
@@ -205,15 +211,24 @@ class TestSolveND:
         assert a.tau_hat == b.tau_hat and a.steps == b.steps
 
     def test_overflow_guard(self):
-        prob = ScalarProblem(
-            rhs=lambda x: x * x,
-            rhs_deriv=lambda x: 2.0 * x,
-            x0=0.5,
-            k=1.1,
-            threshold=ExplicitRadius(lambda e: 1e20, tail_is_eps=False),
+        # b = (x1^3, x2^3) turns NaN past |x| = 3, below r = 16; a NaN state is no crossing
+        def rhs(x):
+            if math.sqrt(x[0] ** 2 + x[1] ** 2) > 3.0:
+                return np.array([math.nan, math.nan])
+            return np.array([x[0] ** 3, x[1] ** 3])
+
+        prob = VectorProblem(
+            dim=2,
+            rhs=rhs,
+            jacobian=JacobianAccess.from_dense(
+                lambda x: np.diag([3.0 * x[0] ** 2, 3.0 * x[1] ** 2])
+            ),
+            growth=GrowthSpec(POLYNOMIAL, 1.0, 2.0),
+            delta=1.0,
+            x0=np.array([1.5, 1.0]),
         )
-        with pytest.raises(Overflow):
-            solve_1d(prob, 0.5, SolverConfig(overflow_guard=1e10))
+        with pytest.raises(Overflow, match="nan after 136 steps"):
+            solve_nd(prob, 2.0**-8)
 
 
 class TestSolveLogND:
@@ -243,26 +258,6 @@ class TestSolveLogND:
         a = solve_log_nd(prob, 2.0**-5)
         b = solve_log_nd(prob, 2.0**-5)
         assert a.tau_hat == b.tau_hat and a.steps == b.steps
-
-
-class TestSolveSeparable:
-    def test_identity_time_change(self, sq):
-        eps = 2.0**-10
-        direct = solve_1d(sq, eps).tau_hat
-        wrapped = solve_separable(sq, lambda t: t, lambda s: s, eps)
-        assert wrapped == direct
-
-    def test_constant_speedup(self, sq):
-        # g(t) = 2: G(t) = 2t, so the stopping time halves
-        eps = 2.0**-10
-        tau = solve_separable(sq, lambda t: 2.0 * t, lambda s: s / 2.0, eps)
-        assert abs(tau - 1.0) <= 25.0 * eps
-
-    def test_exponential_clock(self, sq):
-        # g(t) = e^t with G(t) = e^t, G(0) = 1: tau = log(2 + 1)
-        eps = 2.0**-10
-        tau = solve_separable(sq, lambda t: math.exp(t), math.log, eps)
-        assert abs(tau - math.log(3.0)) <= 20.0 * eps
 
 
 def test_expsq_against_quadrature_oracle():

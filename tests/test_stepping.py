@@ -13,22 +13,34 @@ from blowup.stepping import (
     Adaptive1D,
     AdaptiveND,
     AltND,
+    LogNDFixedN,
     LogNDImplicitN,
     NonpositiveDerivative,
     Taylor1D,
     Uniform1D,
     UniformND,
 )
+from blowup.thresholds import ExplicitRadius
 
 B_SQ = lambda x: x * x
 DB_SQ = lambda x: 2.0 * x
 
 
-def step_1d(law, eps, x, r, db=DB_SQ, b=B_SQ, x0=0.5, k=1.1):
-    """law's step at state x for the problem x' = b(x) from x0 with probe factor k."""
-    prob = ScalarProblem(rhs=b, rhs_deriv=db, x0=x0, k=k, threshold=None)
-    h = law.step_size(prob, eps, r)
-    return h(x) if callable(h) else h
+def scalar(x0, r, db=DB_SQ, b=B_SQ, k=1.1):
+    """x' = b(x) from x0 with probe factor k, integrated to the explicit radius r."""
+    threshold = ExplicitRadius(lambda e: r, tail_is_eps=False)
+    return ScalarProblem(rhs=b, rhs_deriv=db, x0=x0, k=k, threshold=threshold)
+
+
+def first_step_1d(law, eps, x0, r, db=DB_SQ, b=B_SQ):
+    """The size of law's first step from x0 in a traced solve_1d run to radius r."""
+    cfg = SolverConfig(law=law, record_trace=True, max_steps=200_000)
+    res = solve_1d(scalar(x0, r, db, b), eps, cfg)
+    return res.trace[1][0]
+
+
+def uniform_step(eps, r, x0):
+    return Uniform1D().step_size(scalar(x0, r), eps, r)
 
 
 def planar(jacobian):
@@ -55,73 +67,70 @@ def step_nd(law, eps, r=1e6, jac_norm=1.0, b_norm=1.0, jvp_norm=1.0):
 class TestAdaptive1D:
     def test_probe_below_radius(self):
         eps = 2.0**-10
-        assert step_1d(Adaptive1D(), eps, 0.5, 1024.0) == eps / math.sqrt(DB_SQ(1.1 * 0.5))
+        assert first_step_1d(Adaptive1D(), eps, 0.5, 1024.0) == eps / math.sqrt(DB_SQ(1.1 * 0.5))
 
     def test_probe_clamps_at_radius(self):
         eps = 2.0**-10
-        h = step_1d(Adaptive1D(), eps, 2000.0, 1024.0)
+        h = first_step_1d(Adaptive1D(), eps, 1000.0, 1024.0)  # probe 1100 > r
         assert h == eps / math.sqrt(2048.0)
         assert h == pytest.approx(2.1579e-5, rel=1e-4)
 
     def test_exponential_field(self):
         eps = 1e-3
+        b = lambda x: math.exp(x * x)
         db = lambda x: 2.0 * x * math.exp(x * x)
         expected = eps / math.sqrt(2.2 * math.exp(1.21))
-        assert step_1d(Adaptive1D(), eps, 1.0, 100.0, db) == pytest.approx(expected, rel=1e-15)
+        # r = 20 keeps every probe inside math.exp's range
+        assert first_step_1d(Adaptive1D(), eps, 1.0, 20.0, db, b) == pytest.approx(
+            expected, rel=1e-15
+        )
 
     def test_nonpositive_derivative(self):
         with pytest.raises(NonpositiveDerivative):
-            step_1d(Adaptive1D(), 0.01, 1.0, 10.0, lambda x: -1.0)
+            first_step_1d(Adaptive1D(), 0.01, 1.0, 10.0, lambda x: -1.0)
 
     def test_independent_of_state_once_clamped(self):
         eps = 2.0**-8
         r = 64.0
-        ref = step_1d(Adaptive1D(), eps, r / 1.1, r)
+        ref = first_step_1d(Adaptive1D(), eps, r / 1.1, r)
         for i in range(10):
-            xbar = r / 1.1 * (1.0 + 0.37 * (i + 1))
-            assert step_1d(Adaptive1D(), eps, xbar, r) == ref
+            xbar = r / 1.1 * (1.0 + 0.009 * (i + 1))  # k * xbar >= r > xbar
+            assert first_step_1d(Adaptive1D(), eps, xbar, r) == ref
 
 
 class TestTaylor1D:
     def test_second_order_example(self):
         eps = 2.0**-10
-        h = step_1d(Taylor1D(2), eps, 0.5, 1024.0)
+        h = first_step_1d(Taylor1D(), eps, 0.5, 1024.0)
         assert h == math.sqrt(eps) / 1.1 ** (2.0 / 3.0)
         assert h == pytest.approx(0.029326, rel=1e-4)
 
     def test_identity_case(self):
-        assert step_1d(Taylor1D(2), 1.0, 5.0, 10.0, lambda x: 1.0) == 1.0
-
-    def test_third_order_formula(self):
-        h = step_1d(Taylor1D(3), 2.0**-12, 1.0, 10.0, lambda x: 16.0)
-        assert h == pytest.approx(0.0078125, rel=1e-15)
-
-    def test_m_bar_validation(self):
-        with pytest.raises(ValueError):
-            Taylor1D(1)
+        assert first_step_1d(Taylor1D(), 1.0, 5.0, 10.0, lambda x: 1.0) == 1.0
 
 
 class TestUniform1D:
     def test_sq_example(self):
         eps = 2.0**-10
-        h = step_1d(Uniform1D(), eps, None, 1024.0, x0=0.5)
+        h = uniform_step(eps, 1024.0, x0=0.5)
         h_bar = eps / math.log(B_SQ(1024.0) / B_SQ(0.5))
         assert math.log(B_SQ(1024.0) / B_SQ(0.5)) == pytest.approx(22 * math.log(2), rel=1e-15)
         assert h == min(h_bar, 1.0 / 4096.0)
         assert h == h_bar  # the log branch binds here
 
     def test_derivative_branch_binds_for_large_eps(self):
-        h = step_1d(Uniform1D(), 100.0, None, 1024.0, x0=0.5)
+        h = uniform_step(100.0, 1024.0, x0=0.5)
         assert h == 1.0 / (2.0 * DB_SQ(1024.0))
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            step_1d(Uniform1D(), 0.1, None, 2.0, x0=2.0)
+            uniform_step(0.1, 2.0, x0=2.0)
 
 
 class TestInlinedLawsAgree:
-    """solve_1d inlines the Adaptive1D and Taylor1D formulas; every step of a
-    full run must be bit-equal to the update built from the law's step_size."""
+    """solve_1d computes the Adaptive1D and Taylor1D steps in its loop; every
+    step of a full run must be bit-equal to the update built from the law's
+    formula written out here (Uniform1D: its step_size)."""
 
     @pytest.mark.parametrize(
         "pid, method, eps",
@@ -136,11 +145,15 @@ class TestInlinedLawsAgree:
         entry = catalog.get(pid)
         prob, law = entry.problem, entry.methods[method]
         res = solve_1d(prob, eps, SolverConfig(law=law, record_trace=True))
-        h_of = law.step_size(prob, eps, res.radius_used)
-        b, bd = prob.rhs, prob.rhs_deriv
+        b, bd, k, r = prob.rhs, prob.rhs_deriv, prob.k, res.radius_used
+        h_of = {
+            "adaptive": lambda x: eps / math.sqrt(bd(min(k * x, r))),
+            "taylor2": lambda x: eps**0.5 / float(bd(min(k * x, r))) ** (2.0 / 3.0),
+            "uniform": lambda x: law.step_size(prob, eps, r),
+        }[method]
         assert len(res.trace) == res.steps + 1 > 100
         for (t0, x0), (t1, x1) in zip(res.trace, res.trace[1:]):
-            h = h_of(x0) if callable(h_of) else h_of
+            h = h_of(x0)
             expected = x0 + b(x0) * h
             if isinstance(law, Taylor1D):
                 expected = expected + 0.5 * bd(x0) * b(x0) * h * h
@@ -227,19 +240,17 @@ class TestAltND:
 
 class TestLogND:
     def test_example(self):
-        assert step_nd(LogNDImplicitN(100), 0.01, jac_norm=4.0) == pytest.approx(
-            5e-3, rel=1e-15
-        )
+        assert step_nd(LogNDFixedN(100), 0.01, jac_norm=4.0) == pytest.approx(5e-3, rel=1e-15)
 
     def test_identity_case(self):
-        assert step_nd(LogNDImplicitN(1), 1.0, jac_norm=0.5) == 1.0
+        assert step_nd(LogNDFixedN(1), 1.0, jac_norm=0.5) == 1.0
 
     def test_powers_of_two(self):
-        assert step_nd(LogNDImplicitN(2**10), 2.0**-8, jac_norm=2.0**6) == 2.0**-12
+        assert step_nd(LogNDFixedN(2**10), 2.0**-8, jac_norm=2.0**6) == 2.0**-12
 
     def test_guess_validation(self):
         with pytest.raises(ValueError):
-            step_nd(LogNDImplicitN(0), 0.1, jac_norm=1.0)
+            LogNDFixedN(0)
 
 
 class TestUniformND:
@@ -261,13 +272,13 @@ class TestUniformND:
 def test_every_law_increasing_in_eps():
     eps_grid = [2.0**-k for k in range(8, 13)]
     laws = [
-        lambda e: step_1d(Adaptive1D(), e, 0.5, 1024.0),
-        lambda e: step_1d(Taylor1D(2), e, 0.5, 1024.0),
+        lambda e: first_step_1d(Adaptive1D(), e, 0.5, 1024.0),
+        lambda e: first_step_1d(Taylor1D(), e, 0.5, 1024.0),
         # small eps so the log branch binds; the 1/(2 b'(r)) cap has no eps in it
-        lambda e: step_1d(Uniform1D(), e, None, 1024.0, x0=0.5),
+        lambda e: first_step_1d(Uniform1D(), e, 0.5, 1024.0),
         lambda e: step_nd(AdaptiveND(), e, jac_norm=7.0),
         lambda e: step_nd(AltND(), e, b_norm=3.0, jvp_norm=11.0),
-        lambda e: step_nd(LogNDImplicitN(64), e, jac_norm=7.0),
+        lambda e: step_nd(LogNDFixedN(64), e, jac_norm=7.0),
         lambda e: step_nd(UniformND(), e, r=100.0),
     ]
     for law in laws:
@@ -275,8 +286,11 @@ def test_every_law_increasing_in_eps():
         assert all(h1 > h2 for h1, h2 in zip(hs, hs[1:]))
 
 
-def test_every_catalog_law_has_step_size():
+def test_every_catalog_law_is_a_solver_law():
+    # solve_1d computes Adaptive1D and Taylor1D steps itself, and solve_log_nd
+    # runs LogNDImplicitN; every other law gives its step through step_size
     for pid in catalog.list_ids():
         for law in catalog.get(pid).methods.values():
-            assert isinstance(law, LAWS_1D + LAWS_ND)
-            assert callable(law.step_size)
+            assert isinstance(law, LAWS_1D + LAWS_ND + (LogNDImplicitN,))
+            if not isinstance(law, (Adaptive1D, Taylor1D, LogNDImplicitN)):
+                assert callable(law.step_size)
