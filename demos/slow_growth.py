@@ -14,7 +14,7 @@ import blowup as bl
 
 print("== 1D: b = x log(x)^2 (c = 1), tau = 1/log(2) ==")
 entry = bl.catalog.get("xlog_c", c=1.0)
-exact = entry.problem.exact_tau
+exact = entry.reference.value
 for k in (4, 6, 8):
     eps = 2.0**-k
     res = bl.solve_1d(entry.problem, eps)
@@ -24,7 +24,7 @@ for k in (4, 6, 8):
 print("\n== 1D: c = 1/2 needs r = exp((eps/2)^-2); capped beyond ~eps = 0.075 ==")
 entry = bl.catalog.get("xlog_c", c=0.5)
 res = bl.solve_1d(entry.problem, 2.0**-6)
-print(f"eps=2^-6: tau={res.tau_hat:.6f} (exact {entry.problem.exact_tau:.6f})")
+print(f"eps=2^-6: tau={res.tau_hat:.6f} (exact {entry.reference.value:.6f})")
 for w in res.warnings:
     print(f"  warning: {w}")
 

@@ -37,7 +37,6 @@ from .problems import (
     ScalarProblem,
     VectorProblem,
     check_assumptions,
-    validate,
 )
 from .stepping import (
     Adaptive1D,
@@ -45,6 +44,7 @@ from .stepping import (
     AltND,
     LogNDFixedN,
     LogNDImplicitN,
+    NonincreasingField,
     NonpositiveDerivative,
     PowerUniformND,
     Taylor1D,

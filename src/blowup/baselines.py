@@ -99,12 +99,12 @@ def solve_arclength(
 
     n_evals = 0
     attempts = 0
-    h = 0.01 * (1.0 + safe_norm(y))
     ks = [None] * _STAGES
 
     start = time.perf_counter()
-    state_norm = safe_norm(y[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.01 * (1.0 + safe_norm(y))
+        state_norm = safe_norm(y[:-1])
         while state_norm < r:
             if attempts >= cfg.max_steps:
                 raise StepBudgetExceeded(f"exceeded {cfg.max_steps} attempted RK steps")

@@ -57,6 +57,9 @@ class CatalogEntry:
 
 IDS = ("sq", "expsq", "xlog_c", "uncoupled", "coupled", "slowlog_c", "rd")
 
+# The method table of every 1D entry; `run --expr` looks its law up here too.
+SCALAR_METHODS = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()}
+
 
 def list_ids() -> tuple[str, ...]:
     return IDS
@@ -74,16 +77,14 @@ def _sq() -> CatalogEntry:
     problem = ScalarProblem(
         rhs=lambda x: x * x,
         rhs_deriv=lambda x: 2.0 * x,
-        rhs_second=lambda x: 2.0,
         x0=0.5,
         k=1.1,
         threshold=FInverse(lambda e: e ** -2.0),
-        exact_tau=2.0,
     )
     return CatalogEntry(
         id="sq",
         problem=problem,
-        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()},
+        methods=SCALAR_METHODS,
         reference=Exact(2.0),
         rescale_power=2.0,
         notes="b = x^2 from x0 = 1/2; tau = 2; radius solves b(r) = eps^-2, i.e. r = 1/eps",
@@ -99,12 +100,11 @@ def _expsq() -> CatalogEntry:
         x0=1.0,
         k=1.1,
         threshold=BPrimeLog(tail_constant=1.0),
-        exact_tau=None,
     )
     return CatalogEntry(
         id="expsq",
         problem=problem,
-        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()},
+        methods=SCALAR_METHODS,
         reference=Pseudo(2.0**-33),
         notes=(
             "b = exp(x^2) from x0 = 1; no closed-form tau. The published protocol "
@@ -127,24 +127,18 @@ def _xlog(c: float) -> CatalogEntry:
         lx = math.log(x)
         return lx ** (1.0 + c) + (1.0 + c) * lx**c
 
-    def rhs_second(x):
-        lx = math.log(x)
-        return (1.0 + c) * lx ** (c - 1.0) * (lx + c) / x
-
     problem = ScalarProblem(
         rhs=rhs,
         rhs_deriv=rhs_deriv,
-        rhs_second=rhs_second,
         x0=2.0,
         k=1.1,
         threshold=ExplicitRadius(lambda e: _exp((c * e) ** (-1.0 / c)), tail_is_eps=True),
-        exact_tau=1.0 / (c * math.log(2.0) ** c),
     )
     return CatalogEntry(
         id="xlog_c",
         problem=problem,
-        methods={"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()},
-        reference=Exact(problem.exact_tau),
+        methods=SCALAR_METHODS,
+        reference=Exact(1.0 / (c * math.log(2.0) ** c)),
         notes=(
             f"b = x log(x)^(1+c) with c = {c}; tau = 1/(c log(2)^c). The closed-form "
             "radius exp((c*eps)^(-1/c)) leaves float64 range quickly for small c*eps; "
@@ -170,7 +164,6 @@ def _uncoupled() -> CatalogEntry:
         growth=GrowthSpec(POLYNOMIAL, c_check=0.5, alpha=2.0),
         delta=math.sqrt(3.0) * (1.0 - 1e-9),
         x0=np.array([math.sqrt(2.0), 1.0]),
-        exact_tau=0.25,
     )
     return CatalogEntry(
         id="uncoupled",
@@ -208,7 +201,6 @@ def _coupled() -> CatalogEntry:
         growth=GrowthSpec(POLYNOMIAL, c_check=1.0, alpha=2.0),  # b.x = |x|^4 exactly
         delta=math.sqrt(5.0) * (1.0 - 1e-9),
         x0=np.array([1.0, 2.0]),
-        exact_tau=None,
     )
     return CatalogEntry(
         id="coupled",
@@ -273,7 +265,6 @@ def _slowlog(c: float) -> CatalogEntry:
         growth=GrowthSpec(LOGARITHMIC, c_check=c_check, alpha=c),
         delta=5.0 * (1.0 - 1e-9),
         x0=np.array([4.0, 3.0]),
-        exact_tau=None,
     )
     return CatalogEntry(
         id="slowlog_c",
@@ -352,7 +343,6 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
         growth=GrowthSpec(POLYNOMIAL, c_check=1.0, alpha=1.0, nominal=True),
         delta=1.0,
         x0=x0,
-        exact_tau=None,
     )
 
 

@@ -2,21 +2,20 @@
 
 Exit codes: 0 success, 1 usage error, 2 assumption violation, 3 solver error.
 Tolerances accept both decimal ("0.001") and power forms ("2^-12").
-The environment variable BLOWUP_SEED overrides the default seed 1 of the
-assumption sampler of `check`; `check --seed` takes precedence over it.
+`run --method` takes any method id of the problem's catalog entry, "arclength"
+and, for pure power laws, "rescaling". `run` rejects an --expr problem that
+breaks a structural condition (x0 <= 0, k <= 1); `check` reports it.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import catalog, expr, harness, thresholds
 from .errors import BlowupError, SolverError
 from .integrate import SolverConfig, solve_1d
-from .problems import ScalarProblem, check_assumptions, validate
-from .stepping import Adaptive1D, Taylor1D, Uniform1D
+from .problems import ScalarProblem, check_assumptions, structural_violations
 from .thresholds import BPrimeLog, ExplicitRadius, FInverse
 
 
@@ -27,9 +26,6 @@ class UsageError(BlowupError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-METHODS = ("adaptive", "taylor2", "uniform", "log-uniform", "arclength", "rescaling")
 
 
 def parse_eps(text: str) -> float:
@@ -62,13 +58,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("BLOWUP_SEED", "1"))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="blowup", description="Blow-up time estimation for autonomous ODEs")
     sub = p.add_subparsers(dest="command", required=True)
@@ -82,7 +71,7 @@ def _build_parser() -> _Parser:
         "--threshold",
         help="for --expr problems: finverse:<expr in eps> | bprimelog | radius:<expr in eps>",
     )
-    run.add_argument("--method", choices=METHODS, default="adaptive")
+    run.add_argument("--method", default="adaptive", help="entry's method id, or arclength")
     run.add_argument("--eps", required=True, help="tolerance, e.g. 2^-12 or 0.001")
     run.add_argument("--c", type=float, help="exponent for xlog_c / slowlog_c")
     run.add_argument("--m", type=int, help="grid refinement for rd")
@@ -127,7 +116,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--c", type=float)
     check.add_argument("--m", type=int)
     check.add_argument("--samples", type=_positive_int, default=10000)
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=int, default=1)
 
     sub.add_parser("list", help="print catalog ids")
     return p
@@ -164,15 +153,13 @@ def _expr_problem(args) -> ScalarProblem:
     )
 
 
-def _deriv_check(args) -> list[str]:
-    ast = expr.parse(args.expr)
-    d_ast = expr.differentiate(ast)
+def _deriv_check(problem: ScalarProblem) -> list[str]:
     bad = []
-    for x in [args.x0 * (1.0 + 9.0 * i / 31.0) for i in range(32)]:
+    for x in [problem.x0 * (1.0 + 9.0 * i / 31.0) for i in range(32)]:
         eta = 1e-6 * max(1.0, abs(x))
         try:
-            fd = (expr.evaluate(ast, x + eta) - expr.evaluate(ast, x - eta)) / (2 * eta)
-            sym = expr.evaluate(d_ast, x)
+            fd = (problem.rhs(x + eta) - problem.rhs(x - eta)) / (2 * eta)
+            sym = problem.rhs_deriv(x)
         except expr.DomainError:
             continue
         if not (math.isfinite(fd) and math.isfinite(sym)):
@@ -204,18 +191,20 @@ def _cmd_run(args) -> int:
         raise UsageError("run needs exactly one of --problem / --expr")
 
     if args.expr is not None:
+        problem = _expr_problem(args)
+        violations = structural_violations(problem)
+        if violations:
+            raise UsageError("; ".join(violations))
         if args.expr_deriv_check:
-            bad = _deriv_check(args)
+            bad = _deriv_check(problem)
             if bad:
                 for line in bad:
                     print(line)
                 return 2
-        problem = _expr_problem(args)
-        if args.method not in ("adaptive", "taylor2", "uniform"):
-            raise UsageError(f"--expr supports adaptive/taylor2/uniform, not {args.method!r}")
-        law = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()}[
-            args.method
-        ]
+        law = catalog.SCALAR_METHODS.get(args.method)
+        if law is None:
+            known = "/".join(catalog.SCALAR_METHODS)
+            raise UsageError(f"--expr supports {known}, not {args.method!r}")
         cfg = SolverConfig(law=law, record_trace=args.trace is not None,
                            max_steps=args.max_steps)
         res = solve_1d(problem, eps, cfg)
@@ -296,9 +285,8 @@ def _cmd_check(args) -> int:
         entry = catalog.get(args.problem, c=args.c, m=args.m)
         problem = entry.problem
         name = entry.id
-    seed = args.seed if args.seed is not None else _default_seed()
-    violations = validate(problem, samples=min(args.samples, 512), seed=seed)
-    report = check_assumptions(problem, samples=args.samples, seed=seed)
+    violations = structural_violations(problem)
+    report = check_assumptions(problem, samples=args.samples, seed=args.seed)
     print(f"problem={name}")
     for c in report.checks:
         line = f"check={c.name!r} status={c.status}"

@@ -150,10 +150,10 @@ def reference_value(
     return "pseudo", _REFERENCE_CACHE[key], notes
 
 
-def _run_cell(entry, method, eps, **kw) -> tuple[Optional[RunResult], str]:
+def _run_cell(entry, method, eps) -> tuple[Optional[RunResult], str]:
     """(result, "") from run_method, or (None, the failure) on a SolverError."""
     try:
-        return run_method(entry, method, eps, **kw), ""
+        return run_method(entry, method, eps), ""
     except SolverError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -191,7 +191,6 @@ def run_study(
     c: float | None = None,
     m: int | None = None,
     eps_ref: float | None = None,
-    rk_tol: float = 1e-10,
     jobs: int | None = None,
 ) -> StudyTable:
     """Run all (method, eps) cells, compute errors against the entry's
@@ -210,7 +209,7 @@ def run_study(
     rows = []
     for method in methods:
         for eps in eps_grid:
-            res, failure = _run_cell(entry, method, eps, rk_tol=rk_tol)
+            res, failure = _run_cell(entry, method, eps)
             rows.append(_study_row(entry.id, method, eps, res, ref_kind, ref_value,
                                    failed=failure))
 

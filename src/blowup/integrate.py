@@ -158,17 +158,15 @@ def solve_nd(
     n = 0
     max_steps = cfg.max_steps
 
-    nx = norm(x)
-    trace = [(0.0, nx)] if cfg.record_trace else None
-
     start = time.perf_counter()
-    degenerate = not (nx <= r)
-    if degenerate:
-        warnings.append(f"degenerate radius: r = {r!r} < |x0| = {nx!r}; no steps taken")
-    else:
-        h_rule = law.step_size(problem, eps, r)
-        constant_h = not callable(h_rule)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx = norm(x)
+        trace = [(0.0, nx)] if cfg.record_trace else None
+        if not nx <= r:
+            warnings.append(f"degenerate radius: r = {r!r} < |x0| = {nx!r}; no steps taken")
+        else:
+            h_rule = law.step_size(problem, eps, r)
+            constant_h = not callable(h_rule)
             while nx <= r:
                 if n >= max_steps:
                     raise StepBudgetExceeded(f"exceeded {max_steps} steps at |x| = {nx!r}")
@@ -180,8 +178,8 @@ def solve_nd(
                 nx = norm(x)
                 if trace is not None:
                     trace.append((t, nx))
-        if nx != nx:
-            raise Overflow(f"|state| is nan after {n} steps below r = {r!r}")
+            if nx != nx:
+                raise Overflow(f"|state| is nan after {n} steps below r = {r!r}")
     wall = time.perf_counter() - start
 
     return RunResult(

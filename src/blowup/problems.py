@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import JacobianAccess
+from .linalg import JacobianAccess, safe_norm
 
 POLYNOMIAL = "polynomial"
 LOGARITHMIC = "logarithmic"
@@ -47,7 +47,6 @@ class ScalarProblem:
     k: float
     threshold: object
     rhs_second: Optional[Callable[[float], float]] = None
-    exact_tau: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class VectorProblem:
     growth: GrowthSpec
     delta: float
     x0: np.ndarray
-    exact_tau: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -106,10 +104,6 @@ class AssumptionReport:
     @property
     def ok(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
-
-    @property
-    def violations(self) -> list:
-        return [c for c in self.checks if c.status == FAIL]
 
 
 def _safe_scalar(fn, x):
@@ -213,7 +207,8 @@ def _check_scalar(problem: ScalarProblem, samples: int) -> list:
 
 def _check_vector(problem: VectorProblem, samples: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    r0 = math.sqrt(float(problem.x0 @ problem.x0))
+    with np.errstate(over="ignore"):
+        r0 = safe_norm(problem.x0)
     radii = np.geomspace(r0, 1e6 * r0, samples)
     growth = _Tracker("growth lower bound")
     outward = _Tracker("field points outward (b·x > 0)")
@@ -284,7 +279,8 @@ def structural_violations(problem) -> list[str]:
             out.append(f"x0 has shape {problem.x0.shape}, expected ({problem.dim},)")
         if not problem.delta > 0:
             out.append(f"delta must be positive, got {problem.delta!r}")
-        nx0 = math.sqrt(float(problem.x0 @ problem.x0))
+        with np.errstate(over="ignore"):
+            nx0 = safe_norm(problem.x0)
         if not nx0 > problem.delta:
             out.append(f"|x0| = {nx0!r} must exceed delta = {problem.delta!r}")
         g = problem.growth
@@ -298,14 +294,3 @@ def structural_violations(problem) -> list[str]:
         out.append(f"not a problem object: {problem!r}")
     return out
 
-
-def validate(problem, samples: int = 128, seed: int = 1) -> list[str]:
-    """Structural invariants plus a coarse assumption sample; [] means no
-    violation was found (nothing is proven)."""
-    out = structural_violations(problem)
-    if out:
-        return out
-    report = check_assumptions(problem, samples=samples, seed=seed)
-    for c in report.violations:
-        out.append(f"{c.name}: {c.detail}")
-    return out

@@ -22,6 +22,10 @@ class NonpositiveDerivative(SolverError):
     """b' was <= 0 at the probe point; the 1D laws need b' > 0."""
 
 
+class NonincreasingField(SolverError):
+    """b(r) is not above b(x0), or one is NaN; Uniform1D needs b to grow to r."""
+
+
 @dataclass(frozen=True)
 class Adaptive1D:
     """h = eps / sqrt(b'(min(k*x, r))); solve_1d computes it."""
@@ -41,7 +45,8 @@ class Uniform1D:
         x0 = float(problem.x0)
         br, b0 = float(problem.rhs(r)), float(problem.rhs(x0))
         if not br > b0:
-            raise ValueError(f"need b(r) > b(x0), got b({r!r}) = {br!r}, b({x0!r}) = {b0!r}")
+            raise NonincreasingField(
+                f"need b(r) > b(x0), got b({r!r}) = {br!r}, b({x0!r}) = {b0!r}")
         h_bar = eps / math.log(br / b0)
         d = float(problem.rhs_deriv(r))
         if d <= 0.0:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from blowup import catalog
 from blowup.baselines import InvalidExponent, _arc_rhs, solve_arclength, solve_rescaling_1d
 from blowup.integrate import solve_1d
+from blowup.thresholds import ExplicitRadius
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,14 @@ class TestArclength:
         prob = catalog.get("xlog_c", c=0.5).problem
         res = solve_arclength(prob, 0.1, rk_tol=1e-8)
         assert math.isfinite(res.tau_hat) and res.tau_hat > 0
+
+    def test_overflowing_start_warns_nothing(self, sq):
+        # |(x0, t0)|^2 = 1e320 overflows float64 in the two norms taken before the loop
+        prob = dataclasses.replace(sq, x0=1e160, threshold=ExplicitRadius(lambda e: 1.0 / e))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_arclength(prob, 2.0**-6, rk_tol=1e-10)
+        assert res.steps == 0 and res.tau_hat == 0.0 and res.final_state == 1e160
 
     def test_vector_problem(self):
         prob = catalog.get("uncoupled").problem

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from blowup import cli
+from blowup import catalog, cli
 from blowup.cli import main, parse_eps
 
 
@@ -86,6 +86,19 @@ class TestRun:
         assert lines[0] == "t,state_norm"
         assert len(lines) > 2
 
+    @pytest.mark.parametrize(
+        "pid,method",
+        [(pid, m) for pid in catalog.IDS
+         for m in [*catalog.get(pid).methods, "arclength", *(["rescaling"] * (pid == "sq"))]],
+    )
+    def test_every_catalog_method_runs(self, capsys, pid, method):
+        # run takes every id the catalog entry lists, plus the baselines
+        code, out, err = run_cli(
+            capsys, "run", "--problem", pid, "--method", method, "--eps", "2^-4"
+        )
+        assert code == 0, err
+        assert parse_kv(out)["method"] == method
+
     def test_deriv_check_passes_for_valid_expression(self, capsys):
         code, _, _ = run_cli(
             capsys, "run", "--expr", "x^2", "--x0", "0.5", "--threshold",
@@ -112,6 +125,16 @@ class TestExitCodes:
         assert code == 2
         assert "ok=false" in out
 
+    def test_each_sampled_failure_printed_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--expr", "x^2 - 10*x", "--x0", "1",
+            "--threshold", "radius:eps^-1", "--samples", "200",
+        )
+        assert code == 2
+        for detail in ("b(1.0) = -9.0", "b'(1.0) = -8.0"):
+            assert out.count(detail) == 1, detail
+        assert "violation=" not in out
+
     def test_clean_check_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--problem", "sq", "--samples", "300")
         assert code == 0
@@ -134,6 +157,15 @@ class TestExitCodes:
         assert code == 3
         assert "Overflow: state is nan after 748 steps" in err
 
+    def test_nan_field_at_radius_is_3_for_uniform(self, capsys):
+        # the same field is NaN at r = 256, so the uniform law has no step
+        code, _, err = run_cli(
+            capsys, "run", "--expr", "x^2 * (exp(exp(x)) / exp(exp(x)))", "--x0", "0.5",
+            "--threshold", "radius:eps^-1", "--eps", "2^-8", "--method", "uniform",
+        )
+        assert code == 3
+        assert "NonincreasingField: need b(r) > b(x0), got b(256.0) = nan" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -146,6 +178,12 @@ class TestExitCodes:
             ("run", "--problem", "sq", "--eps", "2^-8", "--max-steps", "0"),
             ("check", "--problem", "sq", "--samples", "0"),
             ("run", "--problem", "rd", "--m", "1", "--eps", "2^-8"),
+            ("run", "--expr", "x^2", "--x0", "-1", "--threshold", "radius:eps^-1",
+             "--eps", "2^-8"),
+            ("run", "--expr", "x^2", "--x0", "0.5", "--k", "0.9", "--threshold",
+             "radius:eps^-1", "--eps", "2^-8"),
+            ("run", "--expr", "x^2", "--threshold", "finverse:eps^-2", "--eps", "2^-8",
+             "--expr-deriv-check"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, argv):
@@ -180,7 +218,7 @@ def test_rd_study_writes_table(capsys, tmp_path):
     assert header.endswith(",m,succ_diff_log2")
 
 
-def test_env_seed_override(capsys, monkeypatch):
+def test_check_seed_defaults_to_one(capsys, monkeypatch):
     seeds = []
     real = cli.check_assumptions
 
@@ -189,11 +227,11 @@ def test_env_seed_override(capsys, monkeypatch):
         return real(problem, samples=samples, seed=seed)
 
     monkeypatch.setattr(cli, "check_assumptions", recording)
-    monkeypatch.setenv("BLOWUP_SEED", "7")
+    monkeypatch.setenv("BLOWUP_SEED", "7")  # no longer read
     code, _, _ = run_cli(capsys, "check", "--problem", "uncoupled", "--samples", "200")
     assert code == 0
     code, _, _ = run_cli(
         capsys, "check", "--problem", "uncoupled", "--samples", "200", "--seed", "3"
     )
     assert code == 0
-    assert seeds == [7, 3]
+    assert seeds == [1, 3]

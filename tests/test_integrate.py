@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +206,18 @@ class TestSolveND:
                 assert x[0] <= (0.5 - 2.0 * t) ** -0.5 * (1.0 + 1e-10)
                 assert x[1] <= (1.0 - 4.0 * t) ** -0.25 * (1.0 + 1e-10)
         assert t == res.tau_hat and n == res.steps
+
+    def test_overflowing_start_warns_nothing(self, coupled):
+        # |x0|^2 = 2e320 overflows float64 before the loop (and in structural_violations)
+        prob = dataclasses.replace(coupled, x0=np.array([1e160, 1e160]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_nd(prob, 2.0**-6)
+        assert res.steps == 0 and res.tau_hat == 0.0
+        assert res.warnings == (
+            f"degenerate radius: r = {res.radius_used!r} < |x0| = {math.sqrt(2.0) * 1e160!r}; "
+            "no steps taken",
+        )
 
     def test_deterministic(self, coupled):
         a = solve_nd(coupled, 2.0**-10)

@@ -14,7 +14,6 @@ from blowup.problems import (
     VectorProblem,
     check_assumptions,
     structural_violations,
-    validate,
 )
 from blowup.thresholds import FInverse
 
@@ -29,12 +28,18 @@ def _sq_problem(k=1.1):
     )
 
 
+def _validates_clean(problem) -> bool:
+    """No structural violation and a clean coarse sample (nothing is proven)."""
+    return (structural_violations(problem) == []
+            and check_assumptions(problem, samples=128, seed=1).ok)
+
+
 class TestValidate:
     def test_clean_problem(self):
-        assert validate(_sq_problem()) == []
+        assert _validates_clean(_sq_problem())
 
     def test_k_must_exceed_one(self):
-        out = validate(_sq_problem(k=0.9))
+        out = structural_violations(_sq_problem(k=0.9))
         assert len(out) == 1 and "k" in out[0]
 
     def test_x0_on_domain_boundary(self):
@@ -48,7 +53,7 @@ class TestValidate:
             delta=float(np.linalg.norm(x0)),  # delta == |x0| violates strictness
             x0=x0,
         )
-        out = validate(boundary)
+        out = structural_violations(boundary)
         assert len(out) == 1 and "delta" in out[0]
 
     def test_logarithmic_growth_needs_delta_above_one(self):
@@ -154,7 +159,7 @@ def test_every_shipped_problem_validates_clean():
         catalog.get("rd", m=32),
     ]
     for entry in shipped:
-        assert validate(entry.problem) == [], entry.id
+        assert _validates_clean(entry.problem), entry.id
 
 
 def test_growth_spec_validation():

@@ -15,6 +15,7 @@ from blowup.stepping import (
     AltND,
     LogNDFixedN,
     LogNDImplicitN,
+    NonincreasingField,
     NonpositiveDerivative,
     Taylor1D,
     Uniform1D,
@@ -123,7 +124,7 @@ class TestUniform1D:
         assert h == 1.0 / (2.0 * DB_SQ(1024.0))
 
     def test_equal_endpoints_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonincreasingField):
             uniform_step(0.1, 2.0, x0=2.0)
 
 
