@@ -30,7 +30,7 @@ for w in res.warnings:
 
 print("\n== planar slow growth (c = 1/2), implicit-N adaptive law ==")
 prob = bl.catalog.get("slowlog_c", c=0.5).problem
-print(f"fitted growth constant c_check = {prob.growth.c_check}")
+print(f"growth constant c_check = {prob.threshold.c_check} (closed form: 2^(1+c) rounded down)")
 ref = bl.solve_log_nd(prob, 2.0**-10)
 print(f"pseudo reference at 2^-10: tau = {ref.tau_hat:.8f} (N = {ref.steps})")
 for k in (3, 4, 5, 6):

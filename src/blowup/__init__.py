@@ -3,7 +3,13 @@
 from types import ModuleType as _ModuleType
 
 from . import catalog
-from .baselines import InvalidExponent, MinStepUnderflow, solve_arclength, solve_rescaling_1d
+from .baselines import (
+    InvalidExponent,
+    InvalidParameter,
+    MinStepUnderflow,
+    solve_arclength,
+    solve_rescaling_1d,
+)
 from .errors import BlowupError, SolverError
 from .expr import DomainError, ExprSyntaxError, differentiate, evaluate, parse, pretty
 from .harness import (
@@ -32,7 +38,6 @@ from .integrate import (
 from .linalg import JacobianAccess, TransposeUnavailable, spectral_norm
 from .problems import (
     AssumptionReport,
-    GrowthSpec,
     RunResult,
     ScalarProblem,
     VectorProblem,

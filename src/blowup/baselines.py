@@ -20,6 +20,7 @@ which lies in [eps/(2*M^(p-1)), eps/2), is left out of the estimate.
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -37,6 +38,10 @@ class MinStepUnderflow(SolverError):
 
 class InvalidExponent(BlowupError):
     """Rescaling is defined only for b(x) = x^p with p > 1."""
+
+
+class InvalidParameter(BlowupError, ValueError):
+    """A baseline's M, x0 or rk_tol is outside the range its method runs on."""
 
 
 # Dormand-Prince 5(4) tableau.
@@ -82,19 +87,17 @@ def solve_arclength(
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if not rk_tol > 0:
-        raise ValueError(f"rk_tol must be positive, got {rk_tol!r}")
+        raise InvalidParameter(f"rk_tol must be positive, got {rk_tol!r}")
     cfg = cfg or SolverConfig()
 
     scalar = isinstance(problem, ScalarProblem)
     if scalar:
-        rule = problem.threshold
         y = np.array([float(problem.x0), 0.0])
         rhs = lambda x: np.array([problem.rhs(float(x[0]))])
     else:
-        rule = thresholds.rule_for_growth(problem.growth)
         y = np.concatenate([np.asarray(problem.x0, dtype=float), [0.0]])
         rhs = problem.rhs
-    r = thresholds.radius(rule, problem, eps)
+    r = thresholds.radius(problem.threshold, problem, eps)
     warnings = thresholds.cap_warnings(r)
 
     n_evals = 0
@@ -162,10 +165,12 @@ def solve_rescaling_1d(p_exponent: float, x0: float, M: float, eps: float) -> Ru
     """
     if not p_exponent > 1:
         raise InvalidExponent(f"need p > 1, got {p_exponent!r}")
-    if not M > 1:
-        raise ValueError(f"need M > 1, got {M!r}")
+    if not 1 < M < math.inf:  # M = inf would make the step h zero
+        raise InvalidParameter(f"need 1 < M < inf, got M = {M!r}")
+    if p_exponent * math.log(M) >= math.log(sys.float_info.max):
+        raise InvalidParameter(f"M^p overflows float64 for M = {M!r}, p = {p_exponent!r}")
     if not 0 < x0 < M:
-        raise ValueError(f"need 0 < x0 < M, got x0 = {x0!r}")
+        raise InvalidParameter(f"need 0 < x0 < M, got x0 = {x0!r}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
 

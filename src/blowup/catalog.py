@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BlowupError
 from .linalg import JacobianAccess
-from .problems import GrowthSpec, LOGARITHMIC, POLYNOMIAL, ScalarProblem, VectorProblem
+from .problems import ScalarProblem, VectorProblem
 from .stepping import (
     Adaptive1D,
     AdaptiveND,
@@ -25,7 +25,7 @@ from .stepping import (
     Uniform1D,
     UniformND,
 )
-from .thresholds import BPrimeLog, ExplicitRadius, FInverse
+from .thresholds import BPrimeLog, ExplicitRadius, FInverse, LogND, PolyND
 
 
 class UnknownId(BlowupError):
@@ -99,7 +99,7 @@ def _expsq() -> CatalogEntry:
         rhs_second=lambda x: (2.0 + 4.0 * x * x) * _exp(x * x),
         x0=1.0,
         k=1.1,
-        threshold=BPrimeLog(tail_constant=1.0),
+        threshold=BPrimeLog(),
     )
     return CatalogEntry(
         id="expsq",
@@ -161,7 +161,7 @@ def _uncoupled() -> CatalogEntry:
         jacobian=JacobianAccess.from_dense(jac),
         # b.x = x1^4 + x2^6 >= 0.5*|x|^4 on |x| >= sqrt(3) (minimum ~0.5488 on the
         # boundary circle), so c_check = 0.5 is an honest constant; 1.0 is not.
-        growth=GrowthSpec(POLYNOMIAL, c_check=0.5, alpha=2.0),
+        threshold=PolyND(c_check=0.5, alpha=2.0),
         delta=math.sqrt(3.0) * (1.0 - 1e-9),
         x0=np.array([math.sqrt(2.0), 1.0]),
     )
@@ -198,7 +198,7 @@ def _coupled() -> CatalogEntry:
         dim=2,
         rhs=rhs,
         jacobian=JacobianAccess.from_dense(jac),
-        growth=GrowthSpec(POLYNOMIAL, c_check=1.0, alpha=2.0),  # b.x = |x|^4 exactly
+        threshold=PolyND(c_check=1.0, alpha=2.0),  # b.x = |x|^4 exactly
         delta=math.sqrt(5.0) * (1.0 - 1e-9),
         x0=np.array([1.0, 2.0]),
     )
@@ -257,12 +257,14 @@ def _slowlog(c: float) -> CatalogEntry:
             ]
         )
 
-    c_check = _fit_log_growth_constant(rhs, alpha=c, base_radius=5.0)
+    # l_i >= log(x1^2 + x2^2) = 2 log|x| > 0 on |x| > delta, so b.x >= 2^(1+c) |x|^2
+    # log(|x|)^(1+c), with equality on the axes; round that best constant down.
+    c_check = math.floor(10.0 * 2.0 ** one_c) / 10.0
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
         jacobian=JacobianAccess.from_dense(jac),
-        growth=GrowthSpec(LOGARITHMIC, c_check=c_check, alpha=c),
+        threshold=LogND(c_check=c_check, alpha=c),
         delta=5.0 * (1.0 - 1e-9),
         x0=np.array([4.0, 3.0]),
     )
@@ -276,34 +278,12 @@ def _slowlog(c: float) -> CatalogEntry:
         },
         reference=Pseudo(2.0**-17),
         notes=(
-            f"slow log-growth field with c = {c}; c_check = {c_check} fitted by "
-            "sampled minimisation and rounded down one decimal. The slow-growth "
+            f"slow log-growth field with c = {c}; c_check = {c_check} is the exact "
+            "constant 2^(1+c) rounded down one decimal. The slow-growth "
             "radius exp((1/(c_check*alpha*eps))^(1/alpha)) exceeds float64 range for "
             "small eps; runs then integrate to the capped radius (warning attached)."
         ),
     )
-
-
-def _fit_log_growth_constant(rhs, alpha: float, base_radius: float) -> float:
-    """Conservative c_check: minimise b(x).x / (|x|^2 log(|x|)^(1+alpha)) over a
-    radial sample grid (random directions plus the axes) and round down one decimal."""
-    rng = np.random.default_rng(20240)
-    best = math.inf
-    axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-            np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-    for rho in np.geomspace(base_radius, 1e6 * base_radius, 64):
-        rho = float(rho)
-        dirs = list(axes)
-        for _ in range(16):
-            u = rng.normal(size=2)
-            dirs.append(u / math.sqrt(float(u @ u)))
-        denom = rho * rho * math.log(rho) ** (1.0 + alpha)
-        for u in dirs:
-            x = rho * u
-            ratio = float(np.asarray(rhs(x)) @ x) / denom
-            if ratio < best:
-                best = ratio
-    return math.floor(best * 10.0) / 10.0
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +320,7 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
         # Working reconstruction: the growth bound is not claimed to hold for this
         # field (the diffusion term breaks it near the initial profile); it exists
         # to make r(eps) = 1/eps computable. Sampler treats it as nominal.
-        growth=GrowthSpec(POLYNOMIAL, c_check=1.0, alpha=1.0, nominal=True),
+        threshold=PolyND(c_check=1.0, alpha=1.0, nominal=True),
         delta=1.0,
         x0=x0,
     )

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from . import catalog, expr, harness, thresholds
+from . import baselines, catalog, expr, harness, thresholds
 from .errors import BlowupError, SolverError
 from .integrate import SolverConfig, solve_1d
 from .problems import ScalarProblem, check_assumptions, structural_violations
@@ -320,7 +320,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (catalog.UnknownId, harness.UnknownMethod, expr.ExprSyntaxError) as exc:
+    except (catalog.UnknownId, harness.UnknownMethod, expr.ExprSyntaxError,
+            baselines.InvalidParameter) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -19,13 +19,7 @@ import numpy as np
 
 from . import linalg, stepping, thresholds
 from .errors import SolverError
-from .problems import (
-    LOGARITHMIC,
-    RunResult,
-    ScalarProblem,
-    VectorProblem,
-    structural_violations,
-)
+from .problems import RunResult, ScalarProblem, VectorProblem, structural_violations
 from .stepping import Adaptive1D, AdaptiveND, LogNDFixedN, StepLaw, Taylor1D, Uniform1D
 
 
@@ -147,7 +141,7 @@ def solve_nd(
         raise TypeError(f"{law!r} is not an R^n step law")
     warnings = _base_warnings(problem)
 
-    rule = thresholds.rule_for_growth(problem.growth)
+    rule = problem.threshold
     r = thresholds.radius(rule, problem, eps)
     warnings += thresholds.cap_warnings(r)
 
@@ -206,8 +200,8 @@ def solve_log_nd(
     The guess starts at ceil(1/eps) and doubles while the run overshoots it;
     if the guess overshoots the other way it is pulled down to N_actual.
     """
-    if problem.growth.kind != LOGARITHMIC:
-        raise ValueError("solve_log_nd needs a logarithmic growth specification")
+    if not isinstance(problem.threshold, thresholds.LogND):
+        raise ValueError("solve_log_nd needs a LogND threshold (logarithmic growth)")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     cfg = cfg or SolverConfig()

@@ -12,29 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import JacobianAccess, safe_norm
-
-POLYNOMIAL = "polynomial"
-LOGARITHMIC = "logarithmic"
-
-
-@dataclass(frozen=True)
-class GrowthSpec:
-    """Lower growth bound on b(x)·x.
-
-    ``polynomial`` encodes c_check*|x|^(2+alpha) <= b(x)·x, ``logarithmic``
-    encodes c_check*|x|^2*log(|x|)^(1+alpha) <= b(x)·x (needs delta > 1).
-    ``nominal`` marks a working reconstruction that is not claimed to hold;
-    the sampler evaluates it for information but does not count failures.
-    """
-
-    kind: str
-    c_check: float
-    alpha: float
-    nominal: bool = False
-
-    def __post_init__(self):
-        if self.kind not in (POLYNOMIAL, LOGARITHMIC):
-            raise ValueError(f"unknown growth kind {self.kind!r}")
+from .thresholds import BPrimeLog, LogND, PolyND
 
 
 @dataclass(frozen=True)
@@ -51,12 +29,16 @@ class ScalarProblem:
 
 @dataclass(frozen=True)
 class VectorProblem:
-    """Autonomous system x' = b(x) on {|x| > delta} that blows up in finite time."""
+    """Autonomous system x' = b(x) on {|x| > delta} that blows up in finite time.
+
+    ``threshold`` is the field's growth bound on b(x)·x, PolyND or LogND; it
+    also fixes the truncation radius r(eps).
+    """
 
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
     jacobian: JacobianAccess
-    growth: GrowthSpec
+    threshold: PolyND | LogND
     delta: float
     x0: np.ndarray
 
@@ -156,19 +138,21 @@ _REL_SLACK = 1e-9  # forgives pure roundoff in inequalities that hold with equal
 
 
 def _check_scalar(problem: ScalarProblem, samples: int) -> list:
-    xs = np.geomspace(problem.x0, 1e6 * problem.x0, samples)
     pos_b = _Tracker("b positive")
     pos_db = _Tracker("b_deriv positive")
     inc_db = _Tracker("b_deriv increasing")
     trackers = [pos_b, pos_db, inc_db]
-
-    from .thresholds import BPrimeLog  # local import to avoid a cycle
 
     growth_vs_x = None
     if isinstance(problem.threshold, BPrimeLog):
         growth_vs_x = _Tracker("x <= b_deriv(x)^C")
         trackers.append(growth_vs_x)
 
+    if not problem.x0 > 0:  # no log-spaced grid; structural_violations says why
+        for t in trackers:
+            t.untestable(problem.x0)
+        return [t.result() for t in trackers]
+    xs = np.geomspace(problem.x0, 1e6 * problem.x0, samples)
     prev_db = None
     for x in xs:
         x = float(x)
@@ -189,19 +173,11 @@ def _check_scalar(problem: ScalarProblem, samples: int) -> list:
                 inc_db.record(x, ok, f"b' decreases to {db!r} at x={x!r}")
             prev_db = db
         if growth_vs_x is not None and db is not None:
-            c_exp = getattr(problem.threshold, "tail_constant", 1.0)
-            try:
-                bound = db ** c_exp if db > 0 else -math.inf
-            except OverflowError:
-                bound = math.inf
-            if not math.isfinite(bound):
-                if bound > 0:  # overflowing bound trivially dominates x
-                    growth_vs_x.record(x, True)
-                else:
-                    growth_vs_x.untestable(x)
+            if db > 0:  # C = 1, so the bound is b'(x) itself
+                growth_vs_x.record(x, x <= db * (1.0 + _REL_SLACK),
+                                   f"x = {x!r} > b'(x)^C = {db!r}")
             else:
-                growth_vs_x.record(x, x <= bound * (1.0 + _REL_SLACK),
-                                   f"x = {x!r} > b'(x)^C = {bound!r}")
+                growth_vs_x.untestable(x)
     return [t.result() for t in trackers]
 
 
@@ -209,11 +185,15 @@ def _check_vector(problem: VectorProblem, samples: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         r0 = safe_norm(problem.x0)
-    radii = np.geomspace(r0, 1e6 * r0, samples)
     growth = _Tracker("growth lower bound")
     outward = _Tracker("field points outward (b·x > 0)")
-    g = problem.growth
-    for rho in radii:
+    rule = problem.threshold
+    nominal = isinstance(rule, PolyND) and rule.nominal
+    if not 0 < r0 < math.inf:  # no log-spaced grid from |x0| = 0 (or inf, or nan)
+        growth.untestable(r0)
+        outward.untestable(r0)
+        return [t.result(nominal=nominal) for t in (growth, outward)]
+    for rho in np.geomspace(r0, 1e6 * r0, samples):
         u = rng.normal(size=problem.dim)
         nu = math.sqrt(float(u @ u))
         if nu == 0.0:
@@ -231,16 +211,16 @@ def _check_vector(problem: VectorProblem, samples: int, seed: int) -> list:
             outward.untestable(float(rho))
             continue
         outward.record(float(rho), dot > 0.0, f"b·x = {dot!r} at |x| = {rho!r}")
-        if g.kind == POLYNOMIAL:
-            lower = g.c_check * float(rho) ** (2.0 + g.alpha)
+        if isinstance(rule, LogND):
+            lower = rule.c_check * float(rho) ** 2 * math.log(float(rho)) ** (1.0 + rule.alpha)
         else:
-            lower = g.c_check * float(rho) ** 2 * math.log(float(rho)) ** (1.0 + g.alpha)
+            lower = rule.c_check * float(rho) ** (2.0 + rule.alpha)
         if not math.isfinite(lower):
             growth.untestable(float(rho))
             continue
         growth.record(float(rho), dot >= lower * (1.0 - _REL_SLACK),
                       f"b·x = {dot!r} < bound {lower!r} at |x| = {rho!r}")
-    return [t.result(nominal=g.nominal) for t in (growth, outward)]
+    return [t.result(nominal=nominal) for t in (growth, outward)]
 
 
 def check_assumptions(problem, samples: int = 1000, seed: int = 1) -> AssumptionReport:
@@ -283,12 +263,15 @@ def structural_violations(problem) -> list[str]:
             nx0 = safe_norm(problem.x0)
         if not nx0 > problem.delta:
             out.append(f"|x0| = {nx0!r} must exceed delta = {problem.delta!r}")
-        g = problem.growth
-        if not g.alpha > 0:
-            out.append(f"growth.alpha must be positive, got {g.alpha!r}")
-        if not g.c_check > 0:
-            out.append(f"growth.c_check must be positive, got {g.c_check!r}")
-        if g.kind == LOGARITHMIC and not problem.delta > 1:
+        rule = problem.threshold
+        if not isinstance(rule, (PolyND, LogND)):
+            out.append(f"threshold must be PolyND or LogND, got {rule!r}")
+            return out
+        if not rule.alpha > 0:
+            out.append(f"threshold.alpha must be positive, got {rule.alpha!r}")
+        if not rule.c_check > 0:
+            out.append(f"threshold.c_check must be positive, got {rule.c_check!r}")
+        if isinstance(rule, LogND) and not problem.delta > 1:
             out.append("logarithmic growth requires delta > 1")
     else:
         out.append(f"not a problem object: {problem!r}")

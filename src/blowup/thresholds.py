@@ -3,7 +3,8 @@
 Each rule picks r(eps) so that the hitting time of radius r(eps) is within
 O(eps) of the true blow-up time. Rules that only define r implicitly (through
 b(r) = F^-1(eps) or b'(r) = eps^-1 log(eps^-1)) are solved by bracketed
-bisection plus a few Newton polish steps.
+bisection plus a few Newton polish steps. The R^n rules PolyND and LogND
+are the field's growth bound on b(x)·x, and give r(eps) in closed form.
 
 Radii that would exceed the float64 range are clamped to RADIUS_CAP, and
 cap_warnings gives the warning the solvers attach to such a run, since the
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SolverError
-from .problems import POLYNOMIAL
 
 # Largest radius we let a rule request. Keeps r, b(r) and the iterates finite
 # in float64; well below the 1e300 overflow guard of the solvers.
@@ -42,11 +42,9 @@ class FInverse:
 class BPrimeLog:
     """Radius solving b'(r) = eps^-1 * log(eps^-1); 1D alternative route.
 
-    ``tail_constant`` is the C in the standing bound x <= b'(x)^C; it scales
-    the tail estimate only, never the radius.
+    The problem must satisfy the standing bound x <= b'(x)^C with C = 1, which
+    the sampler checks; C enters the tail estimate only, never the radius.
     """
-
-    tail_constant: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,25 @@ class ExplicitRadius:
 
 @dataclass(frozen=True)
 class PolyND:
-    """r(eps) = (1/(c_check*alpha*eps))^(1/alpha) from the polynomial growth bound."""
+    """Polynomial growth bound c_check*|x|^(2+alpha) <= b(x)·x of an R^n field,
+    which gives r(eps) = (1/(c_check*alpha*eps))^(1/alpha).
+
+    ``nominal`` marks a working reconstruction that is not claimed to hold;
+    the sampler evaluates it for information but does not count failures.
+    """
+
+    c_check: float
+    alpha: float
+    nominal: bool = False
 
 
 @dataclass(frozen=True)
 class LogND:
-    """r(eps) = exp((1/(c_check*alpha*eps))^(1/alpha)) for slow (log) growth."""
+    """Slow growth bound c_check*|x|^2*log(|x|)^(1+alpha) <= b(x)·x (needs
+    delta > 1), which gives r(eps) = exp((1/(c_check*alpha*eps))^(1/alpha))."""
+
+    c_check: float
+    alpha: float
 
 
 ThresholdRule = FInverse | BPrimeLog | ExplicitRadius | PolyND | LogND
@@ -181,20 +192,13 @@ def radius(rule: ThresholdRule, problem, epsilon: float) -> float:
             r = math.inf
         return _capped(r)
     if isinstance(rule, PolyND):
-        g = problem.growth
-        return _capped((1.0 / (g.c_check * g.alpha * epsilon)) ** (1.0 / g.alpha))
+        return _capped((1.0 / (rule.c_check * rule.alpha * epsilon)) ** (1.0 / rule.alpha))
     if isinstance(rule, LogND):
-        g = problem.growth
-        exponent = (1.0 / (g.c_check * g.alpha * epsilon)) ** (1.0 / g.alpha)
+        exponent = (1.0 / (rule.c_check * rule.alpha * epsilon)) ** (1.0 / rule.alpha)
         if exponent > 700.0:
             return RADIUS_CAP
         return _capped(math.exp(exponent))
     raise TypeError(f"unknown threshold rule {rule!r}")
-
-
-def rule_for_growth(growth) -> ThresholdRule:
-    """Default R^n rule implied by the growth specification."""
-    return PolyND() if growth.kind == POLYNOMIAL else LogND()
 
 
 def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
@@ -202,7 +206,8 @@ def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
 
     The capped-radius regime is NOT reflected here: this is the uncapped
     design bound (eps for all rules except BPrimeLog, whose construction gives
-    (C+1)*log(b'(r))/b'(r)). Returns NaN for explicit radii with unknown tail.
+    (C+1)*log(b'(r))/b'(r) with C = 1). Returns NaN for explicit radii with
+    unknown tail.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
@@ -215,5 +220,5 @@ def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
         bp = float(problem.rhs_deriv(r))
         if bp <= 0:
             return math.nan
-        return (rule.tail_constant + 1.0) * math.log(bp) / bp
+        return 2.0 * math.log(bp) / bp
     raise TypeError(f"unknown threshold rule {rule!r}")

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from blowup import catalog
-from blowup.baselines import InvalidExponent, _arc_rhs, solve_arclength, solve_rescaling_1d
+from blowup.baselines import (
+    InvalidExponent,
+    InvalidParameter,
+    _arc_rhs,
+    solve_arclength,
+    solve_rescaling_1d,
+)
 from blowup.integrate import solve_1d
 from blowup.thresholds import ExplicitRadius
 
@@ -95,6 +101,12 @@ class TestRescaling:
     def test_threshold_must_exceed_start(self):
         with pytest.raises(ValueError):
             solve_rescaling_1d(2.0, 5.0, 4.0, 0.01)
+
+    @pytest.mark.parametrize("M", [0.5, 1.0, math.inf, math.nan, 1e300])
+    def test_threshold_out_of_range(self, M):
+        # M = inf gave h = 0 and a loop that never ended; 1e300^2 overflows
+        with pytest.raises(InvalidParameter):
+            solve_rescaling_1d(2.0, 0.5, M, 0.01)
 
     def test_deterministic(self):
         a = solve_rescaling_1d(2.0, 0.5, 4.0, 2.0**-8)

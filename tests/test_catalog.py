@@ -5,6 +5,7 @@ import pytest
 
 from blowup import catalog
 from blowup.catalog import Exact, Pseudo, UnknownId, build_reaction_diffusion
+from blowup.problems import check_assumptions
 
 
 def test_list_ids():
@@ -121,8 +122,8 @@ class TestReactionDiffusion:
 
     def test_growth_spec_is_nominal_reconstruction(self):
         prob = build_reaction_diffusion(8)
-        assert prob.growth.nominal
-        assert prob.growth.c_check == 1.0 and prob.growth.alpha == 1.0
+        assert prob.threshold.nominal
+        assert prob.threshold.c_check == 1.0 and prob.threshold.alpha == 1.0
 
     def test_default_law_carries_cfl_cap(self):
         entry = catalog.get("rd", m=32)
@@ -132,9 +133,13 @@ class TestReactionDiffusion:
 def test_slowlog_constant_is_conservative_and_deterministic():
     e1 = catalog.get("slowlog_c", c=0.5)
     e2 = catalog.get("slowlog_c", c=0.5)
-    assert e1.problem.growth.c_check == e2.problem.growth.c_check
-    # the axis directions realize ratio 2^(1+c); the fitted constant sits just below
-    assert 2.0 <= e1.problem.growth.c_check <= 2.0**1.5
+    assert e1.problem.threshold.c_check == e2.problem.threshold.c_check == 2.8
+    # the axis directions realize the exact constant 2^(1+c); c_check is it rounded
+    # down one decimal, and the sampler finds no point below the bound
+    for c in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
+        prob = catalog.get("slowlog_c", c=c).problem
+        assert 2.0 ** (1.0 + c) - 0.1 < prob.threshold.c_check <= 2.0 ** (1.0 + c), c
+        assert check_assumptions(prob, samples=1000, seed=1).ok, c
 
 
 def test_entries_expose_expected_methods():

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import pytest
 
@@ -10,6 +12,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the main thread if the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def parse_kv(stdout: str) -> dict:
@@ -135,6 +153,15 @@ class TestExitCodes:
             assert out.count(detail) == 1, detail
         assert "violation=" not in out
 
+    def test_zero_start_is_a_violation_not_a_crash(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--expr", "x^2", "--x0", "0",
+            "--threshold", "radius:eps^-1", "--samples", "50",
+        )
+        assert code == 2
+        assert "violation=x0 must be positive" in out and "ok=false" in out
+        assert "status=untestable" in out
+
     def test_clean_check_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--problem", "sq", "--samples", "300")
         assert code == 0
@@ -184,10 +211,16 @@ class TestExitCodes:
              "radius:eps^-1", "--eps", "2^-8"),
             ("run", "--expr", "x^2", "--threshold", "finverse:eps^-2", "--eps", "2^-8",
              "--expr-deriv-check"),
+            ("run", "--problem", "sq", "--method", "rescaling", "--M", "0.5", "--eps", "2^-8"),
+            # M = inf made the rescaling step zero, so this run never ended
+            ("run", "--problem", "sq", "--method", "rescaling", "--M", "inf", "--eps", "2^-8"),
+            ("run", "--problem", "sq", "--method", "rescaling", "--M", "1e300", "--eps", "2^-8"),
+            ("run", "--problem", "sq", "--method", "arclength", "--rk-tol", "0", "--eps", "2^-8"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
+        with time_limit(20):
+            code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error: ")
 

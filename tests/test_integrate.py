@@ -15,9 +15,9 @@ from blowup.integrate import (
     solve_nd,
 )
 from blowup.linalg import JacobianAccess, spectral_norm
-from blowup.problems import POLYNOMIAL, GrowthSpec, ScalarProblem, VectorProblem
+from blowup.problems import ScalarProblem, VectorProblem
 from blowup.stepping import Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, Taylor1D, Uniform1D
-from blowup.thresholds import ExplicitRadius
+from blowup.thresholds import ExplicitRadius, PolyND
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +237,7 @@ class TestSolveND:
             jacobian=JacobianAccess.from_dense(
                 lambda x: np.diag([3.0 * x[0] ** 2, 3.0 * x[1] ** 2])
             ),
-            growth=GrowthSpec(POLYNOMIAL, 1.0, 2.0),
+            threshold=PolyND(1.0, 2.0),
             delta=1.0,
             x0=np.array([1.5, 1.0]),
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,15 +8,14 @@ from blowup import catalog
 from blowup.linalg import JacobianAccess
 from blowup.problems import (
     FAIL,
-    GrowthSpec,
-    POLYNOMIAL,
     PASS,
+    UNTESTABLE,
     ScalarProblem,
     VectorProblem,
     check_assumptions,
     structural_violations,
 )
-from blowup.thresholds import FInverse
+from blowup.thresholds import FInverse, PolyND
 
 
 def _sq_problem(k=1.1):
@@ -49,7 +49,7 @@ class TestValidate:
             dim=2,
             rhs=base.rhs,
             jacobian=base.jacobian,
-            growth=base.growth,
+            threshold=base.threshold,
             delta=float(np.linalg.norm(x0)),  # delta == |x0| violates strictness
             x0=x0,
         )
@@ -62,7 +62,7 @@ class TestValidate:
             dim=2,
             rhs=base.rhs,
             jacobian=base.jacobian,
-            growth=base.growth,
+            threshold=base.threshold,
             delta=0.5,
             x0=np.array([4.0, 3.0]),
         )
@@ -91,7 +91,7 @@ class TestCheckAssumptions:
 
     def test_coupled_growth_holds_with_unit_constant(self):
         prob = catalog.get("coupled").problem
-        assert prob.growth.c_check == 1.0 and prob.growth.alpha == 2.0
+        assert prob.threshold.c_check == 1.0 and prob.threshold.alpha == 2.0
         report = check_assumptions(prob, samples=1000, seed=1)
         assert report.ok
 
@@ -101,6 +101,14 @@ class TestCheckAssumptions:
         assert report.ok  # large-x overflow must not count as failure
         by_name = {c.name: c for c in report.checks}
         assert "untestable" in by_name["b positive"].detail
+
+    def test_zero_start_is_untestable(self):
+        sq = dataclasses.replace(_sq_problem(), x0=0.0)
+        coupled = catalog.get("coupled").problem
+        for prob in (sq, dataclasses.replace(coupled, x0=np.zeros(2))):
+            report = check_assumptions(prob, samples=50, seed=1)
+            assert {c.status for c in report.checks} == {UNTESTABLE}
+            assert structural_violations(prob)
 
     def test_samples_validated(self):
         with pytest.raises(ValueError):
@@ -162,8 +170,15 @@ def test_every_shipped_problem_validates_clean():
         assert _validates_clean(entry.problem), entry.id
 
 
-def test_growth_spec_validation():
-    with pytest.raises(ValueError):
-        GrowthSpec("cubic", 1.0, 1.0)
-    g = GrowthSpec(POLYNOMIAL, 1.0, 2.0)
-    assert not g.nominal
+def test_vector_threshold_validation():
+    base = catalog.get("coupled").problem
+    assert not base.threshold.nominal
+
+    def with_rule(rule):
+        return structural_violations(dataclasses.replace(base, threshold=rule))
+
+    assert with_rule(PolyND(c_check=1.0, alpha=2.0)) == []
+    out = with_rule(FInverse(lambda e: e**-2.0))  # a 1D rule carries no growth bound
+    assert len(out) == 1 and "PolyND or LogND" in out[0]
+    out = with_rule(PolyND(c_check=0.0, alpha=-1.0))
+    assert len(out) == 2 and "alpha" in out[0] and "c_check" in out[1]

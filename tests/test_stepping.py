@@ -6,7 +6,7 @@ import pytest
 from blowup import catalog
 from blowup.integrate import SolverConfig, solve_1d
 from blowup.linalg import JacobianAccess, safe_norm
-from blowup.problems import POLYNOMIAL, GrowthSpec, ScalarProblem, VectorProblem
+from blowup.problems import ScalarProblem, VectorProblem
 from blowup.stepping import (
     LAWS_1D,
     LAWS_ND,
@@ -21,7 +21,7 @@ from blowup.stepping import (
     Uniform1D,
     UniformND,
 )
-from blowup.thresholds import ExplicitRadius
+from blowup.thresholds import ExplicitRadius, PolyND
 
 B_SQ = lambda x: x * x
 DB_SQ = lambda x: 2.0 * x
@@ -49,7 +49,7 @@ def planar(jacobian):
         dim=2,
         rhs=lambda x: x,
         jacobian=jacobian,
-        growth=GrowthSpec(POLYNOMIAL, 1.0, 1.0),
+        threshold=PolyND(1.0, 1.0),
         delta=1.0,
         x0=np.ones(2),
     )

@@ -14,7 +14,6 @@ from blowup.thresholds import (
     NonMonotone,
     PolyND,
     radius,
-    rule_for_growth,
     tau_tail_bound,
 )
 
@@ -79,21 +78,18 @@ class TestBPrimeLog:
 
 class TestClosedForms:
     def test_poly_nd(self):
-        growth = catalog.get("coupled").problem.growth  # c_check=1, alpha=2
         prob = catalog.get("coupled").problem
-        assert radius(PolyND(), prob, 0.005) == pytest.approx(10.0, rel=1e-14)
+        assert prob.threshold == PolyND(c_check=1.0, alpha=2.0)
+        assert radius(prob.threshold, prob, 0.005) == pytest.approx(10.0, rel=1e-14)
 
     def test_log_nd(self):
-        from blowup.problems import GrowthSpec, LOGARITHMIC
-
-        class Holder:
-            growth = GrowthSpec(LOGARITHMIC, c_check=1.0, alpha=1.0)
-
-        assert radius(LogND(), Holder(), 0.25) == pytest.approx(math.exp(4.0), rel=1e-14)
+        # the rule carries its growth bound, so it needs nothing from the problem
+        rule = LogND(c_check=1.0, alpha=1.0)
+        assert radius(rule, None, 0.25) == pytest.approx(math.exp(4.0), rel=1e-14)
 
     def test_log_nd_caps_instead_of_overflowing(self):
         prob = catalog.get("slowlog_c", c=0.5).problem
-        r = radius(LogND(), prob, 2.0**-8)
+        r = radius(prob.threshold, prob, 2.0**-8)
         assert r == RADIUS_CAP
 
     def test_explicit_radius_caps(self):
@@ -113,7 +109,7 @@ class TestTailBounds:
 
     def test_poly_nd_tail_is_eps(self):
         prob = catalog.get("coupled").problem
-        assert tau_tail_bound(PolyND(), prob, 0.37) == 0.37
+        assert tau_tail_bound(prob.threshold, prob, 0.37) == 0.37
 
     def test_explicit_radius_known_tail(self):
         # for b = x log(x)^(1+c): integral of 1/b from r to inf = 1/(c log(r)^c),
@@ -130,36 +126,46 @@ class TestTailBounds:
         assert math.isnan(tau_tail_bound(rule, sq, 0.01))
 
 
-def _catalog_rules():
-    pairs = []
+def test_radius_nondecreasing_as_eps_decreases():
     for pid, kwargs in [
         ("sq", {}),
         ("expsq", {}),
         ("xlog_c", {"c": 1.0}),
         ("xlog_c", {"c": 0.5}),
-    ]:
-        prob = catalog.get(pid, **kwargs).problem
-        pairs.append((f"{pid}{kwargs}", prob.threshold, prob))
-    for pid, kwargs in [
         ("uncoupled", {}),
         ("coupled", {}),
         ("slowlog_c", {"c": 0.5}),
         ("rd", {"m": 8}),
     ]:
         prob = catalog.get(pid, **kwargs).problem
-        pairs.append((f"{pid}{kwargs}", rule_for_growth(prob.growth), prob))
-    return pairs
-
-
-def test_radius_nondecreasing_as_eps_decreases():
-    for label, rule, prob in _catalog_rules():
         eps = 2.0**-2
-        prev = radius(rule, prob, eps)
+        prev = radius(prob.threshold, prob, eps)
         for _ in range(10):
             eps /= 2.0
-            cur = radius(rule, prob, eps)
-            assert cur >= prev * (1.0 - 1e-12), label
+            cur = radius(prob.threshold, prob, eps)
+            assert cur >= prev * (1.0 - 1e-12), f"{pid}{kwargs}"
             prev = cur
+
+
+# radius(p.threshold, p, eps).hex() at eps = 2^-4 and 2^-8 for every catalog entry
+# with its default parameters, recorded before the R^n growth bounds moved into
+# the PolyND/LogND rules. The 0x1.658e3ab795204p+830 entries are RADIUS_CAP.
+PINNED_RADII = {
+    "sq": ("0x1.0000000000000p+4", "0x1.0000000000000p+8"),
+    "expsq": ("0x1.9e371656334b3p+0", "0x1.31773f186eeaep+1"),
+    "xlog_c": ("0x1.658e3ab795204p+830", "0x1.658e3ab795204p+830"),
+    "uncoupled": ("0x1.0000000000000p+2", "0x1.0000000000000p+4"),
+    "coupled": ("0x1.6a09e667f3bcdp+1", "0x1.6a09e667f3bcdp+3"),
+    "slowlog_c": ("0x1.59c33968959ddp+188", "0x1.658e3ab795204p+830"),
+    "rd": ("0x1.0000000000000p+4", "0x1.0000000000000p+8"),
+}
+
+
+@pytest.mark.parametrize("pid", catalog.IDS)
+def test_catalog_radii_are_pinned(pid):
+    prob = catalog.get(pid).problem
+    got = tuple(radius(prob.threshold, prob, eps).hex() for eps in (2.0**-4, 2.0**-8))
+    assert got == PINNED_RADII[pid]
 
 
 class TestRootFinderFailures:
