@@ -86,8 +86,8 @@ def solve_arclength(
     """Arc-length RK5(4) blow-up estimate; cost is counted in stage evaluations."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if not rk_tol > 0:
-        raise InvalidParameter(f"rk_tol must be positive, got {rk_tol!r}")
+    if not 0 < rk_tol < math.inf:  # rk_tol = inf would switch off error control
+        raise InvalidParameter(f"rk_tol must be positive and finite, got {rk_tol!r}")
     cfg = cfg or SolverConfig()
 
     scalar = isinstance(problem, ScalarProblem)
@@ -153,7 +153,9 @@ def solve_arclength(
     )
 
 
-def solve_rescaling_1d(p_exponent: float, x0: float, M: float, eps: float) -> RunResult:
+def solve_rescaling_1d(
+    p_exponent: float, x0: float, M: float, eps: float, cfg: SolverConfig | None = None
+) -> RunResult:
     """Threshold-rescaling estimate for x' = x^p, x(0) = x0, with threshold M.
 
     Cycle j integrates y' = y^p from y = x0 (j = 0) or exactly y = 1 (j > 0; the
@@ -162,6 +164,8 @@ def solve_rescaling_1d(p_exponent: float, x0: float, M: float, eps: float) -> Ru
     remaining tail M^((1-p)j)/(p-1) drops below eps/2. That tail, in
     [eps/(2*M^(p-1)), eps/2) for eps <= 2/(p-1), is not added to tau_hat, so
     tau_hat falls short of the blow-up time by it on top of the Euler error.
+    Each cycle takes at least one step, so a cycle estimate above cfg.max_steps
+    raises StepBudgetExceeded up front, as does a run that needs more steps.
     """
     if not p_exponent > 1:
         raise InvalidExponent(f"need p > 1, got {p_exponent!r}")
@@ -173,10 +177,13 @@ def solve_rescaling_1d(p_exponent: float, x0: float, M: float, eps: float) -> Ru
         raise InvalidParameter(f"need 0 < x0 < M, got x0 = {x0!r}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+    max_steps = (cfg or SolverConfig()).max_steps
 
     p = p_exponent
     log_m = math.log(M)
     j_est = max(1, math.ceil(math.log(2.0 / ((p - 1.0) * eps)) / ((p - 1.0) * log_m)))
+    if j_est > max_steps:
+        raise StepBudgetExceeded(f"about {j_est} cycles exceed {max_steps} steps")
     h = eps / (2.0 * j_est * log_m)
 
     tau = 0.0
@@ -188,10 +195,14 @@ def solve_rescaling_1d(p_exponent: float, x0: float, M: float, eps: float) -> Ru
     while True:
         y = x0 if j == 0 else 1.0
         t_cycle = 0.0
-        while y < M:
+        for n in range(max_steps - steps):  # y < M here: each cycle takes a step
             y += (y**p) * h
             t_cycle += h
-            steps += 1
+            if not y < M:
+                break
+        else:
+            raise StepBudgetExceeded(f"exceeded {max_steps} steps in cycle {j}")
+        steps += n + 1
         tau += M ** ((1.0 - p) * j) * t_cycle
         cycle_times.append(t_cycle)
         j += 1

@@ -106,7 +106,7 @@ def run_method(
         if entry.rescale_power is None:
             raise UnknownMethod(f"{entry.id!r} is not a pure power law; no rescaling")
         return baselines.solve_rescaling_1d(
-            entry.rescale_power, float(problem.x0), rescale_threshold, eps
+            entry.rescale_power, float(problem.x0), rescale_threshold, eps, cfg
         )
     law = entry.methods.get(method)
     if law is None:

@@ -6,7 +6,8 @@ first crossing is the blow-up estimate, and a loop that ends on a NaN state
 raises Overflow instead. Step sizes come from the step_size method of the law
 selected in SolverConfig, called once per run, except for the Adaptive1D and
 Taylor1D steps, which solve_1d computes in its loop (see the stepping module).
-solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop.
+solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop
+that predicts the next guess from the last pass, G <- ceil(N_actual^2 / G).
 """
 from __future__ import annotations
 
@@ -197,8 +198,9 @@ def solve_log_nd(
     """Slow-growth solver: the step law needs the unknown step count N, so an
     outer loop guesses N, runs, and accepts once N_actual <= guess <= 4*N_actual.
 
-    The guess starts at ceil(1/eps) and doubles while the run overshoots it;
-    if the guess overshoots the other way it is pulled down to N_actual.
+    The guess G starts at ceil(1/eps). Since h scales as G^(-1/2), a pass run
+    with guess G takes about C*sqrt(G) steps, so the next guess is the fixed
+    point predicted from the last pass: G <- ceil(N_actual^2 / G).
     """
     if not isinstance(problem.threshold, thresholds.LogND):
         raise ValueError("solve_log_nd needs a LogND threshold (logarithmic growth)")
@@ -223,10 +225,7 @@ def solve_log_nd(
                 total_steps_all_iterations=total_steps,
             )
             return replace(res, wall_time=wall, meta=meta)
-        if actual > n_guess:
-            n_guess *= 2
-        else:
-            n_guess = max(1, actual)
+        n_guess = max(1, -(-actual * actual // n_guess))
     raise FixedPointDivergence(
         f"implicit-N iteration did not settle in 40 rounds (last guess {n_guess})"
     )

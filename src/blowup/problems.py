@@ -193,32 +193,32 @@ def _check_vector(problem: VectorProblem, samples: int, seed: int) -> list:
         growth.untestable(r0)
         outward.untestable(r0)
         return [t.result(nominal=nominal) for t in (growth, outward)]
-    for rho in np.geomspace(r0, 1e6 * r0, samples):
+    for rho in np.geomspace(r0, 1e6 * r0, samples).tolist():  # plain floats
         u = rng.normal(size=problem.dim)
         nu = math.sqrt(float(u @ u))
         if nu == 0.0:
             continue
-        x = (float(rho) / nu) * u
+        x = (rho / nu) * u
         try:
             bx = np.asarray(problem.rhs(x), dtype=float)
         except (OverflowError, ValueError, ZeroDivisionError):
-            growth.untestable(float(rho))
-            outward.untestable(float(rho))
+            growth.untestable(rho)
+            outward.untestable(rho)
             continue
         dot = float(bx @ x)
         if not math.isfinite(dot):
-            growth.untestable(float(rho))
-            outward.untestable(float(rho))
+            growth.untestable(rho)
+            outward.untestable(rho)
             continue
-        outward.record(float(rho), dot > 0.0, f"b·x = {dot!r} at |x| = {rho!r}")
+        outward.record(rho, dot > 0.0, f"b·x = {dot!r} at |x| = {rho!r}")
         if isinstance(rule, LogND):
-            lower = rule.c_check * float(rho) ** 2 * math.log(float(rho)) ** (1.0 + rule.alpha)
+            lower = rule.c_check * rho ** 2 * math.log(rho) ** (1.0 + rule.alpha)
         else:
-            lower = rule.c_check * float(rho) ** (2.0 + rule.alpha)
+            lower = rule.c_check * rho ** (2.0 + rule.alpha)
         if not math.isfinite(lower):
-            growth.untestable(float(rho))
+            growth.untestable(rho)
             continue
-        growth.record(float(rho), dot >= lower * (1.0 - _REL_SLACK),
+        growth.record(rho, dot >= lower * (1.0 - _REL_SLACK),
                       f"b·x = {dot!r} < bound {lower!r} at |x| = {rho!r}")
     return [t.result(nominal=nominal) for t in (growth, outward)]
 

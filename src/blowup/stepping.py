@@ -114,7 +114,9 @@ class LogNDFixedN:
 @dataclass(frozen=True)
 class LogNDImplicitN:
     """The LogNDFixedN law with N the run's own step count, found by the outer
-    fixed-point iteration of integrate.solve_log_nd; solve_nd does not take it."""
+    fixed-point iteration of integrate.solve_log_nd, which predicts the next
+    guess as ceil(N_actual^2 / G) from a pass run with guess G; solve_nd does
+    not take it."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from blowup.baselines import (
     solve_arclength,
     solve_rescaling_1d,
 )
-from blowup.integrate import solve_1d
+from blowup.integrate import SolverConfig, StepBudgetExceeded, solve_1d
 from blowup.thresholds import ExplicitRadius
 
 
@@ -107,6 +108,21 @@ class TestRescaling:
         # M = inf gave h = 0 and a loop that never ended; 1e300^2 overflows
         with pytest.raises(InvalidParameter):
             solve_rescaling_1d(2.0, 0.5, M, 0.01)
+
+    def test_cycle_estimate_over_budget_fails_at_once(self):
+        # about 6e9 cycles of at least one step each: over the 2^30 default budget
+        start = time.perf_counter()
+        with pytest.raises(StepBudgetExceeded):
+            solve_rescaling_1d(2.0, 0.5, 1.000000001, 2.0**-8)
+        assert time.perf_counter() - start < 1.0
+
+    def test_step_budget_counts_every_cycle(self):
+        full = solve_rescaling_1d(2.0, 0.5, 4.0, 2.0**-8)
+        assert full.meta["cycles_estimate"] < full.steps
+        same = solve_rescaling_1d(2.0, 0.5, 4.0, 2.0**-8, SolverConfig(max_steps=full.steps))
+        assert (same.tau_hat, same.steps) == (full.tau_hat, full.steps)
+        with pytest.raises(StepBudgetExceeded):
+            solve_rescaling_1d(2.0, 0.5, 4.0, 2.0**-8, SolverConfig(max_steps=full.steps - 1))
 
     def test_deterministic(self):
         a = solve_rescaling_1d(2.0, 0.5, 4.0, 2.0**-8)

@@ -175,6 +175,16 @@ class TestExitCodes:
         assert code == 3
         assert "StepBudgetExceeded" in err
 
+    def test_rescaling_over_budget_is_3(self, capsys):
+        # M just above 1 needs about 6e9 cycles, over the default 2^30-step budget
+        with time_limit(5):
+            code, _, err = run_cli(
+                capsys, "run", "--problem", "sq", "--method", "rescaling",
+                "--M", "1.000000001", "--eps", "2^-8",
+            )
+        assert code == 3
+        assert "StepBudgetExceeded" in err
+
     def test_nan_state_is_3(self, capsys):
         # exp(exp(x)) / exp(exp(x)) is inf / inf = NaN once exp(x) > 709.8, below r = 256
         code, _, err = run_cli(
@@ -216,6 +226,8 @@ class TestExitCodes:
             ("run", "--problem", "sq", "--method", "rescaling", "--M", "inf", "--eps", "2^-8"),
             ("run", "--problem", "sq", "--method", "rescaling", "--M", "1e300", "--eps", "2^-8"),
             ("run", "--problem", "sq", "--method", "arclength", "--rk-tol", "0", "--eps", "2^-8"),
+            # an infinite tolerance switches off error control (49 evaluations, error 2 eps)
+            ("run", "--problem", "sq", "--method", "arclength", "--rk-tol", "inf", "--eps", "2^-8"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, argv):
@@ -249,6 +261,14 @@ def test_rd_study_writes_table(capsys, tmp_path):
     assert code == 0
     header = csv.read_text().split("\n")[0]
     assert header.endswith(",m,succ_diff_log2")
+
+
+@pytest.mark.parametrize("pid", catalog.list_ids())
+def test_check_prints_plain_floats(capsys, pid):
+    # numpy scalars format as "np.float64(...)"; detail strings carry plain floats
+    code, out, _ = run_cli(capsys, "check", "--problem", pid, "--samples", "200")
+    assert code in (0, 2)
+    assert not [line for line in out.splitlines() if "np.float64(" in line]
 
 
 def test_check_seed_defaults_to_one(capsys, monkeypatch):

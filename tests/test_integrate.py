@@ -262,6 +262,14 @@ class TestSolveLogND:
         n_guess = res.meta["n_guess"]
         assert res.steps <= n_guess <= 4 * res.steps
 
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_fixed_point_prediction_settles_fast(self, k):
+        # a pass with guess G takes about C*sqrt(G) steps, so ceil(N^2 / G) lands in the window
+        prob = catalog.get("slowlog_c", c=0.5).problem
+        res = solve_log_nd(prob, 2.0**-k)
+        assert res.meta["outer_iterations"] <= 3
+        assert res.steps <= res.meta["n_guess"] <= 4 * res.steps
+
     def test_capped_radius_flagged(self):
         prob = catalog.get("slowlog_c", c=0.5).problem
         res = solve_log_nd(prob, 2.0**-8)
