@@ -72,6 +72,15 @@ def _exp(v: float) -> float:
         return math.inf
 
 
+def _pow(v: float, k: int) -> float:
+    """v ** k for an integer k >= 1, with overflow to +-inf as numpy gives it
+    (Python's float ** raises OverflowError)."""
+    try:
+        return v ** k
+    except OverflowError:
+        return math.copysign(math.inf, v) if k % 2 else math.inf
+
+
 @lru_cache(maxsize=None)
 def _sq() -> CatalogEntry:
     problem = ScalarProblem(
@@ -150,10 +159,12 @@ def _xlog(c: float) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def _uncoupled() -> CatalogEntry:
     def rhs(x):
-        return np.array([x[0] ** 3, x[1] ** 5])
+        x1, x2 = x
+        return (_pow(x1, 3), _pow(x2, 5))
 
     def jac(x):
-        return np.array([[3.0 * x[0] ** 2, 0.0], [0.0, 5.0 * x[1] ** 4]])
+        x1, x2 = x
+        return ((3.0 * _pow(x1, 2), 0.0), (0.0, 5.0 * _pow(x2, 4)))
 
     problem = VectorProblem(
         dim=2,
@@ -182,16 +193,15 @@ def _uncoupled() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def _coupled() -> CatalogEntry:
     def rhs(x):
-        s = x[0] * x[0] + x[1] * x[1]
-        return np.array([x[0] * s, x[1] * s])
+        x1, x2 = x
+        s = x1 * x1 + x2 * x2
+        return (x1 * s, x2 * s)
 
     def jac(x):
-        x1, x2 = x[0], x[1]
-        return np.array(
-            [
-                [3.0 * x1 * x1 + x2 * x2, 2.0 * x1 * x2],
-                [2.0 * x1 * x2, x1 * x1 + 3.0 * x2 * x2],
-            ]
+        x1, x2 = x
+        return (
+            (3.0 * x1 * x1 + x2 * x2, 2.0 * x1 * x2),
+            (2.0 * x1 * x2, x1 * x1 + 3.0 * x2 * x2),
         )
 
     problem = VectorProblem(
@@ -235,26 +245,24 @@ def _slowlog(c: float) -> CatalogEntry:
     one_c = 1.0 + c
 
     def rhs(x):
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = x
         l1 = _log_weighted(1.0, 2.0, x1, x2)
         l2 = _log_weighted(2.0, 1.0, x1, x2)
-        return np.array([x1 * l1**one_c, x2 * l2**one_c])
+        return (x1 * l1**one_c, x2 * l2**one_c)
 
     def jac(x):
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = x
         m = max(abs(x1), abs(x2))
         u1, u2 = x1 / m, x2 / m
         l1 = _log_weighted(1.0, 2.0, x1, x2)
         l2 = _log_weighted(2.0, 1.0, x1, x2)
         q1 = u1 * u1 + 2.0 * u2 * u2
         q2 = 2.0 * u1 * u1 + u2 * u2
-        return np.array(
-            [
-                [l1**one_c + one_c * l1**c * (2.0 * u1 * u1 / q1),
-                 one_c * l1**c * (4.0 * u1 * u2 / q1)],
-                [one_c * l2**c * (4.0 * u1 * u2 / q2),
-                 l2**one_c + one_c * l2**c * (2.0 * u2 * u2 / q2)],
-            ]
+        return (
+            (l1**one_c + one_c * l1**c * (2.0 * u1 * u1 / q1),
+             one_c * l1**c * (4.0 * u1 * u2 / q1)),
+            (one_c * l2**c * (4.0 * u1 * u2 / q2),
+             l2**one_c + one_c * l2**c * (2.0 * u2 * u2 / q2)),
         )
 
     # l_i >= log(x1^2 + x2^2) = 2 log|x| > 0 on |x| > delta, so b.x >= 2^(1+c) |x|^2
@@ -311,6 +319,15 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
         out *= m2
         out += 2.0 * x * v
         return out
+
+    if n == 2:  # solve_nd carries a planar state as a float pair; the kernels need arrays
+        array_rhs, array_jvp = rhs, jvp
+
+        def rhs(x):
+            return array_rhs(np.asarray(x, dtype=float))
+
+        def jvp(x, v):
+            return array_jvp(np.asarray(x, dtype=float), v)
 
     x0 = 100.0 * np.sin(np.pi * np.arange(1, m) / m)
     return VectorProblem(

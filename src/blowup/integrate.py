@@ -147,8 +147,11 @@ def solve_nd(
     warnings += thresholds.cap_warnings(r)
 
     rhs = problem.rhs
-    norm = linalg.safe_norm
-    x = np.array(problem.x0, dtype=float)
+    # A planar state is a pair of Python floats: 2-element arrays cost more in
+    # numpy call overhead than the arithmetic they carry.
+    planar = problem.dim == 2
+    x = tuple(problem.x0.tolist()) if planar else np.array(problem.x0, dtype=float)
+    norm = linalg.pair_norm if planar else linalg.safe_norm
     t = 0.0
     n = 0
     max_steps = cfg.max_steps
@@ -167,7 +170,10 @@ def solve_nd(
                     raise StepBudgetExceeded(f"exceeded {max_steps} steps at |x| = {nx!r}")
                 bx = rhs(x)
                 h = h_rule if constant_h else h_rule(x, bx)
-                x = x + bx * h
+                if planar:
+                    x = (x[0] + bx[0] * h, x[1] + bx[1] * h)
+                else:
+                    x = x + bx * h
                 t += h
                 n += 1
                 nx = norm(x)
@@ -180,7 +186,7 @@ def solve_nd(
     return RunResult(
         tau_hat=t,
         steps=n,
-        final_state=x,
+        final_state=np.array(x, dtype=float) if planar else x,
         radius_used=r,
         epsilon=eps,
         wall_time=wall,

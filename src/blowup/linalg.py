@@ -55,14 +55,27 @@ def safe_norm(x) -> float:
     m = float(np.max(np.abs(x)))
     if m == math.inf:
         return m
-    u = x / m
+    u = np.divide(x, m)
     return m * math.sqrt(np.dot(u, u))
+
+
+def pair_norm(x) -> float:
+    """safe_norm of a planar vector, with |x|^2 taken on Python floats when x is
+    a pair of floats; an array, or a pair whose |x|^2 overflows, goes to
+    safe_norm. The solvers pick it once per run for dim 2, so that arrays of
+    other sizes pay no type test."""
+    if type(x) is np.ndarray:
+        return safe_norm(x)
+    a, b = x
+    s = a * a + b * b
+    return math.sqrt(s) if s != math.inf else safe_norm(x)
 
 
 def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:
     """||J(x)||_2: the norm hint, else the exact norm of the dense Jacobian.
 
-    A 2x2 Jacobian [[a, b], [c, d]] takes the closed form
+    A 2x2 Jacobian [[a, b], [c, d]], whether an array or nested tuples of
+    floats, takes the closed form
     sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2 on Python
     floats; every other size takes the largest singular value from numpy's
     SVD. ``seed`` is accepted and ignored; both paths are deterministic.
@@ -74,11 +87,16 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
             "matrix-free Jacobian without norm hint: 2-norm needs a transpose "
             "product; use the |b'(x)b(x)|-based step law instead"
         )
-    J = np.asarray(jac.dense(x), dtype=float)
-    n = J.shape[0]
-    if dim is not None and n != dim:
-        raise ValueError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
-    if J.shape == (2, 2):
-        (a, b), (c, d) = J.tolist()
-        return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
-    return float(np.linalg.svd(J, compute_uv=False)[0])
+    J = jac.dense(x)
+    if type(J) is not tuple:  # a planar field's Jacobian comes as nested float pairs
+        J = np.asarray(J, dtype=float)
+        n = J.shape[0]
+        if dim is not None and n != dim:
+            raise ValueError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
+        if J.shape != (2, 2):
+            return float(np.linalg.svd(J, compute_uv=False)[0])
+        J = J.tolist()
+    elif dim is not None and dim != 2:
+        raise ValueError(f"dense Jacobian is 2x2, expected dim {dim}")
+    (a, b), (c, d) = J
+    return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))

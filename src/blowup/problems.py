@@ -32,11 +32,14 @@ class VectorProblem:
     """Autonomous system x' = b(x) on {|x| > delta} that blows up in finite time.
 
     ``threshold`` is the field's growth bound on b(x)·x, PolyND or LogND; it
-    also fixes the truncation radius r(eps).
+    also fixes the truncation radius r(eps). For dim 2, solve_nd passes the
+    state to ``rhs`` and the Jacobian as a pair of floats, and they may return
+    any length-2 sequence (nested for the dense Jacobian); other dimensions
+    pass ndarrays.
     """
 
     dim: int
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable
     jacobian: JacobianAccess
     threshold: PolyND | LogND
     delta: float

@@ -83,10 +83,20 @@ class AltND:
         jac, cap = problem.jacobian, self.cap
         jvp, dense = jac.jvp, jac.dense
         adaptive = AdaptiveND().step_size(problem, eps, r)
-        norm, sqrt = linalg.safe_norm, math.sqrt
+        planar = problem.dim == 2
+        norm = linalg.pair_norm if planar else linalg.safe_norm
+        sqrt = math.sqrt
+        if jvp is None and planar:
+            def jvp(x, v):  # J v for a planar Jacobian, as two float expressions
+                (a, b), (c, d) = dense(x)
+                v1, v2 = v
+                return (a * v1 + b * v2, c * v1 + d * v2)
+        elif jvp is None:
+            def jvp(x, v):
+                return dense(x) @ v
 
         def h(x, bx):
-            jn = norm(jvp(x, bx) if jvp is not None else dense(x) @ bx)
+            jn = norm(jvp(x, bx))
             step = adaptive(x, bx) if jn <= 0.0 else eps * sqrt(norm(bx)) / sqrt(jn)
             return cap if cap is not None and step > cap else step
         return h

@@ -5,6 +5,7 @@ import pytest
 
 from blowup import catalog
 from blowup.catalog import Exact, Pseudo, UnknownId, build_reaction_diffusion
+from blowup.harness import run_method
 from blowup.problems import check_assumptions
 
 
@@ -128,6 +129,32 @@ class TestReactionDiffusion:
     def test_default_law_carries_cfl_cap(self):
         entry = catalog.get("rd", m=32)
         assert entry.methods["adaptive"].cap == 1.0 / 2048.0
+
+    def test_planar_grid_takes_float_pairs(self):
+        # m = 3 is a planar system, so solve_nd hands the kernels a float pair
+        res = run_method(catalog.get("rd", m=3), "adaptive", 2.0**-8)
+        assert res.steps == 27
+        assert res.tau_hat == 0.006921794314000456
+        assert isinstance(res.final_state, np.ndarray)
+
+
+@pytest.mark.parametrize("pid", ["coupled", "uncoupled", "slowlog_c"])
+@pytest.mark.parametrize("point", [(1e100, 1e100), (-1e100, 1e100), (1e100, -1e100)])
+def test_planar_fields_on_pairs_overflow_like_numpy(pid, point):
+    # the same field on np.float64 components overflows to +-inf; on Python floats,
+    # whose ** raises OverflowError instead, it must give the same values
+    prob = catalog.get(pid).problem
+    with np.errstate(over="ignore"):
+        b_np = np.asarray(prob.rhs(np.array(point)), dtype=float)
+        j_np = np.asarray(prob.jacobian.dense(np.array(point)), dtype=float)
+    b = prob.rhs(point)
+    j = prob.jacobian.dense(point)
+    assert type(b) is tuple and all(type(v) is float for v in b)
+    assert type(j) is tuple and all(type(v) is float for row in j for v in row)
+    assert np.array(b).tobytes() == b_np.tobytes()
+    assert np.array(j).tobytes() == j_np.tobytes()
+    if pid == "uncoupled":  # x2^5 and 5 x2^4 overflow at |x2| = 1e100
+        assert math.isinf(b[1]) and j[1][1] == math.inf
 
 
 def test_slowlog_constant_is_conservative_and_deterministic():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blowup import catalog, fit_rate
+from blowup.harness import run_method
 from blowup.integrate import (
     Overflow,
     SolverConfig,
@@ -199,7 +200,7 @@ class TestSolveND:
         while math.sqrt(float(x @ x)) <= r:
             sn = spectral_norm(uncoupled.jacobian, x, 2)
             h = eps / math.sqrt(max(sn, 1.0))
-            x = x + uncoupled.rhs(x) * h
+            x = x + np.asarray(uncoupled.rhs(x)) * h
             t += h
             n += 1
             if t < 0.25:
@@ -243,6 +244,34 @@ class TestSolveND:
         )
         with pytest.raises(Overflow, match="nan after 136 steps"):
             solve_nd(prob, 2.0**-8)
+
+
+# (tau_hat.hex(), steps) as the solve_nd loop gives them on 2-element numpy arrays.
+# The float-pair path rounds every operation the same way, so it matches them bit for
+# bit; AltND may move a few ulps, since numpy's dot and matmul may fuse a·a + b·b.
+PLANAR_CELLS = [
+    ("coupled", "adaptive", 10, "0x1.9715d5c214aaep-4", 718),
+    ("coupled", "uniform", 8, "0x1.9f7f051d0f357p-4", 63),
+    ("uncoupled", "adaptive", 10, "0x1.001675ba5a535p-2", 1202),
+    ("uncoupled", "uniform", 6, "0x1.f000000000000p-3", 992),
+    ("uncoupled", "log-uniform", 8, "0x1.03af63322981bp-2", 180),
+    ("slowlog_c", "adaptive", 5, "0x1.025feab57de30p-1", 4666),
+    ("coupled", "alt", 7, "0x1.832f410be2630p-4", 73),
+    ("coupled", "alt", 12, "0x1.98f7dddf9d44dp-4", 3019),
+    ("uncoupled", "alt", 10, "0x1.001519ad0ce71p-2", 1196),
+]
+
+
+@pytest.mark.parametrize("pid, method, k, tau_hex, steps", PLANAR_CELLS)
+def test_planar_pair_path_matches_array_loop(pid, method, k, tau_hex, steps):
+    res = run_method(catalog.get(pid), method, 2.0**-k)
+    expected = float.fromhex(tau_hex)
+    assert res.steps == steps
+    if method == "alt":
+        assert abs(res.tau_hat - expected) <= 4.0 * math.ulp(expected)
+    else:
+        assert res.tau_hat.hex() == tau_hex
+    assert isinstance(res.final_state, np.ndarray) and res.final_state.shape == (2,)
 
 
 class TestSolveLogND:

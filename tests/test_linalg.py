@@ -7,6 +7,7 @@ from blowup import catalog
 from blowup.linalg import (
     JacobianAccess,
     TransposeUnavailable,
+    pair_norm,
     safe_norm,
     spectral_norm,
 )
@@ -175,6 +176,32 @@ def test_safe_norm_is_sqrt_of_dot_bit_for_bit(dim):
     for _ in range(200):
         x = rng.normal(size=dim) * 10.0 ** rng.uniform(-5.0, 10.0, size=dim)
         assert safe_norm(x) == math.sqrt(float(x @ x))
+        if dim == 2:  # a planar field may return arrays (rd does at m = 3)
+            assert pair_norm(x) == safe_norm(x)
+
+
+def test_pair_norm_of_float_pair():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a, b = (rng.normal(size=2) * 10.0 ** rng.uniform(-5.0, 10.0, size=2)).tolist()
+        assert pair_norm((a, b)) == math.sqrt(a * a + b * b)
+    assert pair_norm((3.0, 4.0)) == 5.0
+    with np.errstate(over="ignore"):  # as the solvers call it
+        for pair in ((1e200, -1e200), (3e307, 1e10)):
+            assert pair_norm(pair) == safe_norm(np.array(pair))  # the rescaled path
+        assert pair_norm((math.inf, 1.0)) == math.inf
+        assert pair_norm((1e200, -math.inf)) == math.inf
+    assert math.isnan(pair_norm((math.nan, 1.0)))
+
+
+def test_tuple_jacobian_takes_the_closed_form():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        J = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-50.0, 50.0)
+        pairs = tuple(tuple(row) for row in J.tolist())
+        assert spectral_norm(_dense(pairs), (0.0, 0.0), 2) == spectral_norm(_dense(J), np.zeros(2))
+    with pytest.raises(ValueError, match="expected dim 3"):
+        spectral_norm(_dense(((1.0, 0.0), (0.0, 1.0))), (0.0, 0.0), 3)
 
 
 def test_jacobian_access_validation():
