@@ -1,7 +1,8 @@
 """Built-in experiment problems with their constants, thresholds and references.
 
 Entry ids double as the CLI's --problem vocabulary. "xlog_c" and "slowlog_c"
-take the exponent c as a parameter; "rd" takes the grid refinement m.
+take the exponent c as a parameter; "rd" takes the grid refinement m; the
+other ids take none.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .thresholds import BPrimeLog, ExplicitRadius, FInverse, LogND, PolyND
 
 
 class UnknownId(BlowupError):
-    """No catalog entry under that id."""
+    """No catalog entry under that id and parameters."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,6 @@ class CatalogEntry:
     notes: str = ""
     rescale_power: Optional[float] = None
 
-
-IDS = ("sq", "expsq", "xlog_c", "uncoupled", "coupled", "slowlog_c", "rd")
 
 # The method table of every 1D entry; `run --expr` looks its law up here too.
 SCALAR_METHODS = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()}
@@ -365,20 +364,28 @@ def _rd(m: int) -> CatalogEntry:
     )
 
 
+# id -> (builder, {the parameter the id takes: its default}, or {} for none)
+_BUILDERS = {
+    "sq": (_sq, {}),
+    "expsq": (_expsq, {}),
+    "xlog_c": (_xlog, {"c": 0.5}),
+    "uncoupled": (_uncoupled, {}),
+    "coupled": (_coupled, {}),
+    "slowlog_c": (_slowlog, {"c": 0.5}),
+    "rd": (_rd, {"m": 32}),
+}
+IDS = tuple(_BUILDERS)
+
+
 def get(id: str, c: float | None = None, m: int | None = None) -> CatalogEntry:
-    """Look up a catalog entry; xlog_c/slowlog_c take c, rd takes m."""
-    if id == "sq":
-        return _sq()
-    if id == "expsq":
-        return _expsq()
-    if id == "xlog_c":
-        return _xlog(0.5 if c is None else float(c))
-    if id == "uncoupled":
-        return _uncoupled()
-    if id == "coupled":
-        return _coupled()
-    if id == "slowlog_c":
-        return _slowlog(0.5 if c is None else float(c))
-    if id == "rd":
-        return _rd(32 if m is None else int(m))
-    raise UnknownId(f"unknown problem id {id!r}; known: {', '.join(IDS)}")
+    """Look up a catalog entry; xlog_c/slowlog_c take c (default 0.5), rd takes
+    m (default 32). None stands for the default; a c or m that the id does not
+    take raises UnknownId."""
+    if id not in _BUILDERS:
+        raise UnknownId(f"unknown problem id {id!r}; known: {', '.join(IDS)}")
+    build, params = _BUILDERS[id]
+    given = {name: v for name, v in (("c", c), ("m", m)) if v is not None}
+    extra = sorted(given.keys() - params.keys())
+    if extra:
+        raise UnknownId(f"problem {id!r} takes no parameter {extra[0]}")
+    return build(*(type(default)(given.get(name, default)) for name, default in params.items()))

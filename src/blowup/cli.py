@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 assumption violation, 3 solver error.
 Tolerances accept both decimal ("0.001") and power forms ("2^-12").
-`run --method` takes any method id of the problem's catalog entry, "arclength"
-and, for pure power laws, "rescaling". `run` rejects an --expr problem that
-breaks a structural condition (x0 <= 0, k <= 1); `check` reports it.
+`run` and `check` take exactly one of --problem, which reads --c and --m, and
+--expr, which reads --x0, --k and --threshold; an input that the selection
+does not read is a usage error. `run --method` takes any method id of the
+problem's catalog entry, "arclength" and, for pure power laws, "rescaling".
+`run` rejects an --expr problem that breaks a structural condition (x0 <= 0,
+k <= 1); `check` reports it.
 """
 from __future__ import annotations
 
@@ -58,23 +61,37 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _ids(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _m_grid(text: str) -> list[int]:
+    return [_positive_int(v) for v in _ids(text)]
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="blowup", description="Blow-up time estimation for autonomous ODEs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="single estimation run")
-    run.add_argument("--problem", help="catalog problem id (see `blowup list`)")
-    run.add_argument("--expr", help="1D right-hand side b(x), e.g. 'x^2'")
-    run.add_argument("--x0", type=float, help="initial state for --expr problems")
-    run.add_argument("--k", type=float, default=1.1, help="expansion constant (> 1)")
-    run.add_argument(
+    # The problem-selection options, declared once. study copies the catalog part
+    # when it is created; --expr then joins --problem's group for run and check.
+    selection = _Parser(add_help=False)
+    one_of = selection.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--problem", help="catalog problem id (see `blowup list`)")
+    selection.add_argument("--c", type=float, help="exponent for xlog_c / slowlog_c")
+    selection.add_argument("--m", type=int, help="grid refinement for rd")
+    study = sub.add_parser("study", parents=[selection], help="epsilon sweep with slope fits")
+    one_of.add_argument("--expr", help="1D right-hand side b(x), e.g. 'x^2'")
+    selection.add_argument("--x0", type=float, help="initial state for --expr problems")
+    selection.add_argument("--k", type=float, help="expansion constant (> 1, default 1.1)")
+    selection.add_argument(
         "--threshold",
         help="for --expr problems: finverse:<expr in eps> | bprimelog | radius:<expr in eps>",
     )
+
+    run = sub.add_parser("run", parents=[selection], help="single estimation run")
     run.add_argument("--method", default="adaptive", help="entry's method id, or arclength")
-    run.add_argument("--eps", required=True, help="tolerance, e.g. 2^-12 or 0.001")
-    run.add_argument("--c", type=float, help="exponent for xlog_c / slowlog_c")
-    run.add_argument("--m", type=int, help="grid refinement for rd")
+    run.add_argument("--eps", type=parse_eps, required=True, help="tolerance, e.g. 2^-12")
     run.add_argument("--M", type=float, default=4.0, help="rescaling threshold")
     run.add_argument("--rk-tol", type=float, default=1e-10, help="arclength RK tolerance")
     run.add_argument("--max-steps", type=_positive_int, default=2**30, help="step budget")
@@ -85,41 +102,47 @@ def _build_parser() -> _Parser:
         help="cross-check the symbolic derivative against finite differences first",
     )
 
-    study = sub.add_parser("study", help="epsilon sweep with slope fits")
-    study.add_argument("--problem", required=True)
-    study.add_argument("--methods", required=True, help="comma-separated method ids")
-    study.add_argument("--eps-start", required=True)
-    study.add_argument("--eps-stop", required=True)
-    study.add_argument("--eps-ref", help="pseudo-reference tolerance override")
-    study.add_argument("--c", type=float)
-    study.add_argument("--m", type=int)
+    study.add_argument("--methods", type=_ids, required=True, help="comma-separated method ids")
+    study.add_argument("--eps-start", type=parse_eps, required=True)
+    study.add_argument("--eps-stop", type=parse_eps, required=True)
+    study.add_argument("--eps-ref", type=parse_eps, help="pseudo-reference tolerance override")
     study.add_argument("--out", required=True, help="CSV output path")
     study.add_argument("--svg", help="SVG error chart path")
     study.add_argument("--svg-cost", help="SVG cost chart path")
 
-    rd = sub.add_parser("rd-study", help="reaction-diffusion tables")
+    rd = sub.add_parser(
+        "rd-study", help="reaction-diffusion tables; unset options take run_rd_study's defaults"
+    )
     rd.add_argument("--mode", choices=(harness.VARY_EPS, harness.VARY_M), required=True)
-    rd.add_argument("--m", type=int, default=32)
-    rd.add_argument("--eps", default="2^-23")
-    rd.add_argument("--eps-start", help="vary-eps grid start (default 2^-18)")
-    rd.add_argument("--eps-stop", help="vary-eps grid stop (default 2^-25)")
-    rd.add_argument("--m-grid", help="vary-m grid, comma-separated (default 4..512 doubling)")
-    rd.add_argument("--methods", default="adaptive,uniform")
+    rd.add_argument("--m", type=int, help="vary-eps grid refinement")
+    rd.add_argument("--eps", type=parse_eps, help="vary-m tolerance")
+    rd.add_argument("--eps-start", type=parse_eps, help="vary-eps grid start")
+    rd.add_argument("--eps-stop", type=parse_eps, help="vary-eps grid stop")
+    rd.add_argument("--m-grid", type=_m_grid, help="vary-m grid, comma-separated")
+    rd.add_argument("--methods", type=_ids, help="comma-separated method ids")
     rd.add_argument("--out", required=True)
 
-    check = sub.add_parser("check", help="sample the standing assumptions")
-    check.add_argument("--problem")
-    check.add_argument("--expr", help="1D right-hand side to check instead of a catalog id")
-    check.add_argument("--x0", type=float)
-    check.add_argument("--k", type=float, default=1.1)
-    check.add_argument("--threshold")
-    check.add_argument("--c", type=float)
-    check.add_argument("--m", type=int)
+    check = sub.add_parser("check", parents=[selection],
+                           help="sample the standing assumptions")
     check.add_argument("--samples", type=_positive_int, default=10000)
     check.add_argument("--seed", type=int, default=1)
 
     sub.add_parser("list", help="print catalog ids")
     return p
+
+
+def _selected_problem(args) -> tuple:
+    """(entry, problem) for --problem, or (None, problem) for --expr; an option
+    that only the other kind of selection reads is a usage error."""
+    unread = ("x0", "k", "threshold") if args.expr is None else ("c", "m")
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        kind = "--expr" if args.expr is None else "--problem"
+        raise UsageError(f"{', '.join(given)}: only for {kind} problems")
+    if args.expr is not None:
+        return None, _expr_problem(args)
+    entry = catalog.get(args.problem, c=args.c, m=args.m)
+    return entry, entry.problem
 
 
 def _expr_problem(args) -> ScalarProblem:
@@ -148,7 +171,7 @@ def _expr_problem(args) -> ScalarProblem:
         rhs_deriv=lambda x: expr.evaluate(d_ast, x),
         rhs_second=lambda x: expr.evaluate(dd_ast, x),
         x0=args.x0,
-        k=args.k,
+        k=1.1 if args.k is None else args.k,
         threshold=rule,
     )
 
@@ -186,12 +209,8 @@ def _print_run(entry_id, method, eps, res, reference):
 
 
 def _cmd_run(args) -> int:
-    eps = parse_eps(args.eps)
-    if (args.problem is None) == (args.expr is None):
-        raise UsageError("run needs exactly one of --problem / --expr")
-
-    if args.expr is not None:
-        problem = _expr_problem(args)
+    entry, problem = _selected_problem(args)
+    if entry is None:
         violations = structural_violations(problem)
         if violations:
             raise UsageError("; ".join(violations))
@@ -207,21 +226,20 @@ def _cmd_run(args) -> int:
             raise UsageError(f"--expr supports {known}, not {args.method!r}")
         cfg = SolverConfig(law=law, record_trace=args.trace is not None,
                            max_steps=args.max_steps)
-        res = solve_1d(problem, eps, cfg)
-        _print_run("expr", args.method, eps, res, None)
-        tail = thresholds.tau_tail_bound(problem.threshold, problem, eps)
+        res = solve_1d(problem, args.eps, cfg)
+        _print_run("expr", args.method, args.eps, res, None)
+        tail = thresholds.tau_tail_bound(problem.threshold, problem, args.eps)
         if math.isfinite(tail):
             print(f"tail_bound={tail:.17g}")
     else:
-        entry = catalog.get(args.problem, c=args.c, m=args.m)
         cfg = SolverConfig(record_trace=args.trace is not None, max_steps=args.max_steps)
         res = harness.run_method(
-            entry, args.method, eps, rk_tol=args.rk_tol,
+            entry, args.method, args.eps, rk_tol=args.rk_tol,
             rescale_threshold=args.M, cfg=cfg,
         )
         ref = entry.reference
         reference = ("exact", ref.value) if isinstance(ref, catalog.Exact) else None
-        _print_run(entry.id, args.method, eps, res, reference)
+        _print_run(entry.id, args.method, args.eps, res, reference)
     if args.trace and res.trace is not None:
         with open(args.trace, "w") as fh:
             fh.write("t,state_norm\n")
@@ -231,13 +249,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    grid = _halving_grid(parse_eps(args.eps_start), parse_eps(args.eps_stop))
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    eps_ref = parse_eps(args.eps_ref) if args.eps_ref else None
-    table = harness.run_study(
-        args.problem, methods, grid,
-        c=args.c, m=args.m, eps_ref=eps_ref,
-    )
+    grid = _halving_grid(args.eps_start, args.eps_stop)
+    table = harness.run_study(args.problem, args.methods, grid,
+                              c=args.c, m=args.m, eps_ref=args.eps_ref)
     harness.emit_csv(table, args.out)
     if args.svg:
         harness.emit_svg(table, args.svg, harness.AXIS_ERROR)
@@ -255,19 +269,13 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_rd_study(args) -> int:
-    eps_grid = None
+    # run_rd_study holds the defaults of the options left out
+    given = {name: getattr(args, name) for name in ("m", "eps", "m_grid", "methods")}
+    given = {name: v for name, v in given.items() if v is not None}
     if args.eps_start or args.eps_stop:
-        start = parse_eps(args.eps_start) if args.eps_start else 2.0**-18
-        stop = parse_eps(args.eps_stop) if args.eps_stop else 2.0**-25
-        eps_grid = _halving_grid(start, stop)
-    m_grid = None
-    if args.m_grid:
-        m_grid = [int(v) for v in args.m_grid.split(",") if v.strip()]
-    methods = tuple(v.strip() for v in args.methods.split(",") if v.strip())
-    table = harness.run_rd_study(
-        args.mode, m=args.m, eps=parse_eps(args.eps), eps_grid=eps_grid,
-        m_grid=m_grid, methods=methods,
-    )
+        grid = harness.RD_EPS_GRID
+        given["eps_grid"] = _halving_grid(args.eps_start or grid[0], args.eps_stop or grid[-1])
+    table = harness.run_rd_study(args.mode, **given)
     harness.emit_csv(table, args.out)
     for note in table.notes:
         print(f"note={note}")
@@ -276,15 +284,8 @@ def _cmd_rd_study(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if (args.problem is None) == (args.expr is None):
-        raise UsageError("check needs exactly one of --problem / --expr")
-    if args.expr is not None:
-        problem = _expr_problem(args)
-        name = "expr"
-    else:
-        entry = catalog.get(args.problem, c=args.c, m=args.m)
-        problem = entry.problem
-        name = entry.id
+    entry, problem = _selected_problem(args)
+    name = "expr" if entry is None else entry.id
     violations = structural_violations(problem)
     report = check_assumptions(problem, samples=args.samples, seed=args.seed)
     print(f"problem={name}")
@@ -308,20 +309,11 @@ def main(argv=None) -> int:
             for pid in catalog.list_ids():
                 print(pid)
             return 0
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "study":
-            return _cmd_study(args)
-        if args.command == "rd-study":
-            return _cmd_rd_study(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (catalog.UnknownId, harness.UnknownMethod, expr.ExprSyntaxError,
-            baselines.InvalidParameter) as exc:
+        commands = {"run": _cmd_run, "study": _cmd_study, "rd-study": _cmd_rd_study,
+                     "check": _cmd_check}
+        return commands[args.command](args)
+    except (UsageError, catalog.UnknownId, harness.UnknownMethod, harness.NoReference,
+            expr.ExprSyntaxError, baselines.InvalidParameter) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -33,6 +33,10 @@ class UnknownMethod(BlowupError):
     """Method id not available for this problem."""
 
 
+class NoReference(BlowupError):
+    """A pseudo reference without a tolerance to generate it at."""
+
+
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -137,7 +141,7 @@ def reference_value(
         return "exact", ref.value, []
     eref = eps_ref if eps_ref is not None else ref.eps_ref
     if eref is None:
-        raise ValueError(f"{entry.id!r} needs an explicit eps_ref for its pseudo reference")
+        raise NoReference(f"{entry.id!r} needs an explicit eps_ref for its pseudo reference")
     notes = []
     if ref.eps_ref is not None and eps_ref is not None and eps_ref != ref.eps_ref:
         notes.append(
@@ -227,6 +231,7 @@ def run_study(
 
 VARY_EPS = "vary-eps"
 VARY_M = "vary-m"
+RD_EPS_GRID = tuple(2.0**-k for k in range(18, 26))
 
 
 def run_rd_study(
@@ -234,8 +239,8 @@ def run_rd_study(
     *,
     m: int = 32,
     eps: float = 2.0**-23,
-    eps_grid: Sequence[float] | None = None,
-    m_grid: Sequence[int] | None = None,
+    eps_grid: Sequence[float] = RD_EPS_GRID,
+    m_grid: Sequence[int] = (4, 8, 16, 32, 64, 128, 256, 512),
     methods: Sequence[str] = ("adaptive", "uniform"),
     seed: int = 1,
 ) -> StudyTable:
@@ -246,12 +251,10 @@ def run_rd_study(
     next to it are left empty, and the vary-eps reference is the finest run
     that did not fail. ``seed`` is accepted and ignored."""
     if mode == VARY_EPS:
-        grid = list(eps_grid) if eps_grid is not None else [2.0**-k for k in range(18, 26)]
-        cells = [(m, e) for e in grid]
+        cells = [(m, e) for e in eps_grid]
         notes = [f"rd vary-eps: m = {m}; reference is each method's finest run"]
     elif mode == VARY_M:
-        grid_m = list(m_grid) if m_grid is not None else [4, 8, 16, 32, 64, 128, 256, 512]
-        cells = [(mm, eps) for mm in grid_m]
+        cells = [(mm, eps) for mm in m_grid]
         notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
         raise ValueError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")

@@ -1,10 +1,8 @@
 """Jacobian norm machinery.
 
-The spectral norm (induced matrix 2-norm) comes from a user-supplied closed
-form when the Jacobian carries one, and otherwise is exact on the dense
-Jacobian: a closed form in the entries for 2x2 matrices, the largest singular
-value from numpy's SVD for every other size. A matrix-free Jacobian without a
-closed form has no 2-norm here.
+The spectral norm (induced matrix 2-norm) is exact on the dense Jacobian: a
+closed form in the entries for 2x2 matrices, the largest singular value from
+numpy's SVD for every other size. A matrix-free Jacobian has no 2-norm here.
 """
 from __future__ import annotations
 
@@ -18,20 +16,18 @@ from .errors import BlowupError
 
 
 class TransposeUnavailable(BlowupError):
-    """Matrix-free access without a norm hint cannot produce a 2-norm."""
+    """Matrix-free access cannot produce a 2-norm."""
 
 
 @dataclass(frozen=True)
 class JacobianAccess:
-    """Either a dense Jacobian function or a matrix-free (jvp, norm hint) pair.
+    """Either a dense Jacobian function or a matrix-free Jacobian-vector product.
 
-    Exactly one of ``dense`` and ``jvp`` must be set. ``norm_hint``, when
-    present, is a closed form for ||J(x)||_2 and short-circuits everything else.
+    Exactly one of ``dense`` and ``jvp`` must be set.
     """
 
     dense: Optional[Callable] = None
     jvp: Optional[Callable] = None
-    norm_hint: Optional[Callable] = None
 
     def __post_init__(self):
         if (self.dense is None) == (self.jvp is None):
@@ -42,8 +38,8 @@ class JacobianAccess:
         return cls(dense=fn)
 
     @classmethod
-    def matrix_free(cls, jvp: Callable, norm_hint: Callable | None = None) -> "JacobianAccess":
-        return cls(jvp=jvp, norm_hint=norm_hint)
+    def matrix_free(cls, jvp: Callable) -> "JacobianAccess":
+        return cls(jvp=jvp)
 
 
 def safe_norm(x) -> float:
@@ -72,7 +68,7 @@ def pair_norm(x) -> float:
 
 
 def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:
-    """||J(x)||_2: the norm hint, else the exact norm of the dense Jacobian.
+    """||J(x)||_2, exact on the dense Jacobian.
 
     A 2x2 Jacobian [[a, b], [c, d]], whether an array or nested tuples of
     floats, takes the closed form
@@ -80,12 +76,10 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
     floats; every other size takes the largest singular value from numpy's
     SVD. ``seed`` is accepted and ignored; both paths are deterministic.
     """
-    if jac.norm_hint is not None:
-        return float(jac.norm_hint(x))
     if jac.dense is None:
         raise TransposeUnavailable(
-            "matrix-free Jacobian without norm hint: 2-norm needs a transpose "
-            "product; use the |b'(x)b(x)|-based step law instead"
+            "matrix-free Jacobian: 2-norm needs a transpose product; use the "
+            "|b'(x)b(x)|-based step law instead"
         )
     J = jac.dense(x)
     if type(J) is not tuple:  # a planar field's Jacobian comes as nested float pairs

@@ -18,8 +18,8 @@ from typing import Callable
 
 from .errors import SolverError
 
-# Largest radius we let a rule request. Keeps r, b(r) and the iterates finite
-# in float64; well below the 1e300 overflow guard of the solvers.
+# Largest radius a rule may request: finite, with float64 headroom above it
+# (to about 1.8e308) for the last step of a run, which lands beyond r.
 RADIUS_CAP = 1e250
 
 

@@ -20,6 +20,20 @@ def test_unknown_id():
         catalog.get("nope")
 
 
+@pytest.mark.parametrize(
+    "pid, kw",
+    [("coupled", {"m": 8}), ("sq", {"c": 0.5}), ("xlog_c", {"m": 8}), ("rd", {"c": 0.5})],
+)
+def test_parameter_the_id_does_not_take_is_rejected(pid, kw):
+    with pytest.raises(UnknownId, match="takes no parameter"):
+        catalog.get(pid, **kw)
+
+
+@pytest.mark.parametrize("pid", catalog.list_ids())
+def test_none_stands_for_the_default(pid):
+    assert catalog.get(pid, c=None, m=None) is catalog.get(pid)
+
+
 class TestReferences:
     def test_sq_exact(self):
         assert catalog.get("sq").reference == Exact(2.0)

@@ -228,6 +228,19 @@ class TestExitCodes:
             ("run", "--problem", "sq", "--method", "arclength", "--rk-tol", "0", "--eps", "2^-8"),
             # an infinite tolerance switches off error control (49 evaluations, error 2 eps)
             ("run", "--problem", "sq", "--method", "arclength", "--rk-tol", "inf", "--eps", "2^-8"),
+            ("rd-study", "--mode", "vary-m", "--m-grid", "4,x", "--out", "o.csv"),
+            # rd's pseudo reference is the study's own finest run; study needs --eps-ref
+            ("study", "--problem", "rd", "--m", "4", "--methods", "adaptive",
+             "--eps-start", "2^-4", "--eps-stop", "2^-6", "--out", "o.csv"),
+            # an input that the selected problem does not read
+            ("run", "--problem", "sq", "--c", "0.5", "--eps", "2^-8"),
+            ("run", "--problem", "sq", "--x0", "0.3", "--eps", "2^-8"),
+            ("check", "--problem", "sq", "--k", "1.2"),
+            ("run", "--expr", "x^2", "--x0", "0.5", "--threshold", "finverse:eps^-2",
+             "--m", "8", "--eps", "2^-8"),
+            # exactly one of --problem / --expr
+            ("run", "--problem", "sq", "--expr", "x^2", "--eps", "2^-8"),
+            ("check", "--samples", "10"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, argv):

@@ -7,6 +7,7 @@ from blowup.harness import (
     AXIS_COST,
     AXIS_ERROR,
     InsufficientPoints,
+    NoReference,
     UnknownMethod,
     emit_csv,
     emit_svg,
@@ -104,6 +105,11 @@ class TestRunStudy:
         kind2, val2, _ = reference_value(entry, eps_ref=2.0**-10)
         assert (kind1, val1) == (kind2, val2)
         assert kind1 == "pseudo"
+
+    def test_pseudo_reference_needs_a_tolerance(self):
+        # rd publishes no eps_ref: its reference is the finest run of the study at hand
+        with pytest.raises(NoReference):
+            reference_value(catalog.get("rd", m=4))
 
 
 class TestRdStudy:

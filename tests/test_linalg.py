@@ -30,14 +30,15 @@ class TestSpectralNorm:
         x = np.array([math.sqrt(2.0), 1.0])
         assert spectral_norm(jac, x) == pytest.approx(6.0, rel=1e-12)
 
-    def test_norm_hint_short_circuits(self):
-        jac = JacobianAccess.matrix_free(lambda x, v: v, norm_hint=lambda x: 42.0)
-        assert spectral_norm(jac, np.zeros(3)) == 42.0
-
     def test_matrix_free_without_hint_rejected(self):
         jac = JacobianAccess.matrix_free(lambda x, v: v)
         with pytest.raises(TransposeUnavailable):
             spectral_norm(jac, np.zeros(3))
+
+    def test_dense_size_must_match_dim(self):
+        jac = JacobianAccess.from_dense(lambda x: np.eye(3))
+        with pytest.raises(ValueError, match="expected dim 2"):
+            spectral_norm(jac, np.zeros(3), 2)
 
     def test_nonsymmetric_small_is_exact(self):
         J = np.array([[1.0, 5.0], [0.0, 2.0]])

@@ -55,14 +55,13 @@ def planar(jacobian):
     )
 
 
-def step_nd(law, eps, r=1e6, jac_norm=1.0, b_norm=1.0, jvp_norm=1.0):
-    """law's step at a state where ||b'(x)|| = jac_norm, |b(x)| = b_norm and
-    |b'(x) b(x)| = jvp_norm."""
-    jac = JacobianAccess.matrix_free(
-        lambda x, v: np.array([jvp_norm, 0.0]), norm_hint=lambda x: jac_norm
-    )
+def step_nd(law, eps, r=1e6, jac_norm=1.0, b_norm=1.0, jvp_norm=0.0):
+    """law's step at a state where |b(x)| = b_norm and |b'(x) b(x)| = jvp_norm,
+    with b'(x) = diag(jac_norm, jvp_norm / b_norm) and b(x) = (0, b_norm). The
+    2x2 closed form gives ||b'(x)|| = jac_norm exactly while jvp_norm is 0."""
+    jac = JacobianAccess.from_dense(lambda x: ((jac_norm, 0.0), (0.0, jvp_norm / b_norm)))
     h = law.step_size(planar(jac), eps, r)
-    return h(np.ones(2), np.array([b_norm, 0.0])) if callable(h) else h
+    return h(np.ones(2), (0.0, b_norm)) if callable(h) else h
 
 
 class TestAdaptive1D:
@@ -197,8 +196,18 @@ class TestAltND:
         for law in (AltND(), AltND(cap=1.0)):
             assert law.step_size(prob, eps, 1e6)(x, bx) == adaptive
         assert AltND(cap=adaptive / 2).step_size(prob, eps, 1e6)(x, bx) == adaptive / 2
-        # the same through the matrix-free path
+        # the same through step_nd's diagonal Jacobian
         assert step_nd(AltND(), eps, jac_norm=3.0, jvp_norm=0.0) == adaptive
+
+    def test_dense_jvp_beyond_the_plane(self):
+        # dim 3 takes J v as dense(x) @ v: J b = (2, 0, 0) * 3 at b = (0, 3, 0)
+        J = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+        prob = VectorProblem(dim=3, rhs=lambda x: x, jacobian=JacobianAccess.from_dense(
+            lambda x: J), threshold=PolyND(1.0, 1.0), delta=1.0, x0=np.ones(3))
+        eps = 2.0**-10
+        h = AltND().step_size(prob, eps, 1e6)(np.ones(3), np.array([0.0, 3.0, 0.0]))
+        assert h == eps * math.sqrt(3.0) / math.sqrt(6.0)
+        assert h == pytest.approx(eps / math.sqrt(2.0), rel=1e-15)
 
     def test_rd_initial_profile_against_dense_oracle(self):
         # oracle: dense tridiagonal assembly at m = 32
