@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,18 @@ class InvalidExponent(BlowupError):
 
 class InvalidParameter(BlowupError, ValueError):
     """A baseline's M, x0 or rk_tol is outside the range its method runs on."""
+
+
+@dataclass(frozen=True)
+class ArcLength:
+    """solve_arclength as a method of a catalog entry's table."""
+
+
+@dataclass(frozen=True)
+class Rescaling:
+    """solve_rescaling_1d for b(x) = x^power as a method of a catalog entry's table."""
+
+    power: float
 
 
 # Dormand-Prince 5(4) tableau.

@@ -13,6 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .baselines import ArcLength, Rescaling
 from .errors import BlowupError
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
@@ -51,13 +52,13 @@ class CatalogEntry:
     id: str
     problem: ScalarProblem | VectorProblem
     methods: Mapping[str, object]
-    reference: Exact | Pseudo
+    reference: Exact | Pseudo | None  # None: no reference, as for an --expr problem
     notes: str = ""
-    rescale_power: Optional[float] = None
 
 
-# The method table of every 1D entry; `run --expr` looks its law up here too.
-SCALAR_METHODS = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D()}
+# The method table of every 1D entry and of an --expr problem.
+SCALAR_METHODS = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D(),
+                  "arclength": ArcLength()}
 
 
 def list_ids() -> tuple[str, ...]:
@@ -92,9 +93,8 @@ def _sq() -> CatalogEntry:
     return CatalogEntry(
         id="sq",
         problem=problem,
-        methods=SCALAR_METHODS,
+        methods={**SCALAR_METHODS, "rescaling": Rescaling(2.0)},
         reference=Exact(2.0),
-        rescale_power=2.0,
         notes="b = x^2 from x0 = 1/2; tau = 2; radius solves b(r) = eps^-2, i.e. r = 1/eps",
     )
 
@@ -183,6 +183,7 @@ def _uncoupled() -> CatalogEntry:
             "alt": AltND(),
             "uniform": PowerUniformND(2.0),  # h = eps^(gamma/alpha) = eps^2
             "log-uniform": UniformND(),
+            "arclength": ArcLength(),
         },
         reference=Exact(0.25),
         notes="b = (x1^3, x2^5) from (sqrt(2), 1); both components explode at tau = 1/4",
@@ -219,6 +220,7 @@ def _coupled() -> CatalogEntry:
             "alt": AltND(),
             "uniform": UniformND(),  # the log-uniform law IS this example's uniform
             "log-uniform": UniformND(),
+            "arclength": ArcLength(),
         },
         reference=Pseudo(2.0**-27),
         notes=(
@@ -282,6 +284,7 @@ def _slowlog(c: float) -> CatalogEntry:
             "adaptive": LogNDImplicitN(),  # resolved by the implicit-N outer loop
             "uniform": UniformND(),
             "log-uniform": UniformND(),
+            "arclength": ArcLength(),
         },
         reference=Pseudo(2.0**-17),
         notes=(
@@ -355,6 +358,7 @@ def _rd(m: int) -> CatalogEntry:
             "adaptive": AltND(cap=cap),
             "alt": AltND(),
             "uniform": UniformND(cap=cap),  # reconstructed: min(eps/log r, 1/(2 m^2))
+            "arclength": ArcLength(),
         },
         reference=Pseudo(None),
         notes=(

@@ -3,11 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 assumption violation, 3 solver error.
 Tolerances accept both decimal ("0.001") and power forms ("2^-12").
 `run` and `check` take exactly one of --problem, which reads --c and --m, and
---expr, which reads --x0, --k and --threshold; an input that the selection
-does not read is a usage error. `run --method` takes any method id of the
-problem's catalog entry, "arclength" and, for pure power laws, "rescaling".
-`run` rejects an --expr problem that breaks a structural condition (x0 <= 0,
-k <= 1); `check` reports it.
+--expr, which reads --x0, --k and --threshold; an --expr problem is an entry
+with the 1D method table and no reference. `run --method` takes a method id
+of the entry's table. An option that the selection, the method or the
+rd-study mode does not read is a usage error. `run` rejects a problem that
+breaks a structural condition (x0 <= 0, k <= 1); `check` reports it.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import sys
 
 from . import baselines, catalog, expr, harness, thresholds
 from .errors import BlowupError, SolverError
+# unused here, but perfbench's --trace 1 wraps cli.solve_1d, so the name must exist
 from .integrate import SolverConfig, solve_1d
 from .problems import ScalarProblem, check_assumptions, structural_violations
 from .thresholds import BPrimeLog, ExplicitRadius, FInverse
@@ -90,15 +91,16 @@ def _build_parser() -> _Parser:
     )
 
     run = sub.add_parser("run", parents=[selection], help="single estimation run")
-    run.add_argument("--method", default="adaptive", help="entry's method id, or arclength")
+    run.add_argument("--method", default="adaptive", help="a method id of the entry's table")
     run.add_argument("--eps", type=parse_eps, required=True, help="tolerance, e.g. 2^-12")
-    run.add_argument("--M", type=float, default=4.0, help="rescaling threshold")
-    run.add_argument("--rk-tol", type=float, default=1e-10, help="arclength RK tolerance")
+    run.add_argument("--M", type=float, help="rescaling threshold (default 4)")
+    run.add_argument("--rk-tol", type=float, help="arclength RK tolerance (default 1e-10)")
     run.add_argument("--max-steps", type=_positive_int, default=2**30, help="step budget")
     run.add_argument("--trace", help="write (t, |x|) pairs to this CSV path")
     run.add_argument(
         "--expr-deriv-check",
         action="store_true",
+        default=None,
         help="cross-check the symbolic derivative against finite differences first",
     )
 
@@ -131,18 +133,24 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _selected_problem(args) -> tuple:
-    """(entry, problem) for --problem, or (None, problem) for --expr; an option
-    that only the other kind of selection reads is a usage error."""
-    unread = ("x0", "k", "threshold") if args.expr is None else ("c", "m")
-    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+def _only_for(args, names, reader) -> None:
+    """Raise a usage error that names each option of names that was given, since
+    only reader reads them."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name, None) is not None]
     if given:
-        kind = "--expr" if args.expr is None else "--problem"
-        raise UsageError(f"{', '.join(given)}: only for {kind} problems")
-    if args.expr is not None:
-        return None, _expr_problem(args)
-    entry = catalog.get(args.problem, c=args.c, m=args.m)
-    return entry, entry.problem
+        raise UsageError(f"{', '.join(given)}: only for {reader}")
+
+
+def _selected_entry(args) -> catalog.CatalogEntry:
+    """The catalog entry of --problem, or an "expr" entry with the 1D method
+    table and no reference for --expr; an option that only the other kind of
+    selection reads is a usage error."""
+    if args.expr is None:
+        _only_for(args, ("x0", "k", "threshold", "expr_deriv_check"), "--expr problems")
+        return catalog.get(args.problem, c=args.c, m=args.m)
+    _only_for(args, ("c", "m"), "--problem problems")
+    return catalog.CatalogEntry("expr", _expr_problem(args), catalog.SCALAR_METHODS, None)
 
 
 def _expr_problem(args) -> ScalarProblem:
@@ -192,55 +200,49 @@ def _deriv_check(problem: ScalarProblem) -> list[str]:
     return bad
 
 
-def _print_run(entry_id, method, eps, res, reference):
-    print(f"problem={entry_id}")
+def _print_run(entry, method, eps, res):
+    print(f"problem={entry.id}")
     print(f"method={method}")
     print(f"epsilon={eps:.17g}")
     print(f"tau_hat={res.tau_hat:.17g}")
     print(f"steps={res.steps}")
     print(f"radius={res.radius_used:.17g}")
-    if reference is not None:
-        kind, value = reference
-        print(f"reference={kind}:{value:.17g}")
-        if kind == "exact":
-            print(f"error_vs_reference={abs(res.tau_hat - value):.17g}")
+    if isinstance(entry.reference, catalog.Exact):
+        value = entry.reference.value
+        print(f"reference=exact:{value:.17g}")
+        print(f"error_vs_reference={abs(res.tau_hat - value):.17g}")
     for w in res.warnings:
         print(f"warning={w}")
+    if entry.reference is None:
+        tail = thresholds.tau_tail_bound(entry.problem.threshold, entry.problem, eps)
+        if math.isfinite(tail):
+            print(f"tail_bound={tail:.17g}")
 
 
 def _cmd_run(args) -> int:
-    entry, problem = _selected_problem(args)
-    if entry is None:
-        violations = structural_violations(problem)
-        if violations:
-            raise UsageError("; ".join(violations))
-        if args.expr_deriv_check:
-            bad = _deriv_check(problem)
-            if bad:
-                for line in bad:
-                    print(line)
-                return 2
-        law = catalog.SCALAR_METHODS.get(args.method)
-        if law is None:
-            known = "/".join(catalog.SCALAR_METHODS)
-            raise UsageError(f"--expr supports {known}, not {args.method!r}")
-        cfg = SolverConfig(law=law, record_trace=args.trace is not None,
-                           max_steps=args.max_steps)
-        res = solve_1d(problem, args.eps, cfg)
-        _print_run("expr", args.method, args.eps, res, None)
-        tail = thresholds.tau_tail_bound(problem.threshold, problem, args.eps)
-        if math.isfinite(tail):
-            print(f"tail_bound={tail:.17g}")
-    else:
-        cfg = SolverConfig(record_trace=args.trace is not None, max_steps=args.max_steps)
-        res = harness.run_method(
-            entry, args.method, args.eps, rk_tol=args.rk_tol,
-            rescale_threshold=args.M, cfg=cfg,
-        )
-        ref = entry.reference
-        reference = ("exact", ref.value) if isinstance(ref, catalog.Exact) else None
-        _print_run(entry.id, args.method, args.eps, res, reference)
-    if args.trace and res.trace is not None:
+    entry = _selected_entry(args)
+    law = entry.methods.get(args.method)
+    if not isinstance(law, baselines.ArcLength):
+        _only_for(args, ("rk_tol",), "the arclength method")
+    if not isinstance(law, baselines.Rescaling):
+        _only_for(args, ("M",), "the rescaling method")
+    if isinstance(law, (baselines.ArcLength, baselines.Rescaling)):
+        _only_for(args, ("trace",), "the Euler step laws, which record a trace")
+    violations = structural_violations(entry.problem)
+    if violations:
+        raise UsageError("; ".join(violations))
+    if args.expr_deriv_check:
+        bad = _deriv_check(entry.problem)
+        if bad:
+            for line in bad:
+                print(line)
+            return 2
+    cfg = SolverConfig(record_trace=args.trace is not None, max_steps=args.max_steps)
+    given = {"rk_tol": args.rk_tol, "rescale_threshold": args.M}  # run_method has the defaults
+    res = harness.run_method(entry, args.method, args.eps, cfg=cfg,
+                             **{name: v for name, v in given.items() if v is not None})
+    _print_run(entry, args.method, args.eps, res)
+    if args.trace:
         with open(args.trace, "w") as fh:
             fh.write("t,state_norm\n")
             for t, v in res.trace:
@@ -269,6 +271,10 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_rd_study(args) -> int:
+    if args.mode == harness.VARY_EPS:
+        _only_for(args, ("eps", "m_grid"), f"--mode {harness.VARY_M}")
+    else:
+        _only_for(args, ("m", "eps_start", "eps_stop"), f"--mode {harness.VARY_EPS}")
     # run_rd_study holds the defaults of the options left out
     given = {name: getattr(args, name) for name in ("m", "eps", "m_grid", "methods")}
     given = {name: v for name, v in given.items() if v is not None}
@@ -284,11 +290,10 @@ def _cmd_rd_study(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry, problem = _selected_problem(args)
-    name = "expr" if entry is None else entry.id
-    violations = structural_violations(problem)
-    report = check_assumptions(problem, samples=args.samples, seed=args.seed)
-    print(f"problem={name}")
+    entry = _selected_entry(args)
+    violations = structural_violations(entry.problem)
+    report = check_assumptions(entry.problem, samples=args.samples, seed=args.seed)
+    print(f"problem={entry.id}")
     for c in report.checks:
         line = f"check={c.name!r} status={c.status}"
         if c.detail:

@@ -34,7 +34,8 @@ class UnknownMethod(BlowupError):
 
 
 class NoReference(BlowupError):
-    """A pseudo reference without a tolerance to generate it at."""
+    """A pseudo reference without a tolerance to generate it at, or a tolerance
+    given for an exact reference."""
 
 
 @dataclass(frozen=True)
@@ -102,27 +103,25 @@ def run_method(
     rescale_threshold: float = 4.0,
     cfg: SolverConfig | None = None,
 ) -> RunResult:
-    """Run one method of a catalog entry at one tolerance."""
-    problem = entry.problem
-    if method == "arclength":
-        return baselines.solve_arclength(problem, eps, rk_tol, cfg)
-    if method == "rescaling":
-        if entry.rescale_power is None:
-            raise UnknownMethod(f"{entry.id!r} is not a pure power law; no rescaling")
-        return baselines.solve_rescaling_1d(
-            entry.rescale_power, float(problem.x0), rescale_threshold, eps, cfg
-        )
+    """Run one method of a catalog entry at one tolerance; rk_tol is read only by
+    ArcLength and rescale_threshold only by Rescaling."""
     law = entry.methods.get(method)
     if law is None:
-        known = sorted(entry.methods) + ["arclength"]
-        if entry.rescale_power is not None:
-            known.append("rescaling")
-        raise UnknownMethod(f"{method!r} not available for {entry.id!r}; known: {known}")
+        raise UnknownMethod(
+            f"{method!r} not available for {entry.id!r}; known: {sorted(entry.methods)}"
+        )
+    problem = entry.problem
+    if isinstance(law, baselines.ArcLength):
+        return baselines.solve_arclength(problem, eps, rk_tol, cfg)
+    if isinstance(law, baselines.Rescaling):
+        return baselines.solve_rescaling_1d(
+            law.power, float(problem.x0), rescale_threshold, eps, cfg
+        )
     run_cfg = replace(cfg or SolverConfig(), law=law)
-    if isinstance(problem, ScalarProblem):
-        return solve_1d(problem, eps, run_cfg)
     if isinstance(law, LogNDImplicitN):
         return solve_log_nd(problem, eps, run_cfg)
+    if isinstance(problem, ScalarProblem):
+        return solve_1d(problem, eps, run_cfg)
     return solve_nd(problem, eps, run_cfg)
 
 
@@ -135,9 +134,13 @@ def reference_value(
     eps_ref: float | None = None,
 ) -> tuple[str, float, list[str]]:
     """(kind, value, notes) for the entry's reference; pseudo references are
-    generated with the entry's adaptive method and cached by (id, eps_ref)."""
+    generated with the entry's adaptive method and cached by (id, eps_ref).
+    Raises NoReference for a pseudo reference with no tolerance to generate it
+    at, and for an eps_ref given to an exact reference, which would ignore it."""
     ref = entry.reference
     if isinstance(ref, catalog.Exact):
+        if eps_ref is not None:
+            raise NoReference(f"{entry.id!r} has an exact reference; eps_ref is for pseudo ones")
         return "exact", ref.value, []
     eref = eps_ref if eps_ref is not None else ref.eps_ref
     if eref is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blowup import catalog
+from blowup.baselines import ArcLength, Rescaling
 from blowup.catalog import Exact, Pseudo, UnknownId, build_reaction_diffusion
 from blowup.harness import run_method
 from blowup.problems import check_assumptions
@@ -184,7 +185,11 @@ def test_slowlog_constant_is_conservative_and_deterministic():
 
 
 def test_entries_expose_expected_methods():
-    assert set(catalog.get("sq").methods) == {"adaptive", "taylor2", "uniform"}
+    assert set(catalog.get("sq").methods) == {
+        "adaptive", "taylor2", "uniform", "arclength", "rescaling"}
     assert "log-uniform" in catalog.get("uncoupled").methods
-    assert catalog.get("sq").rescale_power == 2.0
-    assert catalog.get("coupled").rescale_power is None
+    assert catalog.get("sq").methods["rescaling"] == Rescaling(2.0)
+    for pid in catalog.list_ids():
+        entry = catalog.get(pid)
+        assert entry.methods["arclength"] == ArcLength()
+        assert ("rescaling" in entry.methods) == (pid == "sq")

@@ -105,12 +105,10 @@ class TestRun:
         assert len(lines) > 2
 
     @pytest.mark.parametrize(
-        "pid,method",
-        [(pid, m) for pid in catalog.IDS
-         for m in [*catalog.get(pid).methods, "arclength", *(["rescaling"] * (pid == "sq"))]],
+        "pid,method", [(pid, m) for pid in catalog.IDS for m in catalog.get(pid).methods]
     )
     def test_every_catalog_method_runs(self, capsys, pid, method):
-        # run takes every id the catalog entry lists, plus the baselines
+        # run takes every id the catalog entry lists, the baselines among them
         code, out, err = run_cli(
             capsys, "run", "--problem", pid, "--method", method, "--eps", "2^-4"
         )
@@ -123,6 +121,36 @@ class TestRun:
             "finverse:eps^-2", "--eps", "2^-8", "--expr-deriv-check",
         )
         assert code == 0
+
+    def test_deriv_check_reports_mismatch(self, capsys):
+        # sin(1e6 x) turns faster than the finite-difference step resolves
+        code, out, _ = run_cli(
+            capsys, "run", "--expr", "x^2 + sin(1000000*x)", "--x0", "0.5", "--threshold",
+            "finverse:eps^-2", "--eps", "2^-8", "--expr-deriv-check",
+        )
+        assert code == 2
+        assert out.startswith("derivative mismatch at x=0.5: ")
+        assert "tau_hat=" not in out
+
+    def test_expr_bprimelog_prints_tail_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--expr", "exp(x^2)", "--x0", "1", "--threshold", "bprimelog",
+            "--eps", "2^-8",
+        )
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["problem"] == "expr" and kv["steps"] == "219"
+        assert float(kv["tail_bound"]) > 0 and "reference" not in kv
+
+    def test_expr_arclength_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--expr", "x^2", "--x0", "0.5", "--threshold", "finverse:eps^-2",
+            "--method", "arclength", "--eps", "2^-4",
+        )
+        assert code == 0
+        kv = parse_kv(out)
+        assert kv["method"] == "arclength" and "tail_bound" in kv
+        assert abs(float(kv["tau_hat"]) - 2.0) <= 2.0**-4
 
 
 class TestExitCodes:
@@ -229,6 +257,32 @@ class TestExitCodes:
             # an infinite tolerance switches off error control (49 evaluations, error 2 eps)
             ("run", "--problem", "sq", "--method", "arclength", "--rk-tol", "inf", "--eps", "2^-8"),
             ("rd-study", "--mode", "vary-m", "--m-grid", "4,x", "--out", "o.csv"),
+            # an option that the rd-study mode does not read
+            ("rd-study", "--mode", "vary-m", "--m", "8", "--eps-start", "2^-3",
+             "--m-grid", "4", "--methods", "adaptive", "--eps", "2^-8", "--out", "o.csv"),
+            ("rd-study", "--mode", "vary-eps", "--m", "4", "--m-grid", "4,8",
+             "--methods", "adaptive", "--out", "o.csv"),
+            # an option that the method does not read
+            ("run", "--problem", "sq", "--method", "adaptive", "--rk-tol", "1e-3",
+             "--eps", "2^-8"),
+            ("run", "--problem", "sq", "--method", "arclength", "--M", "9", "--eps", "2^-8"),
+            ("run", "--problem", "sq", "--expr-deriv-check", "--eps", "2^-8"),
+            # the baselines record no trace
+            ("run", "--problem", "sq", "--method", "arclength", "--eps", "2^-6",
+             "--trace", "t.csv"),
+            ("run", "--problem", "sq", "--method", "rescaling", "--eps", "2^-6",
+             "--trace", "t.csv"),
+            # a method id that the entry's table does not hold
+            ("run", "--problem", "coupled", "--method", "rescaling", "--eps", "2^-8"),
+            ("run", "--expr", "x^2", "--x0", "0.5", "--threshold", "finverse:eps^-2",
+             "--method", "foo", "--eps", "2^-8"),
+            ("run", "--expr", "x^2", "--x0", "0.5", "--threshold", "bogus", "--eps", "2^-8"),
+            # the grid runs from --eps-start down to --eps-stop
+            ("study", "--problem", "sq", "--methods", "adaptive",
+             "--eps-start", "2^-8", "--eps-stop", "2^-6", "--out", "o.csv"),
+            # an exact reference has no tolerance to override
+            ("study", "--problem", "sq", "--methods", "adaptive", "--eps-start", "2^-4",
+             "--eps-stop", "2^-6", "--eps-ref", "2^-20", "--out", "s.csv"),
             # rd's pseudo reference is the study's own finest run; study needs --eps-ref
             ("study", "--problem", "rd", "--m", "4", "--methods", "adaptive",
              "--eps-start", "2^-4", "--eps-stop", "2^-6", "--out", "o.csv"),

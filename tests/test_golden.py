@@ -1,5 +1,6 @@
 """Golden cell table: the exact result of every catalog method at two coarse
-tolerances, so that a refactor's "bit-identical" claim is checked, not stated.
+tolerances, and of the planar cells below, so that a refactor's
+"bit-identical" claim is checked, not stated.
 
 Each cell is (tau_hat.hex(), steps), plus n_guess and outer_iterations for the
 implicit-N runs of slowlog_c, or the name of the error the run raises. A change
@@ -29,6 +30,19 @@ EPS_LOG2 = (4, 6)
 # every run takes 0 steps, so its cells run at two finer tolerances.
 RD_SIZES = (3, 8)
 RD_EPS_LOG2 = (8, 10)
+# (id, method, log2(1/eps)) of planar runs at finer tolerances, which take solve_nd's
+# float-pair path over longer trajectories; uncoupled/uniform/2^-6 belongs with them
+# and is already in the grid above.
+PLANAR_CELLS = (
+    ("coupled", "adaptive", 10),
+    ("coupled", "uniform", 8),
+    ("uncoupled", "adaptive", 10),
+    ("uncoupled", "log-uniform", 8),
+    ("slowlog_c", "adaptive", 5),
+    ("coupled", "alt", 7),
+    ("coupled", "alt", 12),
+    ("uncoupled", "alt", 10),
+)
 
 
 def _entries():
@@ -44,12 +58,11 @@ def cells():
     """(key, entry, method, eps) for every cell of the table, in table order."""
     out = []
     for name, entry, eps_log2 in _entries():
-        methods = [*entry.methods, "arclength"]
-        if entry.rescale_power is not None:
-            methods.append("rescaling")
-        for method in methods:
+        for method in entry.methods:
             for k in eps_log2:
                 out.append((f"{name}/{method}/2^-{k}", entry, method, 2.0**-k))
+    for pid, method, k in PLANAR_CELLS:
+        out.append((f"{pid}/{method}/2^-{k}", catalog.get(pid), method, 2.0**-k))
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -95,8 +96,11 @@ class TestRunStudy:
         assert all("BracketFailure" in r.failed for r in table.rows)
 
     def test_unknown_method(self):
-        with pytest.raises(UnknownMethod):
+        known = "['adaptive', 'arclength', 'rescaling', 'taylor2', 'uniform']"
+        with pytest.raises(UnknownMethod, match=re.escape(known)):
             run_method(catalog.get("sq"), "simulated-annealing", 0.1)
+        with pytest.raises(UnknownMethod, match="'rescaling' not available for 'coupled'"):
+            run_method(catalog.get("coupled"), "rescaling", 0.1)
 
     def test_pseudo_reference_regenerates_bit_identically(self):
         entry = catalog.get("coupled")
@@ -110,6 +114,12 @@ class TestRunStudy:
         # rd publishes no eps_ref: its reference is the finest run of the study at hand
         with pytest.raises(NoReference):
             reference_value(catalog.get("rd", m=4))
+
+    def test_exact_reference_takes_no_tolerance(self):
+        # an eps_ref would be ignored, so it is refused
+        assert reference_value(catalog.get("sq")) == ("exact", 2.0, [])
+        with pytest.raises(NoReference):
+            reference_value(catalog.get("sq"), eps_ref=2.0**-20)
 
 
 class TestRdStudy:

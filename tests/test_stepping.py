@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blowup import catalog
+from blowup.baselines import ArcLength, Rescaling
 from blowup.integrate import SolverConfig, solve_1d
 from blowup.linalg import JacobianAccess, safe_norm
 from blowup.problems import ScalarProblem, VectorProblem
@@ -297,10 +298,12 @@ def test_every_law_increasing_in_eps():
 
 
 def test_every_catalog_law_is_a_solver_law():
-    # solve_1d computes Adaptive1D and Taylor1D steps itself, and solve_log_nd
-    # runs LogNDImplicitN; every other law gives its step through step_size
+    # solve_1d computes Adaptive1D and Taylor1D steps itself, solve_log_nd runs
+    # LogNDImplicitN, and the baselines' own solvers run ArcLength and Rescaling;
+    # every other law gives its step through step_size
+    baselines = (ArcLength, Rescaling)
     for pid in catalog.list_ids():
         for law in catalog.get(pid).methods.values():
-            assert isinstance(law, LAWS_1D + LAWS_ND + (LogNDImplicitN,))
-            if not isinstance(law, (Adaptive1D, Taylor1D, LogNDImplicitN)):
+            assert isinstance(law, LAWS_1D + LAWS_ND + (LogNDImplicitN,) + baselines)
+            if not isinstance(law, (Adaptive1D, Taylor1D, LogNDImplicitN) + baselines):
                 assert callable(law.step_size)
