@@ -3,14 +3,8 @@
 from types import ModuleType as _ModuleType
 
 from . import catalog
-from .baselines import (
-    InvalidExponent,
-    InvalidParameter,
-    MinStepUnderflow,
-    solve_arclength,
-    solve_rescaling_1d,
-)
-from .errors import BlowupError, SolverError
+from .baselines import InvalidParameter, MinStepUnderflow, solve_arclength, solve_rescaling_1d
+from .errors import BlowupError, InputError, SolverError
 from .expr import DomainError, ExprSyntaxError, differentiate, evaluate, parse, pretty
 from .harness import (
     AXIS_COST,

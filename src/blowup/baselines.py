@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import thresholds
-from .errors import BlowupError, SolverError
+from .errors import InputError, SolverError
 from .integrate import SolverConfig, StepBudgetExceeded
 from .linalg import safe_norm
 from .problems import RunResult, ScalarProblem, VectorProblem
@@ -37,12 +37,8 @@ class MinStepUnderflow(SolverError):
     """The arc-length controller pushed the step below 1e-300."""
 
 
-class InvalidExponent(BlowupError):
-    """Rescaling is defined only for b(x) = x^p with p > 1."""
-
-
-class InvalidParameter(BlowupError, ValueError):
-    """A baseline's M, x0 or rk_tol is outside the range its method runs on."""
+class InvalidParameter(InputError):
+    """A baseline's p, M, x0 or rk_tol is outside the range its method runs on."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +93,6 @@ def solve_arclength(
     cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Arc-length RK5(4) blow-up estimate; cost is counted in stage evaluations."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
     if not 0 < rk_tol < math.inf:  # rk_tol = inf would switch off error control
         raise InvalidParameter(f"rk_tol must be positive and finite, got {rk_tol!r}")
     cfg = cfg or SolverConfig()
@@ -181,7 +175,7 @@ def solve_rescaling_1d(
     raises StepBudgetExceeded up front, as does a run that needs more steps.
     """
     if not p_exponent > 1:
-        raise InvalidExponent(f"need p > 1, got {p_exponent!r}")
+        raise InvalidParameter(f"need p > 1, got {p_exponent!r}")
     if not 1 < M < math.inf:  # M = inf would make the step h zero
         raise InvalidParameter(f"need 1 < M < inf, got M = {M!r}")
     if p_exponent * math.log(M) >= math.log(sys.float_info.max):
@@ -189,7 +183,7 @@ def solve_rescaling_1d(
     if not 0 < x0 < M:
         raise InvalidParameter(f"need 0 < x0 < M, got x0 = {x0!r}")
     if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+        raise InputError(f"eps must be positive, got {eps!r}")
     max_steps = (cfg or SolverConfig()).max_steps
 
     p = p_exponent

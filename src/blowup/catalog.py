@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .baselines import ArcLength, Rescaling
-from .errors import BlowupError
+from .errors import InputError
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
 from .stepping import (
@@ -30,7 +30,7 @@ from .stepping import (
 from .thresholds import BPrimeLog, ExplicitRadius, FInverse, LogND, PolyND
 
 
-class UnknownId(BlowupError):
+class UnknownId(InputError):
     """No catalog entry under that id and parameters."""
 
 
@@ -301,7 +301,7 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
     """Method-of-lines discretisation of u_t = u_xx + u^2 on (0,1) with zero
     boundary values and u(x, 0) = 100 sin(pi x), on the grid k/m, k = 1..m-1."""
     if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+        raise InputError(f"m must be >= 2, got {m}")
     m2 = float(m * m)
     n = m - 1
 

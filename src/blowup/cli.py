@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 assumption violation, 3 solver error.
+Exit codes: 0 success, 1 usage error (any InputError: a bad option, problem,
+expression or output path), 2 assumption violation, 3 solver error (any
+SolverError: the run cannot produce an estimate).
 Tolerances accept both decimal ("0.001") and power forms ("2^-12").
 `run` and `check` take exactly one of --problem, which reads --c and --m, and
 --expr, which reads --x0, --k and --threshold; an --expr problem is an entry
@@ -16,20 +18,16 @@ import math
 import sys
 
 from . import baselines, catalog, expr, harness, thresholds
-from .errors import BlowupError, SolverError
+from .errors import InputError, SolverError
 # unused here, but perfbench's --trace 1 wraps cli.solve_1d, so the name must exist
 from .integrate import SolverConfig, solve_1d
 from .problems import ScalarProblem, check_assumptions, structural_violations
 from .thresholds import BPrimeLog, ExplicitRadius, FInverse
 
 
-class UsageError(BlowupError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def parse_eps(text: str) -> float:
@@ -38,16 +36,16 @@ def parse_eps(text: str) -> float:
     try:
         eps = float(base) ** float(exp) if caret else float(text)
     except (ValueError, OverflowError, ZeroDivisionError):
-        raise UsageError(f"bad tolerance {text!r}") from None
+        raise InputError(f"bad tolerance {text!r}") from None
     if not (isinstance(eps, float) and 0.0 < eps < math.inf):
-        raise UsageError(f"tolerance must be positive and finite, got {text!r}")
+        raise InputError(f"tolerance must be positive and finite, got {text!r}")
     return eps
 
 
 def _halving_grid(start: float, stop: float) -> list[float]:
     """start, start/2, start/4, ... down to stop (within a relative 1e-12)."""
     if not 0 < stop <= start:
-        raise UsageError("need 0 < eps-stop <= eps-start")
+        raise InputError("need 0 < eps-stop <= eps-start")
     grid = []
     e = start
     while e >= stop * (1.0 - 1e-12):
@@ -139,7 +137,7 @@ def _only_for(args, names, reader) -> None:
     given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name, None) is not None]
     if given:
-        raise UsageError(f"{', '.join(given)}: only for {reader}")
+        raise InputError(f"{', '.join(given)}: only for {reader}")
 
 
 def _selected_entry(args) -> catalog.CatalogEntry:
@@ -155,9 +153,9 @@ def _selected_entry(args) -> catalog.CatalogEntry:
 
 def _expr_problem(args) -> ScalarProblem:
     if args.x0 is None:
-        raise UsageError("--expr needs --x0")
+        raise InputError("--expr needs --x0")
     if not args.threshold:
-        raise UsageError("--expr needs --threshold")
+        raise InputError("--expr needs --threshold")
     ast = expr.parse(args.expr)
     d_ast = expr.differentiate(ast)
     dd_ast = expr.differentiate(d_ast)
@@ -172,7 +170,7 @@ def _expr_problem(args) -> ScalarProblem:
         r_ast = expr.parse(spec.split(":", 1)[1], var="eps")
         rule = ExplicitRadius(lambda e: expr.evaluate(r_ast, e), tail_is_eps=False)
     else:
-        raise UsageError(f"bad --threshold {spec!r}")
+        raise InputError(f"bad --threshold {spec!r}")
 
     return ScalarProblem(
         rhs=lambda x: expr.evaluate(ast, x),
@@ -230,7 +228,7 @@ def _cmd_run(args) -> int:
         _only_for(args, ("trace",), "the Euler step laws, which record a trace")
     violations = structural_violations(entry.problem)
     if violations:
-        raise UsageError("; ".join(violations))
+        raise InputError("; ".join(violations))
     if args.expr_deriv_check:
         bad = _deriv_check(entry.problem)
         if bad:
@@ -243,10 +241,8 @@ def _cmd_run(args) -> int:
                              **{name: v for name, v in given.items() if v is not None})
     _print_run(entry, args.method, args.eps, res)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write("t,state_norm\n")
-            for t, v in res.trace:
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        rows = [f"{t:.17g},{v:.17g}" for t, v in res.trace]
+        harness.write_lines(args.trace, ["t,state_norm", *rows])
     return 0
 
 
@@ -317,8 +313,7 @@ def main(argv=None) -> int:
         commands = {"run": _cmd_run, "study": _cmd_study, "rd-study": _cmd_rd_study,
                      "check": _cmd_check}
         return commands[args.command](args)
-    except (UsageError, catalog.UnknownId, harness.UnknownMethod, harness.NoReference,
-            expr.ExprSyntaxError, baselines.InvalidParameter) as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

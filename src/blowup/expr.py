@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BlowupError
+from .errors import InputError
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
 
-class ExprSyntaxError(BlowupError):
+class ExprSyntaxError(InputError):
     """Parse failure; carries the byte offset and what was expected there."""
 
     def __init__(self, offset: int, message: str):
@@ -32,7 +32,7 @@ class ExprSyntaxError(BlowupError):
         self.message = message
 
 
-class DomainError(BlowupError):
+class DomainError(InputError):
     """Evaluation left the real domain (log/sqrt/negative-base powers, x/0)."""
 
 

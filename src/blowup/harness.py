@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, catalog
-from .errors import BlowupError, SolverError
+from .errors import InputError, SolverError
 from .integrate import SolverConfig, solve_1d, solve_log_nd, solve_nd
 from .problems import RunResult, ScalarProblem
 from .stepping import LogNDImplicitN
@@ -25,15 +25,15 @@ AXIS_ERROR = "error"
 AXIS_COST = "cost"
 
 
-class InsufficientPoints(BlowupError):
+class InsufficientPoints(InputError):
     """fit_rate needs at least three points."""
 
 
-class UnknownMethod(BlowupError):
+class UnknownMethod(InputError):
     """Method id not available for this problem."""
 
 
-class NoReference(BlowupError):
+class NoReference(InputError):
     """A pseudo reference without a tolerance to generate it at, or a tolerance
     given for an exact reference."""
 
@@ -83,7 +83,7 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
         raise InsufficientPoints(f"need >= 3 points, got {len(points)}")
     for e, y in points:
         if not (e > 0 and y > 0):
-            raise ValueError(f"points must be positive, got ({e!r}, {y!r})")
+            raise InputError(f"points must be positive, got ({e!r}, {y!r})")
     lx = np.log2([p[0] for p in points])
     ly = np.log2([p[1] for p in points])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -206,7 +206,7 @@ def run_study(
     accepted and ignored: every cell is deterministic and runs in turn."""
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps grid must be strictly decreasing")
+        raise InputError("eps grid must be strictly decreasing")
     entry = catalog.get(problem_id, c=c, m=m)
     if not methods:
         return StudyTable(rows=(), fitted={}, notes=())
@@ -260,7 +260,7 @@ def run_rd_study(
         cells = [(mm, eps) for mm in m_grid]
         notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
-        raise ValueError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
+        raise InputError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
     rows = []
     for method in methods:
         runs = [(mm, e, *_run_cell(catalog.get("rd", m=mm), method, e)) for mm, e in cells]
@@ -296,6 +296,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def write_lines(path: str, lines: Sequence[str]) -> None:
+    """Write each line with a newline; a path that cannot be written raises InputError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def emit_csv(table: StudyTable, path: str) -> None:
     """Write the table; floats carry 17 significant digits (lossless round-trip)."""
     rd_style = any(r.m is not None for r in table.rows)
@@ -316,8 +325,7 @@ def emit_csv(table: StudyTable, path: str) -> None:
         if rd_style:
             cells += [_fmt(r.m), _fmt(r.succ_diff_log2)]
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 _SVG_COLORS = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#555555")
@@ -326,7 +334,7 @@ _SVG_COLORS = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#555555")
 def emit_svg(table: StudyTable, path: str, axis: str = AXIS_ERROR) -> None:
     """Self-contained log2-log2 scatter+line chart, one series per method."""
     if axis not in (AXIS_ERROR, AXIS_COST):
-        raise ValueError(f"axis must be {AXIS_ERROR!r} or {AXIS_COST!r}")
+        raise InputError(f"axis must be {AXIS_ERROR!r} or {AXIS_COST!r}")
     series: dict[str, list[tuple[float, float]]] = {}
     for r in table.rows:
         if r.failed:
@@ -336,7 +344,7 @@ def emit_svg(table: StudyTable, path: str, axis: str = AXIS_ERROR) -> None:
             continue
         series.setdefault(r.method, []).append((math.log2(r.epsilon), math.log2(y)))
     if not series:
-        raise ValueError("nothing to plot: table is empty or has no positive values")
+        raise InputError("nothing to plot: table is empty or has no positive values")
 
     width, height = 800, 600
     ml, mr, mt, mb = 70, 160, 40, 60
@@ -413,5 +421,4 @@ def emit_svg(table: StudyTable, path: str, axis: str = AXIS_ERROR) -> None:
         )
         out.append(f'<text x="{width - mr + 36}" y="{ly}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_lines(path, out)

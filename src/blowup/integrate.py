@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, stepping, thresholds
-from .errors import SolverError
+from .errors import InputError, SolverError
 from .problems import RunResult, ScalarProblem, VectorProblem, structural_violations
 from .stepping import Adaptive1D, AdaptiveND, LogNDFixedN, StepLaw, Taylor1D, Uniform1D
 
@@ -45,7 +45,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise InputError("max_steps must be >= 1")
 
 
 def _base_warnings(problem) -> list[str]:
@@ -55,8 +55,6 @@ def _base_warnings(problem) -> list[str]:
 
 def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None) -> RunResult:
     """Estimate the 1D blow-up time by integrating to the threshold radius."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else Adaptive1D()
     if not isinstance(law, stepping.LAWS_1D):
@@ -134,8 +132,6 @@ def solve_nd(
     cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Estimate the blow-up time of a system by integrating to |x| > r(eps)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else AdaptiveND()
     if not isinstance(law, stepping.LAWS_ND):
@@ -209,9 +205,9 @@ def solve_log_nd(
     point predicted from the last pass: G <- ceil(N_actual^2 / G).
     """
     if not isinstance(problem.threshold, thresholds.LogND):
-        raise ValueError("solve_log_nd needs a LogND threshold (logarithmic growth)")
+        raise InputError("solve_log_nd needs a LogND threshold (logarithmic growth)")
     if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+        raise InputError(f"eps must be positive, got {eps!r}")
     cfg = cfg or SolverConfig()
 
     n_guess = max(1, math.ceil(1.0 / eps))

@@ -12,10 +12,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import InputError
 
 
-class TransposeUnavailable(BlowupError):
+class TransposeUnavailable(InputError):
     """Matrix-free access cannot produce a 2-norm."""
 
 
@@ -31,7 +31,7 @@ class JacobianAccess:
 
     def __post_init__(self):
         if (self.dense is None) == (self.jvp is None):
-            raise ValueError("exactly one of dense/jvp must be provided")
+            raise InputError("exactly one of dense/jvp must be provided")
 
     @classmethod
     def from_dense(cls, fn: Callable) -> "JacobianAccess":
@@ -86,11 +86,11 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
         J = np.asarray(J, dtype=float)
         n = J.shape[0]
         if dim is not None and n != dim:
-            raise ValueError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
+            raise InputError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
         if J.shape != (2, 2):
             return float(np.linalg.svd(J, compute_uv=False)[0])
         J = J.tolist()
     elif dim is not None and dim != 2:
-        raise ValueError(f"dense Jacobian is 2x2, expected dim {dim}")
+        raise InputError(f"dense Jacobian is 2x2, expected dim {dim}")
     (a, b), (c, d) = J
     return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))

@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import InputError
 from .linalg import JacobianAccess, safe_norm
 from .thresholds import BPrimeLog, LogND, PolyND
 
@@ -92,7 +93,8 @@ class AssumptionReport:
 
 
 def _safe_scalar(fn, x):
-    """Evaluate fn(x), mapping overflow/domain failures to None (untestable)."""
+    """Evaluate fn(x), mapping overflow/domain failures to None (untestable);
+    an expr.DomainError is a ValueError."""
     try:
         v = fn(x)
     except (OverflowError, ValueError, ZeroDivisionError):
@@ -234,7 +236,7 @@ def check_assumptions(problem, samples: int = 1000, seed: int = 1) -> Assumption
     untestable rather than as failure.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InputError("samples must be >= 1")
     if isinstance(problem, ScalarProblem):
         checks = _check_scalar(problem, samples)
     else:

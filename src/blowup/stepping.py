@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import linalg
-from .errors import SolverError
+from .errors import InputError, SolverError
 
 
 class NonpositiveDerivative(SolverError):
@@ -110,7 +110,7 @@ class LogNDFixedN:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"LogNDFixedN needs n >= 1, got {self.n!r}")
+            raise InputError(f"LogNDFixedN needs n >= 1, got {self.n!r}")
 
     def step_size(self, problem, eps: float, r: float):
         jac, dim, n, sqrt = problem.jacobian, problem.dim, self.n, math.sqrt
@@ -132,13 +132,14 @@ class LogNDImplicitN:
 @dataclass(frozen=True)
 class UniformND:
     """Constant h = eps / log(r), optionally clipped to a stability cap; needs
-    r > e so the step stays positive and sane."""
+    r > e so the step stays positive and sane, and raises SolverError at an eps
+    whose radius is not."""
 
     cap: Optional[float] = None
 
     def step_size(self, problem, eps: float, r: float) -> float:
         if not r > math.e:
-            raise ValueError(f"uniform n-d law needs r > e, got {r!r}")
+            raise SolverError(f"uniform n-d law needs r > e, got {r!r} at eps = {eps!r}")
         h = eps / math.log(r)
         return h if self.cap is None else min(h, self.cap)
 

@@ -6,9 +6,11 @@ b(r) = F^-1(eps) or b'(r) = eps^-1 log(eps^-1)) are solved by bracketed
 bisection plus a few Newton polish steps. The R^n rules PolyND and LogND
 are the field's growth bound on b(x)·x, and give r(eps) in closed form.
 
-Radii that would exceed the float64 range are clamped to RADIUS_CAP, and
-cap_warnings gives the warning the solvers attach to such a run, since the
-tail bound is then no longer <= eps.
+radius evaluates every rule's formula on one path that reads float64
+overflow as +inf. A radius above the float64 range is clamped to RADIUS_CAP,
+and cap_warnings gives the warning the solvers attach to such a run, since the
+tail bound is then no longer <= eps. An infinite root-solve target raises
+BracketFailure, and a NaN radius raises SolverError.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import SolverError
+from .errors import InputError, SolverError
 
 # Largest radius a rule may request: finite, with float64 headroom above it
 # (to about 1.8e308) for the last step of a run, which lands beyond r.
@@ -158,12 +160,6 @@ def _solve_increasing(f, fprime, start: float, target: float) -> float:
     return x
 
 
-def _capped(r: float) -> float:
-    if not math.isfinite(r) or r > RADIUS_CAP:
-        return RADIUS_CAP
-    return r
-
-
 def cap_warnings(r: float) -> list[str]:
     """The run warning for a radius clamped to RADIUS_CAP, if r is one."""
     if r >= RADIUS_CAP:
@@ -174,31 +170,32 @@ def cap_warnings(r: float) -> list[str]:
 
 
 def radius(rule: ThresholdRule, problem, epsilon: float) -> float:
-    """Truncation radius r(eps) for the given rule; clamped to RADIUS_CAP."""
+    """Truncation radius r(eps) for the given rule; clamped to RADIUS_CAP. The formula
+    gives r itself, or for FInverse and BPrimeLog the target of a root solve."""
     if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+        raise InputError(f"epsilon must be positive, got {epsilon!r}")
+    try:
+        if isinstance(rule, FInverse):
+            value = float(rule.f_inv(epsilon))
+        elif isinstance(rule, BPrimeLog):
+            value = math.log(1.0 / epsilon) / epsilon
+        elif isinstance(rule, ExplicitRadius):
+            value = float(rule.r_of_eps(epsilon))
+        elif isinstance(rule, PolyND):
+            value = (1.0 / (rule.c_check * rule.alpha * epsilon)) ** (1.0 / rule.alpha)
+        elif isinstance(rule, LogND):
+            value = math.exp((1.0 / (rule.c_check * rule.alpha * epsilon)) ** (1.0 / rule.alpha))
+        else:
+            raise TypeError(f"unknown threshold rule {rule!r}")
+    except OverflowError:
+        value = math.inf
     if isinstance(rule, FInverse):
-        target = float(rule.f_inv(epsilon))
-        return _capped(_solve_increasing(problem.rhs, problem.rhs_deriv, problem.x0, target))
-    if isinstance(rule, BPrimeLog):
-        target = math.log(1.0 / epsilon) / epsilon
-        return _capped(
-            _solve_increasing(problem.rhs_deriv, problem.rhs_second, problem.x0, target)
-        )
-    if isinstance(rule, ExplicitRadius):
-        try:
-            r = float(rule.r_of_eps(epsilon))
-        except OverflowError:
-            r = math.inf
-        return _capped(r)
-    if isinstance(rule, PolyND):
-        return _capped((1.0 / (rule.c_check * rule.alpha * epsilon)) ** (1.0 / rule.alpha))
-    if isinstance(rule, LogND):
-        exponent = (1.0 / (rule.c_check * rule.alpha * epsilon)) ** (1.0 / rule.alpha)
-        if exponent > 700.0:
-            return RADIUS_CAP
-        return _capped(math.exp(exponent))
-    raise TypeError(f"unknown threshold rule {rule!r}")
+        value = _solve_increasing(problem.rhs, problem.rhs_deriv, problem.x0, value)
+    elif isinstance(rule, BPrimeLog):
+        value = _solve_increasing(problem.rhs_deriv, problem.rhs_second, problem.x0, value)
+    elif math.isnan(value):
+        raise SolverError(f"{type(rule).__name__} gives radius nan at eps = {epsilon!r}")
+    return value if value < RADIUS_CAP else RADIUS_CAP
 
 
 def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
@@ -210,7 +207,7 @@ def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
     unknown tail.
     """
     if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+        raise InputError(f"epsilon must be positive, got {epsilon!r}")
     if isinstance(rule, (FInverse, PolyND, LogND)):
         return epsilon
     if isinstance(rule, ExplicitRadius):

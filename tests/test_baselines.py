@@ -8,7 +8,6 @@ import pytest
 
 from blowup import catalog
 from blowup.baselines import (
-    InvalidExponent,
     InvalidParameter,
     _arc_rhs,
     solve_arclength,
@@ -96,7 +95,7 @@ class TestRescaling:
             assert t == pytest.approx(times[0], rel=1e-6)
 
     def test_invalid_exponent(self):
-        with pytest.raises(InvalidExponent):
+        with pytest.raises(InvalidParameter):
             solve_rescaling_1d(1.0, 0.5, 4.0, 0.01)
 
     def test_threshold_must_exceed_start(self):

@@ -295,13 +295,61 @@ class TestExitCodes:
             # exactly one of --problem / --expr
             ("run", "--problem", "sq", "--expr", "x^2", "--eps", "2^-8"),
             ("check", "--samples", "10"),
+            # the radius expression leaves its domain (division by zero)
+            ("run", "--expr", "x^2", "--x0", "0.5", "--threshold", "radius:1/(eps-eps)",
+             "--eps", "2^-4"),
+            # the one cell fails (UniformND needs r > e), so the chart has nothing to plot
+            ("study", "--problem", "uncoupled", "--methods", "log-uniform",
+             "--eps-start", "0.15", "--eps-stop", "0.15", "--out", "o.csv", "--svg", "e.svg"),
+            # an output path in a directory that does not exist
+            ("study", "--problem", "sq", "--methods", "adaptive", "--eps-start", "2^-4",
+             "--eps-stop", "2^-6", "--out", "missing/o.csv"),
+            ("run", "--problem", "sq", "--eps", "2^-4", "--trace", "missing/t.csv"),
         ],
     )
-    def test_edge_inputs_are_usage_errors(self, capsys, argv):
+    def test_edge_inputs_are_usage_errors(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # a case that gets as far as writing writes here
         with time_limit(20):
             code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        assert err.startswith("usage error: ")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            # the root solve probes b where sqrt(x - 1) is undefined, which has no bracket
+            (("run", "--expr", "sqrt(x-1)", "--x0", "0.5", "--threshold", "finverse:eps^-2",
+              "--eps", "2^-4"), 3, "solver error: BracketFailure"),
+            (("check", "--expr", "sqrt(x-1)", "--x0", "0.5", "--threshold", "bprimelog"),
+             2, "check='b positive' status=pass detail='partially untestable from x=0.5'"),
+            (("run", "--problem", "coupled", "--method", "uniform", "--eps", "0.08"),
+             3, "uniform n-d law needs r > e, got 2.5 at eps = 0.08"),
+            # eps^-2 overflows, so the target is inf and no step is taken
+            (("run", "--problem", "sq", "--eps", "1e-200"),
+             3, "BracketFailure: target inf is not a positive finite value"),
+            # the radius exponent overflows before exp does
+            (("run", "--problem", "slowlog_c", "--c", "1e-9", "--eps", "2^-4"),
+             0, "warning=radius capped at 1e+250"),
+            # inf - inf is nan, which is not the cap
+            (("run", "--expr", "x^2", "--x0", "0.5", "--threshold",
+              "radius:exp(1000)-exp(1000)", "--eps", "2^-6"),
+             3, "ExplicitRadius gives radius nan at eps = 0.015625"),
+            # the one cell fails (UniformND needs r > e) and is a failed row
+            (("study", "--problem", "uncoupled", "--methods", "log-uniform",
+              "--eps-start", "0.15", "--eps-stop", "0.15", "--out", "o.csv"), 0, "csv=o.csv"),
+        ],
+        ids=["finverse-domain", "check-domain", "uniform-radius-below-e", "finverse-overflow",
+             "lognd-overflow", "nan-radius", "study-failed-row"],
+    )
+    def test_edge_runs_exit_without_traceback(self, capsys, tmp_path, monkeypatch, argv,
+                                              code, expected):
+        monkeypatch.chdir(tmp_path)
+        with time_limit(20):
+            got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert expected in out + err
+        assert ("radius capped" in out) == ("radius capped" in expected)
+        assert "Traceback" not in err and err.count("\n") <= 1
 
 
 def test_study_writes_outputs(capsys, tmp_path):

@@ -94,6 +94,10 @@ class TestRunStudy:
             catalog.get = orig
         assert all(r.failed for r in table.rows)
         assert all("BracketFailure" in r.failed for r in table.rows)
+        # UniformND needs r > e, and uncoupled's radius at eps = 0.2 is sqrt(5)
+        (row,) = run_study("uncoupled", ["log-uniform"], [0.2]).rows
+        assert row.failed.startswith("SolverError: uniform n-d law needs r > e")
+        assert math.isnan(row.tau_hat) and row.steps == 0
 
     def test_unknown_method(self):
         known = "['adaptive', 'arclength', 'rescaling', 'taylor2', 'uniform']"

@@ -1,5 +1,6 @@
-"""Each blowup module imports on its own, whatever order the package uses, and
-every name that perfbench's tracer wraps exists.
+"""Each blowup module imports on its own, whatever order the package uses,
+every name that perfbench's tracer wraps exists, and every error the package
+defines is either an input error or a solver error.
 
 Importing ``blowup.<module>`` normally runs the package's ``__init__`` first,
 which fixes one import order and can hide a cycle between two modules. Each
@@ -52,3 +53,21 @@ def test_tracer_span_targets_resolve():
     missing = [f"{module}.{name}" for module, name in tracing.SPAN_TARGETS
                if not hasattr(importlib.import_module(module), name)]
     assert tracing.SPAN_TARGETS and not missing
+
+
+def test_every_error_is_an_input_or_a_solver_error():
+    # the CLI maps InputError to exit 1 and SolverError to exit 3 and catches nothing
+    # else, so an error class outside both, or a bare ValueError, escapes as a traceback
+    from blowup.errors import BlowupError, InputError, SolverError
+
+    bases = (BlowupError, InputError, SolverError)
+    errors = [cls for module in MODULES
+              for cls in vars(importlib.import_module(f"blowup.{module}")).values()
+              if isinstance(cls, type) and issubclass(cls, BaseException)
+              and cls.__module__ == f"blowup.{module}" and cls not in bases]
+    assert errors
+    for cls in errors:
+        assert issubclass(cls, InputError) != issubclass(cls, SolverError), cls
+    raising = [p.name for p in (SRC / "blowup").glob("*.py")
+               if "raise ValueError(" in p.read_text()]
+    assert not raising

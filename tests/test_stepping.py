@@ -5,6 +5,7 @@ import pytest
 
 from blowup import catalog
 from blowup.baselines import ArcLength, Rescaling
+from blowup.errors import SolverError
 from blowup.integrate import SolverConfig, solve_1d
 from blowup.linalg import JacobianAccess, safe_norm
 from blowup.problems import ScalarProblem, VectorProblem
@@ -270,7 +271,8 @@ class TestUniformND:
         assert h == pytest.approx(2.0**-10 / (10.0 * math.log(2.0)), rel=1e-15)
 
     def test_radius_must_exceed_e(self):
-        with pytest.raises(ValueError):
+        # a run whose radius is this small cannot proceed: a failed cell, not bad input
+        with pytest.raises(SolverError, match="needs r > e"):
             step_nd(UniformND(), 0.1, r=math.e)
 
     def test_large_radius(self):

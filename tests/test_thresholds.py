@@ -3,6 +3,7 @@ import math
 import pytest
 
 from blowup import catalog
+from blowup.errors import SolverError
 from blowup.problems import ScalarProblem
 from blowup.thresholds import (
     RADIUS_CAP,
@@ -97,6 +98,10 @@ class TestClosedForms:
         assert radius(prob.threshold, prob, 0.01) == RADIUS_CAP
         # representable for large enough eps
         assert radius(prob.threshold, prob, 0.1) == pytest.approx(math.exp(400.0), rel=1e-12)
+
+    def test_nan_radius_is_an_error_not_the_cap(self):
+        with pytest.raises(SolverError, match="ExplicitRadius gives radius nan at eps = 0.25"):
+            radius(ExplicitRadius(lambda e: math.nan), None, 0.25)
 
 
 class TestTailBounds:
