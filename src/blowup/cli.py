@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import baselines, catalog, expr, harness, thresholds
@@ -229,6 +230,7 @@ def _cmd_run(args) -> int:
     violations = structural_violations(entry.problem)
     if violations:
         raise InputError("; ".join(violations))
+    _check_outputs(args.trace)
     if args.expr_deriv_check:
         bad = _deriv_check(entry.problem)
         if bad:
@@ -246,17 +248,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_outputs(*paths) -> None:
+    """Raise a usage error for an output path in a directory that does not exist,
+    before any work is done."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {path!r}: No such file or directory")
+
+
+def _print_notes(table) -> None:
+    """The table's notes and one line per failed cell."""
+    for note in table.notes:
+        print(f"note={note}")
+    for r in table.rows:
+        if r.failed:
+            print(f"failed={r.method} eps={r.epsilon:g}: {r.failed}")
+
+
 def _cmd_study(args) -> int:
+    _check_outputs(args.out, args.svg, args.svg_cost)
     grid = _halving_grid(args.eps_start, args.eps_stop)
     table = harness.run_study(args.problem, args.methods, grid,
                               c=args.c, m=args.m, eps_ref=args.eps_ref)
+    # a chart with nothing to plot is a usage error, found before anything is written
+    charts = [(path, harness.svg_lines(table, axis)) for path, axis in
+              ((args.svg, harness.AXIS_ERROR), (args.svg_cost, harness.AXIS_COST)) if path]
     harness.emit_csv(table, args.out)
-    if args.svg:
-        harness.emit_svg(table, args.svg, harness.AXIS_ERROR)
-    if args.svg_cost:
-        harness.emit_svg(table, args.svg_cost, harness.AXIS_COST)
-    for note in table.notes:
-        print(f"note={note}")
+    for path, lines in charts:
+        harness.write_lines(path, lines)
+    _print_notes(table)
     for method, rates in table.fitted.items():
         if rates.error is not None:
             print(f"error_slope[{method}]={rates.error.slope:.3f}")
@@ -277,10 +297,10 @@ def _cmd_rd_study(args) -> int:
     if args.eps_start or args.eps_stop:
         grid = harness.RD_EPS_GRID
         given["eps_grid"] = _halving_grid(args.eps_start or grid[0], args.eps_stop or grid[-1])
+    _check_outputs(args.out)
     table = harness.run_rd_study(args.mode, **given)
     harness.emit_csv(table, args.out)
-    for note in table.notes:
-        print(f"note={note}")
+    _print_notes(table)
     print(f"csv={args.out}")
     return 0
 

@@ -11,12 +11,17 @@ and binds tighter than unary minus:
     FUNC   := 'exp' | 'log' | 'sin' | 'cos' | 'sqrt'
 
 There is no implicit multiplication: ``2x`` is a syntax error. ``log`` is the
-natural logarithm. ``a^b`` with non-integer ``b`` requires ``a > 0``.
+natural logarithm. ``a^b`` with non-integer ``b`` requires ``a > 0``. Each
+operator, function call and pair of parentheses nests one level, and input
+nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
+first two derivatives stay within the recursion limit.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InputError
 
@@ -90,142 +95,113 @@ class Call:
 Expr = Var | Num | Add | Sub | Mul | Div | Pow | Neg | Call
 
 
-# --- tokenizer ---------------------------------------------------------------
+# --- scanner ------------------------------------------------------------------
 
-_OPS = "+-*/^()"
+# One token per match: whitespace, a number (digits and dots starting at a digit
+# or at '.digit', with an exponent only where a digit follows e[+-]), an
+# identifier, an operator, the end of the input, or any other character.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """Return (kind, value, offset) triples; kinds: num, ident, op, end."""
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, val, off = m.lastgroup, m.group(), m.start()
+        if kind == "space":
             continue
-        if ch in _OPS:
-            out.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
+        if kind == "bad":
+            raise ExprSyntaxError(off, f"unexpected character {val!r}")
+        if kind == "num":
             try:
-                val = float(lit)
+                val = float(val)
             except ValueError:
-                raise ExprSyntaxError(i, f"bad number literal {lit!r}") from None
-            out.append(("num", val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(i, f"unexpected character {ch!r}")
-    out.append(("end", None, n))
+                raise ExprSyntaxError(off, f"bad number literal {val!r}") from None
+        out.append((kind, val, off))
     return out
 
 
 # --- recursive-descent parser -------------------------------------------------
 
+# The deepest second derivatives tried are 284 levels deep at 48 (380 at 64);
+# pretty takes two frames a level, which leaves 430 of the default 1000 to callers.
+MAX_DEPTH = 48
 
-class _Parser:
-    def __init__(self, tokens, var):
-        self.toks = tokens
-        self.pos = 0
-        self.var = var
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind == "op" and val == op:
-            self.next()
-            return
-        raise ExprSyntaxError(off, f"expected {op!r}")
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            return Pow(node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val, off = self.next()
-        if kind == "num":
-            return Num(val)
-        if kind == "ident":
-            if val == self.var:
-                return Var()
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return Call(val, inner)
-            raise ExprSyntaxError(off, f"unknown identifier {val!r} (variable is {self.var!r})")
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExprSyntaxError(off, "expected a number, variable, function call or '('")
+# the left-associative operators, one table per precedence, loosest first
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
 def parse(text: str, var: str = "x") -> Expr:
     """Parse ``text`` into an AST whose single variable is named ``var``."""
-    p = _Parser(_tokenize(text), var)
-    node = p.expr()
-    kind, _, off = p.peek()
+    tokens = _tokenize(text)
+    pos = 0
+
+    def take(ops) -> str | None:
+        """Consume the next token and return it if it is an operator in ops."""
+        nonlocal pos
+        kind, val, _ = tokens[pos]
+        if kind == "op" and val in ops:
+            pos += 1
+            return val
+        return None
+
+    def expect(op: str) -> None:
+        if not take(op):
+            raise ExprSyntaxError(tokens[pos][2], f"expected {op!r}")
+
+    def checked(depth: int, off: int) -> int:
+        """depth, or a syntax error at off when it exceeds MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(off, f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth
+
+    # Each rule returns (node, depth) for a construct inside `outer` levels;
+    # checking outer + 1 before descending bounds the parser's own recursion.
+    def binary(i: int, outer: int):
+        if i == len(_BINARY):
+            return unary(outer)
+        node, depth = binary(i + 1, outer)
+        while op := take(_BINARY[i]):
+            off = tokens[pos - 1][2]
+            rhs, rhs_depth = binary(i + 1, outer)
+            node, depth = _BINARY[i][op](node, rhs), checked(max(depth, rhs_depth) + 1, off)
+        return node, depth
+
+    def unary(outer: int):
+        off = tokens[pos][2]
+        if take("-"):
+            node, depth = unary(checked(outer + 1, off))
+            return Neg(node), checked(depth + 1, off)
+        node, depth = atom(outer)
+        off = tokens[pos][2]
+        if take("^"):
+            rhs, rhs_depth = unary(checked(outer + 1, off))
+            return Pow(node, rhs), checked(max(depth, rhs_depth) + 1, off)
+        return node, depth
+
+    def atom(outer: int):
+        nonlocal pos
+        kind, val, off = tokens[pos]
+        pos += 1
+        if kind == "num":
+            return Num(val), 1
+        if kind == "ident":
+            if val == var:
+                return Var(), 1
+            if val not in FUNCTIONS:
+                raise ExprSyntaxError(off, f"unknown identifier {val!r} (variable is {var!r})")
+            expect("(")
+        elif (kind, val) != ("op", "("):
+            raise ExprSyntaxError(off, "expected a number, variable, function call or '('")
+        node, depth = binary(0, checked(outer + 1, off))
+        expect(")")
+        return (Call(val, node) if kind == "ident" else node), checked(depth + 1, off)
+
+    node, _ = binary(0, 0)
+    kind, _, off = tokens[pos]
     if kind != "end":
         raise ExprSyntaxError(off, "expected operator or end of input")
     return node
@@ -247,8 +223,6 @@ def _eval_pow(base: float, exponent: float, node) -> float:
             return base ** int(exponent)
         except OverflowError:
             return math.inf
-        except ZeroDivisionError:
-            raise DomainError(f"0 raised to negative power in '{pretty(node)}'") from None
     raise DomainError(
         f"negative base {base!r} with non-integer exponent in '{pretty(node)}'"
     )
@@ -299,70 +273,33 @@ def evaluate(e: Expr, x: float) -> float:
 
 # --- smart constructors (constant folding only) --------------------------------
 
-
-def _is_num(e, value=None):
-    return isinstance(e, Num) and (value is None or e.value == value)
+_ZERO, _ONE = Num(0.0), Num(1.0)
 
 
-def _add(a, b):
-    if _is_num(a) and _is_num(b):
-        return Num(a.value + b.value)
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    return Add(a, b)
-
-
-def _sub(a, b):
-    if _is_num(a) and _is_num(b):
-        return Num(a.value - b.value)
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
-        return _neg(b)
-    return Sub(a, b)
-
-
-def _mul(a, b):
-    if _is_num(a) and _is_num(b):
-        return Num(a.value * b.value)
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return Num(0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return Mul(a, b)
-
-
-def _div(a, b):
-    if _is_num(a) and _is_num(b) and b.value != 0.0:
-        return Num(a.value / b.value)
-    if _is_num(a, 0.0):
-        return Num(0.0)
-    if _is_num(b, 1.0):
-        return a
-    return Div(a, b)
-
-
-def _neg(a):
-    if _is_num(a):
-        return Num(-a.value)
-    return Neg(a)
-
-
-def _pow(a, b):
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return Num(1.0)
-    if _is_num(a) and _is_num(b):
+def _fold(cls, *operands):
+    """cls(*operands), evaluated to a literal when every operand is one, else
+    reduced by the first identity that applies; a literal node outside the
+    domain (0^0, u/0) is not evaluated, but its identities still apply."""
+    node = cls(*operands)
+    if all(isinstance(e, Num) for e in operands):
         try:
-            return Num(_eval_pow(a.value, b.value, Pow(a, b)))
+            return Num(evaluate(node, 0.0))
         except DomainError:
             pass
-    return Pow(a, b)
+    match node:
+        case (Add(Num(0.0), u) | Add(u, Num(0.0)) | Sub(u, Num(0.0)) | Mul(Num(1.0), u)
+              | Mul(u, Num(1.0)) | Div(u, Num(1.0)) | Pow(u, Num(1.0))):
+            return u
+        case Sub(Num(0.0), u):
+            return _neg(u)
+        case Mul(Num(0.0), _) | Mul(_, Num(0.0)) | Div(Num(0.0), _):
+            return _ZERO
+        case Pow(_, Num(0.0)):
+            return _ONE
+    return node
+
+
+_add, _sub, _mul, _div, _pow, _neg = (partial(_fold, cls) for cls in (Add, Sub, Mul, Div, Pow, Neg))
 
 
 # --- differentiation ------------------------------------------------------------
@@ -414,16 +351,12 @@ def differentiate(e: Expr) -> Expr:
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5, Call: 5}
 
 
-def _prec(e) -> int:
-    return _PREC[type(e)]
-
-
 def pretty(e: Expr, var: str = "x") -> str:
     """Render the AST; parse(pretty(e)) evaluates identically to e."""
 
     def wrap(child, limit: int) -> str:
         s = pretty(child, var)
-        return f"({s})" if _prec(child) < limit else s
+        return f"({s})" if _PREC[type(child)] < limit else s
 
     if isinstance(e, Num):
         if e.value < 0 or (e.value == 0 and math.copysign(1.0, e.value) < 0):

@@ -6,6 +6,8 @@ baseline); wall time is recorded but never asserted on.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -18,7 +20,9 @@ from .integrate import SolverConfig, solve_1d, solve_log_nd, solve_nd
 from .problems import RunResult, ScalarProblem
 from .stepping import LogNDImplicitN
 
-CSV_HEADER = "problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,wall_ns"
+CSV_HEADER = (
+    "problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,wall_ns,failed"
+)
 CSV_HEADER_RD = CSV_HEADER + ",m,succ_diff_log2"
 
 AXIS_ERROR = "error"
@@ -306,10 +310,10 @@ def write_lines(path: str, lines: Sequence[str]) -> None:
 
 
 def emit_csv(table: StudyTable, path: str) -> None:
-    """Write the table; floats carry 17 significant digits (lossless round-trip)."""
+    """Write the table; floats carry 17 significant digits (lossless round-trip),
+    and a failed cell's reason is quoted as the csv module quotes."""
     rd_style = any(r.m is not None for r in table.rows)
-    header = CSV_HEADER_RD if rd_style else CSV_HEADER
-    lines = [header]
+    rows = [(CSV_HEADER_RD if rd_style else CSV_HEADER).split(",")]
     for r in table.rows:
         cells = [
             r.problem,
@@ -321,18 +325,27 @@ def emit_csv(table: StudyTable, path: str) -> None:
             r.reference_kind,
             _fmt(r.reference_value),
             str(r.wall_ns),
+            r.failed,
         ]
         if rd_style:
             cells += [_fmt(r.m), _fmt(r.succ_diff_log2)]
-        lines.append(",".join(cells))
-    write_lines(path, lines)
+        rows.append(cells)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_lines(path, [text.getvalue().removesuffix("\n")])  # write_lines adds it back
 
 
 _SVG_COLORS = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#555555")
 
 
 def emit_svg(table: StudyTable, path: str, axis: str = AXIS_ERROR) -> None:
-    """Self-contained log2-log2 scatter+line chart, one series per method."""
+    """Write svg_lines(table, axis) to path."""
+    write_lines(path, svg_lines(table, axis))
+
+
+def svg_lines(table: StudyTable, axis: str = AXIS_ERROR) -> list[str]:
+    """Self-contained log2-log2 scatter+line chart, one series per method; a
+    table with nothing to plot raises InputError."""
     if axis not in (AXIS_ERROR, AXIS_COST):
         raise InputError(f"axis must be {AXIS_ERROR!r} or {AXIS_COST!r}")
     series: dict[str, list[tuple[float, float]]] = {}
@@ -421,4 +434,4 @@ def emit_svg(table: StudyTable, path: str, axis: str = AXIS_ERROR) -> None:
         )
         out.append(f'<text x="{width - mr + 36}" y="{ly}">{label}</text>')
     out.append("</svg>")
-    write_lines(path, out)
+    return out

@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from blowup import catalog, cli
+from blowup import catalog, cli, harness
 from blowup.cli import main, parse_eps
 
 
@@ -305,6 +305,14 @@ class TestExitCodes:
             ("study", "--problem", "sq", "--methods", "adaptive", "--eps-start", "2^-4",
              "--eps-stop", "2^-6", "--out", "missing/o.csv"),
             ("run", "--problem", "sq", "--eps", "2^-4", "--trace", "missing/t.csv"),
+            # input nested deeper than the parser's bound, in b, in a threshold, and
+            # as a flat sum of products whose derivative would recurse 1500 deep
+            ("run", "--expr", "(" * 300 + "x" + ")" * 300 + "^2", "--x0", "0.5",
+             "--threshold", "finverse:eps^-2", "--eps", "2^-4"),
+            ("run", "--expr", "x^2", "--x0", "0.5",
+             "--threshold", "finverse:" + "(" * 300 + "eps" + ")" * 300 + "^-2", "--eps", "2^-4"),
+            ("check", "--expr", "+".join(["x*x"] * 1500), "--x0", "0.5",
+             "--threshold", "bprimelog"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, tmp_path, monkeypatch, argv):
@@ -350,6 +358,51 @@ class TestExitCodes:
         assert expected in out + err
         assert ("radius capped" in out) == ("radius capped" in expected)
         assert "Traceback" not in err and err.count("\n") <= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("study", "--problem", "sq", "--methods", "adaptive", "--eps-start", "2^-4",
+         "--eps-stop", "2^-6", "--out", "missing/o.csv"),
+        ("study", "--problem", "sq", "--methods", "adaptive", "--eps-start", "2^-4",
+         "--eps-stop", "2^-6", "--out", "o.csv", "--svg", "missing/e.svg"),
+        ("study", "--problem", "sq", "--methods", "adaptive", "--eps-start", "2^-4",
+         "--eps-stop", "2^-6", "--out", "o.csv", "--svg-cost", "missing/c.svg"),
+        ("rd-study", "--mode", "vary-eps", "--out", "missing/o.csv"),
+    ],
+    ids=["study-out", "study-svg", "study-svg-cost", "rd-study-out"],
+)
+def test_missing_output_directory_exits_before_any_cell(capsys, tmp_path, monkeypatch, argv):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "run_method", no_cell)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_cells_are_printed_and_written(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("study", "--problem", "uncoupled", "--methods", "log-uniform,adaptive",
+            "--eps-start", "0.15", "--eps-stop", "0.0375", "--out", "o.csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    reason = "SolverError: uniform n-d law needs r > e, got 2.581988897471611 at eps = 0.15"
+    assert [line for line in out.splitlines() if line.startswith("failed=")] == [
+        f"failed=log-uniform eps=0.15: {reason}"
+    ]
+    assert f',"{reason}"\n' in (tmp_path / "o.csv").read_text()
+    # the one cell fails, so the chart has nothing to plot and the study writes nothing
+    code, _, err = run_cli(
+        capsys, "study", "--problem", "uncoupled", "--methods", "log-uniform",
+        "--eps-start", "0.15", "--eps-stop", "0.15", "--out", "p.csv", "--svg", "e.svg",
+    )
+    assert code == 1 and "nothing to plot" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]
 
 
 def test_study_writes_outputs(capsys, tmp_path):

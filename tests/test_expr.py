@@ -61,6 +61,104 @@ class TestParse:
     def test_scientific_literals(self):
         assert evaluate(parse("1e-3 + x"), 0.0) == 1e-3
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2^3^2", "2^3^2"),
+            ("2^-3^2", "2^(-3^2)"),
+            ("-x^-x", "-x^(-x)"),
+            ("-(-x)", "--x"),
+            ("1-(2-3)", "1 - (2 - 3)"),
+            ("x/(4/2)", "x/(4/2)"),
+            ("(x^x)^x", "(x^x)^x"),
+            ("3.25 - -x", "3.25 - -x"),
+            (".5*x", "0.5*x"),
+            ("1.e3", "1000"),
+            ("1E+2*x", "100*x"),
+            ("x\t*\nx", "x*x"),
+            ("exp (x)", "exp(x)"),
+            # a number takes an exponent only where a digit follows e[+-]
+            ("2e", (1, "expected operator or end of input")),
+            ("1e+", (1, "expected operator or end of input")),
+            ("1.5e-3x", (6, "expected operator or end of input")),
+            ("1e5.3", (3, "expected operator or end of input")),
+            ("0x1", (1, "expected operator or end of input")),
+            ("1..2", (0, "bad number literal '1..2'")),
+            (".", (0, "unexpected character '.'")),
+            ("x $ 1", (2, "unexpected character '$'")),
+            ("é", (0, "unknown identifier 'é' (variable is 'x')")),
+            ("_a", (0, "unknown identifier '_a' (variable is 'x')")),
+            ("exp", (3, "expected '('")),
+            ("exp(x", (5, "expected ')'")),
+            ("sin()", (4, "expected a number, variable, function call or '('")),
+            ("   ", (3, "expected a number, variable, function call or '('")),
+            ("x)", (1, "expected operator or end of input")),
+        ],
+    )
+    def test_tree_or_error(self, text, expected):
+        if isinstance(expected, str):
+            assert pretty(parse(text)) == expected
+        else:
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse(text)
+            assert (exc.value.offset, exc.value.message) == expected
+
+
+@pytest.mark.parametrize(
+    "build, operands, expected",
+    [
+        (expr._add, (Num(-0.0), Num(0.0)), "0"),
+        (expr._add, (Num(-0.0), Var()), "x"),
+        (expr._sub, (Num(-0.0), Num(0.0)), "-0"),
+        (expr._sub, (Num(0.0), Var()), "-x"),
+        (expr._sub, (Var(), Num(-0.0)), "x"),
+        (expr._mul, (Num(1.0), Num(-0.0)), "-0"),
+        (expr._mul, (Num(-0.0), Var()), "0"),
+        (expr._mul, (Num(0.0), Num(math.inf)), "nan"),
+        (expr._div, (Num(-0.0), Num(2.0)), "-0"),
+        (expr._div, (Num(0.0), Num(0.0)), "0"),
+        (expr._div, (Num(1.0), Num(0.0)), "1/0"),
+        (expr._div, (Var(), Num(0.0)), "x/0"),
+        (expr._neg, (Num(0.0),), "-0"),
+        (expr._pow, (Num(0.0), Num(0.0)), "1"),
+        (expr._pow, (Num(0.0), Num(-0.0)), "1"),
+        (expr._pow, (Num(0.0), Num(-1.0)), "0^-1"),
+        (expr._pow, (Num(-0.0), Num(1.0)), "-0"),
+        (expr._pow, (Num(10.0), Num(400.0)), "inf"),
+    ],
+)
+def test_constant_folding(build, operands, expected):
+    """Literal operands fold to their value, a literal outside the domain (0^0,
+    u/0) does not, and the identities 0+u, u-0, 0-u, 0*u, 0/u, u^0 and u^1 apply."""
+    assert pretty(build(*operands)) == expected
+
+
+class TestNestingBound:
+    D = expr.MAX_DEPTH
+    # the input for k repetitions, and the largest k whose input is D levels deep or less
+    SHAPES = {
+        "parentheses": (lambda k: "(" * k + "x" + ")" * k, D - 1),
+        "minus": (lambda k: "-" * k + "x", D - 1),
+        "sqrt": (lambda k: "sqrt(" * k + "x" + ")" * k, D - 1),
+        "sum": (lambda k: "x" + "+x" * k, D - 1),
+        "quotients": (lambda k: "x" + "/x" * k, D - 1),
+        "right powers": (lambda k: "x^" * k + "x", D - 1),
+        "left powers": (lambda k: "(" * k + "x" + "^x)" * k, (D - 1) // 2),
+        "powers over x": (lambda k: "x" + "^x/x" * k, D - 2),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_input_has_two_printable_derivatives(self, shape):
+        make, deepest = self.SHAPES[shape]
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {self.D} levels"):
+            parse(make(deepest + 1))
+        second = differentiate(differentiate(parse(make(deepest))))
+        assert math.isfinite(evaluate(second, 1.1))
+        assert pretty(second)
+
+    def test_forty_term_sum_still_parses(self):
+        assert evaluate(differentiate(parse("+".join(["x*x"] * 40))), 1.0) == 80.0
+
 
 class TestEvaluate:
     def test_square(self):

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -9,6 +10,8 @@ from blowup.harness import (
     AXIS_ERROR,
     InsufficientPoints,
     NoReference,
+    StudyRow,
+    StudyTable,
     UnknownMethod,
     emit_csv,
     emit_svg,
@@ -189,6 +192,20 @@ class TestEmission:
             assert float(cells["tau_hat"]) == row.tau_hat
             assert float(cells["error"]) == row.error
             assert int(cells["steps"]) == row.steps
+
+    def test_failed_column_holds_the_reason(self, tmp_path):
+        reason = 'SolverError: needs r > e, got 2.5 at eps = "0.15"'
+        good = StudyRow("sq", "adaptive", 0.25, 1.5, 7, 0.5, "exact", 2.0, 11)
+        bad = StudyRow("sq", "uniform", 0.25, math.nan, 0, math.nan, "exact", 2.0, 0,
+                       failed=reason)
+        path = tmp_path / "t.csv"
+        emit_csv(StudyTable(rows=(good, bad)), str(path))
+        lines = path.read_text().split("\n")
+        assert lines[0].endswith(",wall_ns,failed")
+        assert lines[1].endswith(",11,")
+        assert lines[2].endswith(',0,"SolverError: needs r > e, got 2.5 at eps = ""0.15"""')
+        with open(path, newline="") as fh:
+            assert [row["failed"] for row in csv.DictReader(fh)] == ["", reason]
 
     def test_rd_csv_has_extra_columns(self, tmp_path):
         table = run_rd_study("vary-m", eps=2.0**-8, m_grid=[4, 8], methods=("adaptive",))
