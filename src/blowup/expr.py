@@ -221,8 +221,8 @@ def _eval_pow(base: float, exponent: float, node) -> float:
             raise DomainError(f"0 raised to nonpositive power in '{pretty(node)}'")
         try:
             return base ** int(exponent)
-        except OverflowError:
-            return math.inf
+        except OverflowError:  # the sign of a negative base survives an odd power
+            return -math.inf if base < 0.0 and int(exponent) % 2 else math.inf
     raise DomainError(
         f"negative base {base!r} with non-integer exponent in '{pretty(node)}'"
     )
@@ -375,8 +375,12 @@ def pretty(e: Expr, var: str = "x") -> str:
     if isinstance(e, Div):
         return f"{wrap(e.a, 2)}/{wrap(e.b, 3)}"
     if isinstance(e, Pow):
-        # right-associative; left operand must be atomic-or-parenthesised
-        return f"{wrap(e.a, 5)}^{wrap(e.b, 4)}"
+        # right-associative; left operand must be atomic-or-parenthesised, and a
+        # negative literal too, since -2^2 parses as -(2^2)
+        base = wrap(e.a, 5)
+        if base.startswith("-"):
+            base = f"({base})"
+        return f"{base}^{wrap(e.b, 4)}"
     if isinstance(e, Call):
         return f"{e.fn}({pretty(e.a, var)})"
     raise TypeError(f"not an expression node: {e!r}")

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,19 +162,76 @@ def reference_value(
     return "pseudo", _REFERENCE_CACHE[key], notes
 
 
-def _run_cell(entry, method, eps) -> tuple[Optional[RunResult], str]:
-    """(result, "") from run_method, or (None, the failure) on a SolverError."""
+def _cell_jobs(jobs: int | None, n_cells: int) -> int:
+    """Worker processes for n_cells cells: jobs (None for every CPU this process
+    may run on), capped at those CPUs and at n_cells."""
+    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
+        raise InputError(f"jobs must be a positive integer or None, got {jobs!r}")
     try:
-        return run_method(entry, method, eps), ""
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(jobs or cpus, cpus, n_cells)
+
+
+class _CellResult(NamedTuple):
+    """What a table row needs of one run; the final state and trace stay behind."""
+
+    tau_hat: float
+    steps: int
+    wall_time: float
+    failed: str  # the SolverError of a cell that did not run, else ""
+
+
+def _run_cell(entries, cell) -> _CellResult:
+    """Run one (method, eps, m) cell of entries[m]; a SolverError gives a
+    failed result with a NaN tau_hat and zero counts."""
+    method, eps, m = cell
+    try:
+        res = run_method(entries[m], method, eps)
     except SolverError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return _CellResult(math.nan, 0, 0.0, f"{type(exc).__name__}: {exc}")
+    return _CellResult(res.tau_hat, res.steps, res.wall_time, "")
 
 
-def _study_row(problem, method, eps, res, ref_kind, ref_value, **extra) -> StudyRow:
-    """One table row; a failed cell (res None) carries NaNs and zero counts."""
-    if res is None:
-        return StudyRow(problem, method, eps, math.nan, 0, math.nan, ref_kind, ref_value, 0,
-                        **extra)
+_WORKER_ENTRIES: dict = {}  # set once in each worker process by _init_worker
+
+
+def _init_worker(entries) -> None:
+    global _WORKER_ENTRIES
+    _WORKER_ENTRIES = entries
+
+
+def _worker_cell(cell) -> _CellResult:
+    return _run_cell(_WORKER_ENTRIES, cell)
+
+
+def _run_cells(entries: dict, cells: list, jobs: int | None) -> list[_CellResult]:
+    """_run_cell over the cells, in their order. With more than one job and the
+    fork start method, the cells run in forked worker processes, longest first
+    (smallest eps, then largest m); the workers inherit the entries, so only
+    each cell goes in and only its row figures come back."""
+    jobs = _cell_jobs(jobs, len(cells))
+    if jobs > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            order = sorted(range(len(cells)), key=lambda i: (cells[i][1], -(cells[i][2] or 0)))
+            pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_init_worker, initargs=(entries,))
+            try:
+                futures = {i: pool.submit(_worker_cell, cells[i]) for i in order}
+                return [futures[i].result() for i in range(len(cells))]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_run_cell(entries, cell) for cell in cells]
+
+
+def _study_row(problem, method, eps, res: _CellResult, ref_kind, ref_value,
+               **extra) -> StudyRow:
+    """One table row; a failed cell carries NaNs and zero counts."""
     return StudyRow(
         problem=problem,
         method=method,
@@ -184,6 +242,7 @@ def _study_row(problem, method, eps, res, ref_kind, ref_value, **extra) -> Study
         reference_kind=ref_kind,
         reference_value=ref_value,
         wall_ns=int(res.wall_time * 1e9),
+        failed=res.failed,
         **extra,
     )
 
@@ -206,8 +265,10 @@ def run_study(
 ) -> StudyTable:
     """Run all (method, eps) cells, compute errors against the entry's
     reference, and fit log-log error/cost slopes per method. A cell that
-    raises a SolverError becomes a failed row. ``seed`` and ``jobs`` are
-    accepted and ignored: every cell is deterministic and runs in turn."""
+    raises a SolverError becomes a failed row. The cells run in up to ``jobs``
+    forked worker processes (None: one per CPU available; 1: in this
+    process), with the same rows either way but for ``wall_ns``. ``seed`` is
+    accepted and ignored: every cell is deterministic."""
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise InputError("eps grid must be strictly decreasing")
@@ -217,12 +278,10 @@ def run_study(
 
     ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
 
-    rows = []
-    for method in methods:
-        for eps in eps_grid:
-            res, failure = _run_cell(entry, method, eps)
-            rows.append(_study_row(entry.id, method, eps, res, ref_kind, ref_value,
-                                   failed=failure))
+    cells = [(method, eps, m) for method in methods for eps in eps_grid]
+    results = _run_cells({m: entry}, cells, jobs)
+    rows = [_study_row(entry.id, method, eps, res, ref_kind, ref_value)
+            for (method, eps, _), res in zip(cells, results)]
 
     fitted = {}
     for method in methods:
@@ -250,38 +309,41 @@ def run_rd_study(
     m_grid: Sequence[int] = (4, 8, 16, 32, 64, 128, 256, 512),
     methods: Sequence[str] = ("adaptive", "uniform"),
     seed: int = 1,
+    jobs: int | None = None,
 ) -> StudyTable:
     """Reaction-diffusion tables: tau-hat plus the successive-difference column
     log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m).
 
     A cell that raises a SolverError becomes a failed row; the differences
     next to it are left empty, and the vary-eps reference is the finest run
-    that did not fail. ``seed`` is accepted and ignored."""
+    that did not fail. ``jobs`` bounds the worker processes the cells of all
+    methods run in, as in run_study. ``seed`` is accepted and ignored."""
     if mode == VARY_EPS:
-        cells = [(m, e) for e in eps_grid]
+        grid = [(m, e) for e in eps_grid]
         notes = [f"rd vary-eps: m = {m}; reference is each method's finest run"]
     elif mode == VARY_M:
-        cells = [(mm, eps) for mm in m_grid]
+        grid = [(mm, eps) for mm in m_grid]
         notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
         raise InputError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
+    entries = {mm: catalog.get("rd", m=mm) for mm, _ in grid}
+    results = iter(_run_cells(entries, [(method, e, mm) for method in methods
+                                        for mm, e in grid], jobs))
     rows = []
     for method in methods:
-        runs = [(mm, e, *_run_cell(catalog.get("rd", m=mm), method, e)) for mm, e in cells]
+        runs = [(mm, e, next(results)) for mm, e in grid]
         if mode == VARY_EPS:
-            done = [res.tau_hat for _, _, res, _ in runs if res is not None]
+            done = [res.tau_hat for _, _, res in runs if not res.failed]
             ref_kind, ref_value = "pseudo", (done[-1] if done else math.nan)
         else:
             ref_kind, ref_value = "none", math.nan
         prev_tau = None
-        for mm, e, res, failure in runs:
-            tau = None if res is None else res.tau_hat
+        for mm, e, res in runs:
+            tau = None if res.failed else res.tau_hat
             diff = None if tau is None or prev_tau is None else _log2_gap(tau, prev_tau)
             prev_tau = tau
-            rows.append(
-                _study_row(f"rd({mm})", method, e, res, ref_kind, ref_value,
-                           m=mm, succ_diff_log2=diff, failed=failure)
-            )
+            rows.append(_study_row(f"rd({mm})", method, e, res, ref_kind, ref_value,
+                                   m=mm, succ_diff_log2=diff))
     notes.append(
         "rd threshold rule is a reconstruction (polynomial growth, c_check = 1, "
         "alpha = 1, so r = 1/eps); the published table does not state its rule"

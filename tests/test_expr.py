@@ -125,6 +125,8 @@ class TestParse:
         (expr._pow, (Num(0.0), Num(-1.0)), "0^-1"),
         (expr._pow, (Num(-0.0), Num(1.0)), "-0"),
         (expr._pow, (Num(10.0), Num(400.0)), "inf"),
+        (expr._pow, (Num(-10.0), Num(401.0)), "-inf"),
+        (expr._pow, (Num(-10.0), Num(400.0)), "inf"),
     ],
 )
 def test_constant_folding(build, operands, expected):
@@ -191,6 +193,14 @@ class TestEvaluate:
     def test_exp_overflow_is_inf(self):
         assert evaluate(parse("exp(x)"), 1e6) == math.inf
 
+    def test_power_overflow_keeps_the_sign(self):
+        # a negative base to an odd power overflows to -inf, to an even one to +inf
+        assert evaluate(parse("x^3"), -1e200) == -math.inf
+        assert evaluate(parse("(0-10)^401"), 0.0) == -math.inf
+        assert evaluate(parse("x^(0-3)"), -1e-200) == -math.inf
+        assert evaluate(parse("x^4"), -1e200) == math.inf
+        assert evaluate(parse("x^3"), 1e200) == math.inf
+
 
 class TestDifferentiate:
     def test_power_rule(self):
@@ -251,6 +261,31 @@ def test_pretty_parse_round_trip(expr_corpus):
                 assert math.isnan(got)
             else:
                 assert got == expected
+
+
+@pytest.mark.parametrize("base", [-2.0, -0.0, -0.5, -1e100])
+@pytest.mark.parametrize("exponent", [2.0, 3.0, 0.5, Pow(Num(-2.0), Num(2.0))])
+def test_negative_literal_base_round_trip(base, exponent):
+    """A negative literal base prints in parentheses: -2^2 would parse as -(2^2).
+    Folding leaves such a base behind where the power is outside the domain."""
+    exp_node = exponent if isinstance(exponent, Pow) else Num(exponent)
+    for e in (Pow(Num(base), exp_node), expr._pow(Num(base), exp_node),
+              Pow(Var(), Pow(Num(base), exp_node))):
+        for x in (0.0, 1.5):
+            try:
+                expected = evaluate(e, x)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    evaluate(parse(pretty(e)), x)
+                continue
+            assert repr(evaluate(parse(pretty(e)), x)) == repr(expected)
+
+
+def test_negative_base_prints_in_parentheses():
+    assert pretty(Pow(Num(-2.0), Num(2.0))) == "(-2)^2"
+    assert pretty(expr._pow(Num(-2.0), Num(0.5))) == "(-2)^0.5"
+    assert pretty(Pow(Num(-0.0), Num(2.0))) == "(-0)^2"
+    assert pretty(Pow(Num(2.0), Num(-2.0))) == "2^-2"
 
 
 def test_round_trip_on_corpus_strings():

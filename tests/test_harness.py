@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import math
+import multiprocessing
+import os
 import re
 
 import pytest
 
 from blowup import catalog
+from blowup.errors import InputError
 from blowup.harness import (
     AXIS_COST,
     AXIS_ERROR,
@@ -77,6 +81,13 @@ class TestRunStudy:
             assert later <= 3.0 * earlier
 
     def test_failed_cell_recorded_not_fatal(self):
+        self._check_failed_cells(jobs=None)
+
+    def test_failed_cell_recorded_not_fatal_in_process(self):
+        self._check_failed_cells(jobs=1)
+
+    @staticmethod
+    def _check_failed_cells(jobs):
         flat = catalog.CatalogEntry(
             id="flatline",
             problem=ScalarProblem(
@@ -92,13 +103,13 @@ class TestRunStudy:
         orig = catalog.get
         try:
             catalog.get = lambda pid, c=None, m=None: flat if pid == "flatline" else orig(pid, c=c, m=m)
-            table = run_study("flatline", ["adaptive"], [0.5, 0.25, 0.125])
+            table = run_study("flatline", ["adaptive"], [0.5, 0.25, 0.125], jobs=jobs)
         finally:
             catalog.get = orig
         assert all(r.failed for r in table.rows)
         assert all("BracketFailure" in r.failed for r in table.rows)
         # UniformND needs r > e, and uncoupled's radius at eps = 0.2 is sqrt(5)
-        (row,) = run_study("uncoupled", ["log-uniform"], [0.2]).rows
+        (row,) = run_study("uncoupled", ["log-uniform"], [0.2], jobs=jobs).rows
         assert row.failed.startswith("SolverError: uniform n-d law needs r > e")
         assert math.isnan(row.tau_hat) and row.steps == 0
 
@@ -158,6 +169,13 @@ class TestRdStudy:
         assert table.rows[1].succ_diff_log2 == -math.inf
 
     def test_failed_cell_recorded_not_fatal(self, monkeypatch):
+        self._check_failed_cells(monkeypatch, jobs=None)
+
+    def test_failed_cell_recorded_not_fatal_in_process(self, monkeypatch):
+        self._check_failed_cells(monkeypatch, jobs=1)
+
+    @staticmethod
+    def _check_failed_cells(monkeypatch, jobs):
         real = harness_mod.run_method
 
         def flaky(entry, method, eps, **kw):
@@ -167,13 +185,86 @@ class TestRdStudy:
 
         monkeypatch.setattr(harness_mod, "run_method", flaky)
         grid = [2.0**-8, 2.0**-9, 2.0**-10]
-        table = run_rd_study("vary-eps", m=4, eps_grid=grid, methods=("adaptive",))
+        table = run_rd_study("vary-eps", m=4, eps_grid=grid, methods=("adaptive",), jobs=jobs)
         ok1, bad, ok2 = table.rows
         assert bad.failed == "StepBudgetExceeded: injected"
         assert math.isnan(bad.tau_hat) and bad.steps == 0
         assert not ok1.failed and not ok2.failed
         assert ok2.reference_value == ok2.tau_hat and ok2.error == 0.0
         assert bad.succ_diff_log2 is None and ok2.succ_diff_log2 is None
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs available, so that a study of several cells starts two workers
+    on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _rows_but_wall_time(table):
+    # repr, so that NaN fields of failed rows and vary-m references compare equal
+    return [repr(dataclasses.replace(r, wall_ns=0)) for r in table.rows]
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestCellWorkers:
+    @pytest.mark.parametrize("study, args, kwargs", [
+        (run_study, ("sq", ["adaptive", "taylor2", "uniform"],
+                     [2.0**-k for k in range(6, 11)]), {}),
+        # log-uniform fails at 2^-1 and 2^-2: the radius lies below e
+        (run_study, ("uncoupled", ["adaptive", "uniform", "log-uniform"],
+                     [2.0**-k for k in range(1, 6)]), {}),
+        (run_rd_study, ("vary-eps",), dict(m=8, eps_grid=[2.0**-k for k in range(8, 12)])),
+        (run_rd_study, ("vary-m",), dict(eps=2.0**-9, m_grid=[4, 8, 16],
+                                         methods=("adaptive",))),
+    ], ids=["sq", "uncoupled", "rd-vary-eps", "rd-vary-m"])
+    def test_rows_match_the_in_process_run(self, study, args, kwargs):
+        pooled, serial = study(*args, **kwargs), study(*args, **kwargs, jobs=1)
+        assert _rows_but_wall_time(pooled) == _rows_but_wall_time(serial)
+        assert pooled.fitted == serial.fitted and pooled.notes == serial.notes
+        assert any(r.failed for r in serial.rows) == (args[0] == "uncoupled")
+        assert multiprocessing.active_children() == []
+
+    def test_other_errors_reach_the_caller(self, monkeypatch):
+        real = harness_mod.run_method
+
+        def broken(entry, method, eps, **kw):
+            if eps == 2.0**-7:
+                raise ZeroDivisionError("injected")
+            return real(entry, method, eps, **kw)
+
+        monkeypatch.setattr(harness_mod, "run_method", broken)
+        with pytest.raises(ZeroDivisionError, match="injected") as exc:
+            run_study("sq", ["adaptive", "uniform"], [2.0**-k for k in range(5, 9)])
+        # raised in a worker: the pool attaches the worker's traceback as the cause
+        assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
+
+
+class TestCellJobs:
+    """The worker count, computed without starting any process."""
+
+    def test_capped_at_cpus_and_cells(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert harness_mod._cell_jobs(None, 10) == 4
+        assert harness_mod._cell_jobs(2, 10) == 2
+        assert harness_mod._cell_jobs(64, 10) == 4
+        assert harness_mod._cell_jobs(None, 3) == 3
+        assert harness_mod._cell_jobs(4, 1) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness_mod._cell_jobs(None, 10) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness_mod._cell_jobs(None, 10) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True, "2"])
+    def test_rejects_a_non_positive_or_non_int_count(self, jobs):
+        with pytest.raises(InputError, match="jobs must be a positive integer"):
+            harness_mod._cell_jobs(jobs, 10)
+        with pytest.raises(InputError):
+            run_study("sq", ["adaptive"], [0.25, 0.125], jobs=jobs)
 
 
 class TestEmission:
