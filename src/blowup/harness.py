@@ -162,16 +162,14 @@ def reference_value(
     return "pseudo", _REFERENCE_CACHE[key], notes
 
 
-def _cell_jobs(jobs: int | None, n_cells: int) -> int:
-    """Worker processes for n_cells cells: jobs (None for every CPU this process
-    may run on), capped at those CPUs and at n_cells."""
-    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
-        raise InputError(f"jobs must be a positive integer or None, got {jobs!r}")
+def _cell_workers(n_cells: int) -> int:
+    """Worker processes for n_cells cells: the CPUs this process may run on,
+    capped at n_cells."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    return min(jobs or cpus, cpus, n_cells)
+    return min(cpus, n_cells)
 
 
 class _CellResult(NamedTuple):
@@ -206,20 +204,20 @@ def _worker_cell(cell) -> _CellResult:
     return _run_cell(_WORKER_ENTRIES, cell)
 
 
-def _run_cells(entries: dict, cells: list, jobs: int | None) -> list[_CellResult]:
-    """_run_cell over the cells, in their order. With more than one job and the
-    fork start method, the cells run in forked worker processes, longest first
-    (smallest eps, then largest m); the workers inherit the entries, so only
-    each cell goes in and only its row figures come back."""
-    jobs = _cell_jobs(jobs, len(cells))
-    if jobs > 1:
+def _run_cells(entries: dict, cells: list) -> list[_CellResult]:
+    """_run_cell over the cells, in their order. With more than one CPU and
+    cell and the fork start method, the cells run in forked worker processes,
+    longest first (smallest eps, then largest m); the workers inherit the
+    entries, so only each cell goes in and only its row figures come back."""
+    workers = _cell_workers(len(cells))
+    if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
             order = sorted(range(len(cells)), key=lambda i: (cells[i][1], -(cells[i][2] or 0)))
-            pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_init_worker, initargs=(entries,))
             try:
                 futures = {i: pool.submit(_worker_cell, cells[i]) for i in order}
@@ -265,10 +263,11 @@ def run_study(
 ) -> StudyTable:
     """Run all (method, eps) cells, compute errors against the entry's
     reference, and fit log-log error/cost slopes per method. A cell that
-    raises a SolverError becomes a failed row. The cells run in up to ``jobs``
-    forked worker processes (None: one per CPU available; 1: in this
-    process), with the same rows either way but for ``wall_ns``. ``seed`` is
-    accepted and ignored: every cell is deterministic."""
+    raises a SolverError becomes a failed row. The cells run in forked worker
+    processes, one per CPU this process may run on (in this process where
+    there is one CPU or one cell), with the same rows either way but for
+    ``wall_ns``. ``seed`` and ``jobs`` are accepted and ignored: every cell is
+    deterministic."""
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise InputError("eps grid must be strictly decreasing")
@@ -279,7 +278,7 @@ def run_study(
     ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
 
     cells = [(method, eps, m) for method in methods for eps in eps_grid]
-    results = _run_cells({m: entry}, cells, jobs)
+    results = _run_cells({m: entry}, cells)
     rows = [_study_row(entry.id, method, eps, res, ref_kind, ref_value)
             for (method, eps, _), res in zip(cells, results)]
 
@@ -309,15 +308,14 @@ def run_rd_study(
     m_grid: Sequence[int] = (4, 8, 16, 32, 64, 128, 256, 512),
     methods: Sequence[str] = ("adaptive", "uniform"),
     seed: int = 1,
-    jobs: int | None = None,
 ) -> StudyTable:
     """Reaction-diffusion tables: tau-hat plus the successive-difference column
     log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m).
 
     A cell that raises a SolverError becomes a failed row; the differences
     next to it are left empty, and the vary-eps reference is the finest run
-    that did not fail. ``jobs`` bounds the worker processes the cells of all
-    methods run in, as in run_study. ``seed`` is accepted and ignored."""
+    that did not fail. The cells of all methods run in worker processes, as in
+    run_study. ``seed`` is accepted and ignored."""
     if mode == VARY_EPS:
         grid = [(m, e) for e in eps_grid]
         notes = [f"rd vary-eps: m = {m}; reference is each method's finest run"]
@@ -328,7 +326,7 @@ def run_rd_study(
         raise InputError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
     entries = {mm: catalog.get("rd", m=mm) for mm, _ in grid}
     results = iter(_run_cells(entries, [(method, e, mm) for method in methods
-                                        for mm, e in grid], jobs))
+                                        for mm, e in grid]))
     rows = []
     for method in methods:
         runs = [(mm, e, next(results)) for mm, e in grid]

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from blowup import catalog
-from blowup.errors import InputError
 from blowup.harness import (
     AXIS_COST,
     AXIS_ERROR,
@@ -30,6 +29,12 @@ from blowup.problems import ScalarProblem
 from blowup.stepping import Adaptive1D
 from blowup.thresholds import FInverse
 import blowup.harness as harness_mod
+
+
+def _allow_cpus(monkeypatch, n):
+    """Let the process run on n CPUs, so that a study of several cells runs in
+    n worker processes, or in-process for n = 1, on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestFitRate:
@@ -80,14 +85,16 @@ class TestRunStudy:
         for earlier, later in zip(errs, errs[1:]):
             assert later <= 3.0 * earlier
 
-    def test_failed_cell_recorded_not_fatal(self):
-        self._check_failed_cells(jobs=None)
+    def test_failed_cell_recorded_not_fatal(self, monkeypatch):
+        _allow_cpus(monkeypatch, 2)
+        self._check_failed_cells()
 
-    def test_failed_cell_recorded_not_fatal_in_process(self):
-        self._check_failed_cells(jobs=1)
+    def test_failed_cell_recorded_not_fatal_in_process(self, monkeypatch):
+        _allow_cpus(monkeypatch, 1)
+        self._check_failed_cells()
 
     @staticmethod
-    def _check_failed_cells(jobs):
+    def _check_failed_cells():
         flat = catalog.CatalogEntry(
             id="flatline",
             problem=ScalarProblem(
@@ -103,13 +110,13 @@ class TestRunStudy:
         orig = catalog.get
         try:
             catalog.get = lambda pid, c=None, m=None: flat if pid == "flatline" else orig(pid, c=c, m=m)
-            table = run_study("flatline", ["adaptive"], [0.5, 0.25, 0.125], jobs=jobs)
+            table = run_study("flatline", ["adaptive"], [0.5, 0.25, 0.125])
         finally:
             catalog.get = orig
         assert all(r.failed for r in table.rows)
         assert all("BracketFailure" in r.failed for r in table.rows)
         # UniformND needs r > e, and uncoupled's radius at eps = 0.2 is sqrt(5)
-        (row,) = run_study("uncoupled", ["log-uniform"], [0.2], jobs=jobs).rows
+        (row,) = run_study("uncoupled", ["log-uniform"], [0.2]).rows
         assert row.failed.startswith("SolverError: uniform n-d law needs r > e")
         assert math.isnan(row.tau_hat) and row.steps == 0
 
@@ -169,13 +176,15 @@ class TestRdStudy:
         assert table.rows[1].succ_diff_log2 == -math.inf
 
     def test_failed_cell_recorded_not_fatal(self, monkeypatch):
-        self._check_failed_cells(monkeypatch, jobs=None)
+        _allow_cpus(monkeypatch, 2)
+        self._check_failed_cells(monkeypatch)
 
     def test_failed_cell_recorded_not_fatal_in_process(self, monkeypatch):
-        self._check_failed_cells(monkeypatch, jobs=1)
+        _allow_cpus(monkeypatch, 1)
+        self._check_failed_cells(monkeypatch)
 
     @staticmethod
-    def _check_failed_cells(monkeypatch, jobs):
+    def _check_failed_cells(monkeypatch):
         real = harness_mod.run_method
 
         def flaky(entry, method, eps, **kw):
@@ -185,7 +194,7 @@ class TestRdStudy:
 
         monkeypatch.setattr(harness_mod, "run_method", flaky)
         grid = [2.0**-8, 2.0**-9, 2.0**-10]
-        table = run_rd_study("vary-eps", m=4, eps_grid=grid, methods=("adaptive",), jobs=jobs)
+        table = run_rd_study("vary-eps", m=4, eps_grid=grid, methods=("adaptive",))
         ok1, bad, ok2 = table.rows
         assert bad.failed == "StepBudgetExceeded: injected"
         assert math.isnan(bad.tau_hat) and bad.steps == 0
@@ -198,7 +207,7 @@ class TestRdStudy:
 def two_cpus(monkeypatch):
     """Two CPUs available, so that a study of several cells starts two workers
     on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _allow_cpus(monkeypatch, 2)
 
 
 def _rows_but_wall_time(table):
@@ -218,8 +227,10 @@ class TestCellWorkers:
         (run_rd_study, ("vary-m",), dict(eps=2.0**-9, m_grid=[4, 8, 16],
                                          methods=("adaptive",))),
     ], ids=["sq", "uncoupled", "rd-vary-eps", "rd-vary-m"])
-    def test_rows_match_the_in_process_run(self, study, args, kwargs):
-        pooled, serial = study(*args, **kwargs), study(*args, **kwargs, jobs=1)
+    def test_rows_match_the_in_process_run(self, monkeypatch, study, args, kwargs):
+        pooled = study(*args, **kwargs)
+        _allow_cpus(monkeypatch, 1)
+        serial = study(*args, **kwargs)
         assert _rows_but_wall_time(pooled) == _rows_but_wall_time(serial)
         assert pooled.fitted == serial.fitted and pooled.notes == serial.notes
         assert any(r.failed for r in serial.rows) == (args[0] == "uncoupled")
@@ -241,30 +252,21 @@ class TestCellWorkers:
         assert multiprocessing.active_children() == []
 
 
-class TestCellJobs:
+class TestCellWorkerCount:
     """The worker count, computed without starting any process."""
 
-    def test_capped_at_cpus_and_cells(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert harness_mod._cell_jobs(None, 10) == 4
-        assert harness_mod._cell_jobs(2, 10) == 2
-        assert harness_mod._cell_jobs(64, 10) == 4
-        assert harness_mod._cell_jobs(None, 3) == 3
-        assert harness_mod._cell_jobs(4, 1) == 1
+    def test_capped_at_cells(self, monkeypatch):
+        _allow_cpus(monkeypatch, 4)
+        assert harness_mod._cell_workers(10) == 4
+        assert harness_mod._cell_workers(3) == 3
+        assert harness_mod._cell_workers(1) == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert harness_mod._cell_jobs(None, 10) == 3
+        assert harness_mod._cell_workers(10) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert harness_mod._cell_jobs(None, 10) == 1
-
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True, "2"])
-    def test_rejects_a_non_positive_or_non_int_count(self, jobs):
-        with pytest.raises(InputError, match="jobs must be a positive integer"):
-            harness_mod._cell_jobs(jobs, 10)
-        with pytest.raises(InputError):
-            run_study("sq", ["adaptive"], [0.25, 0.125], jobs=jobs)
+        assert harness_mod._cell_workers(10) == 1
 
 
 class TestEmission:
