@@ -15,6 +15,7 @@ import numpy as np
 
 from .baselines import ArcLength, Rescaling
 from .errors import InputError
+from .expr import float_exp, float_pow
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
 from .stepping import (
@@ -47,7 +48,7 @@ class Pseudo:
     eps_ref: Optional[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: a cache key
 class CatalogEntry:
     id: str
     problem: ScalarProblem | VectorProblem
@@ -63,22 +64,6 @@ SCALAR_METHODS = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Un
 
 def list_ids() -> tuple[str, ...]:
     return IDS
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def _pow(v: float, k: int) -> float:
-    """v ** k for an integer k >= 1, with overflow to +-inf as numpy gives it
-    (Python's float ** raises OverflowError)."""
-    try:
-        return v ** k
-    except OverflowError:
-        return math.copysign(math.inf, v) if k % 2 else math.inf
 
 
 @lru_cache(maxsize=None)
@@ -102,9 +87,9 @@ def _sq() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def _expsq() -> CatalogEntry:
     problem = ScalarProblem(
-        rhs=lambda x: _exp(x * x),
-        rhs_deriv=lambda x: 2.0 * x * _exp(x * x),
-        rhs_second=lambda x: (2.0 + 4.0 * x * x) * _exp(x * x),
+        rhs=lambda x: float_exp(x * x),
+        rhs_deriv=lambda x: 2.0 * x * float_exp(x * x),
+        rhs_second=lambda x: (2.0 + 4.0 * x * x) * float_exp(x * x),
         x0=1.0,
         k=1.1,
         threshold=BPrimeLog(),
@@ -140,7 +125,7 @@ def _xlog(c: float) -> CatalogEntry:
         rhs_deriv=rhs_deriv,
         x0=2.0,
         k=1.1,
-        threshold=ExplicitRadius(lambda e: _exp((c * e) ** (-1.0 / c)), tail_is_eps=True),
+        threshold=ExplicitRadius(lambda e: float_exp((c * e) ** (-1.0 / c)), tail_is_eps=True),
     )
     return CatalogEntry(
         id="xlog_c",
@@ -159,11 +144,11 @@ def _xlog(c: float) -> CatalogEntry:
 def _uncoupled() -> CatalogEntry:
     def rhs(x):
         x1, x2 = x
-        return (_pow(x1, 3), _pow(x2, 5))
+        return (float_pow(x1, 3), float_pow(x2, 5))
 
     def jac(x):
         x1, x2 = x
-        return ((3.0 * _pow(x1, 2), 0.0), (0.0, 5.0 * _pow(x2, 4)))
+        return ((3.0 * float_pow(x1, 2), 0.0), (0.0, 5.0 * float_pow(x2, 4)))
 
     problem = VectorProblem(
         dim=2,

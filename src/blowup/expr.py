@@ -210,19 +210,31 @@ def parse(text: str, var: str = "x") -> Expr:
 # --- evaluation ---------------------------------------------------------------
 
 
+def float_exp(v: float) -> float:
+    """math.exp(v), with overflow to inf as numpy gives it."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def float_pow(base: float, exponent: float) -> float:
+    """base ** exponent for a positive base or an integer exponent, with
+    overflow to +-inf as numpy gives it (Python's float ** raises
+    OverflowError): the sign of a negative base survives an odd power."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return -math.inf if base < 0.0 and exponent % 2 else math.inf
+
+
 def _eval_pow(base: float, exponent: float, node) -> float:
     if base > 0.0:
-        try:
-            return base ** exponent
-        except OverflowError:
-            return math.inf
+        return float_pow(base, exponent)
     if float(exponent).is_integer():
         if base == 0.0 and exponent <= 0.0:
             raise DomainError(f"0 raised to nonpositive power in '{pretty(node)}'")
-        try:
-            return base ** int(exponent)
-        except OverflowError:  # the sign of a negative base survives an odd power
-            return -math.inf if base < 0.0 and int(exponent) % 2 else math.inf
+        return float_pow(base, int(exponent))
     raise DomainError(
         f"negative base {base!r} with non-integer exponent in '{pretty(node)}'"
     )
@@ -252,10 +264,7 @@ def evaluate(e: Expr, x: float) -> float:
     if isinstance(e, Call):
         v = evaluate(e.a, x)
         if e.fn == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
+            return float_exp(v)
         if e.fn == "log":
             if v <= 0.0:
                 raise DomainError(f"log of non-positive value {v!r} in '{pretty(e)}'")
@@ -358,10 +367,11 @@ def pretty(e: Expr, var: str = "x") -> str:
         s = pretty(child, var)
         return f"({s})" if _PREC[type(child)] < limit else s
 
-    if isinstance(e, Num):
-        if e.value < 0 or (e.value == 0 and math.copysign(1.0, e.value) < 0):
-            return f"-{abs(e.value):.17g}"
-        return f"{e.value:.17g}"
+    if isinstance(e, Num):  # parse knows no inf or nan, but 1e999 overflows to inf
+        if math.isnan(e.value):
+            return "(1e999 - 1e999)"
+        text = f"{abs(e.value):.17g}" if math.isfinite(e.value) else "1e999"
+        return "-" + text if math.copysign(1.0, e.value) < 0 else text
     if isinstance(e, Var):
         return var
     if isinstance(e, Neg):

@@ -139,7 +139,7 @@ def reference_value(
     eps_ref: float | None = None,
 ) -> tuple[str, float, list[str]]:
     """(kind, value, notes) for the entry's reference; pseudo references are
-    generated with the entry's adaptive method and cached by (id, eps_ref).
+    generated with the entry's adaptive method and cached by (entry, eps_ref).
     Raises NoReference for a pseudo reference with no tolerance to generate it
     at, and for an eps_ref given to an exact reference, which would ignore it."""
     ref = entry.reference
@@ -156,7 +156,7 @@ def reference_value(
             f"pseudo reference for {entry.id!r} generated at eps_ref = {eps_ref:g} "
             f"instead of the published {ref.eps_ref:g} (desk-scale substitute)"
         )
-    key = (entry.id, entry.notes, eref)
+    key = (entry, eref)
     if key not in _REFERENCE_CACHE:
         _REFERENCE_CACHE[key] = run_method(entry, "adaptive", eref).tau_hat
     return "pseudo", _REFERENCE_CACHE[key], notes
@@ -181,34 +181,23 @@ class _CellResult(NamedTuple):
     failed: str  # the SolverError of a cell that did not run, else ""
 
 
-def _run_cell(entries, cell) -> _CellResult:
-    """Run one (method, eps, m) cell of entries[m]; a SolverError gives a
-    failed result with a NaN tau_hat and zero counts."""
-    method, eps, m = cell
+def _run_cell(cell) -> _CellResult:
+    """Run one (problem_id, c, m, method, eps) cell on its catalog entry; a
+    SolverError gives a failed result with a NaN tau_hat and zero counts."""
+    problem_id, c, m, method, eps = cell
     try:
-        res = run_method(entries[m], method, eps)
+        res = run_method(catalog.get(problem_id, c=c, m=m), method, eps)
     except SolverError as exc:
         return _CellResult(math.nan, 0, 0.0, f"{type(exc).__name__}: {exc}")
     return _CellResult(res.tau_hat, res.steps, res.wall_time, "")
 
 
-_WORKER_ENTRIES: dict = {}  # set once in each worker process by _init_worker
-
-
-def _init_worker(entries) -> None:
-    global _WORKER_ENTRIES
-    _WORKER_ENTRIES = entries
-
-
-def _worker_cell(cell) -> _CellResult:
-    return _run_cell(_WORKER_ENTRIES, cell)
-
-
-def _run_cells(entries: dict, cells: list) -> list[_CellResult]:
+def _run_cells(cells: list) -> list[_CellResult]:
     """_run_cell over the cells, in their order. With more than one CPU and
     cell and the fork start method, the cells run in forked worker processes,
-    longest first (smallest eps, then largest m); the workers inherit the
-    entries, so only each cell goes in and only its row figures come back."""
+    longest first (smallest eps, then largest m). The caller has looked every
+    entry up, so each worker finds it in the catalog cache it inherits; only
+    the cell goes in and only its row figures come back."""
     workers = _cell_workers(len(cells))
     if workers > 1:
         import multiprocessing
@@ -216,15 +205,14 @@ def _run_cells(entries: dict, cells: list) -> list[_CellResult]:
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            order = sorted(range(len(cells)), key=lambda i: (cells[i][1], -(cells[i][2] or 0)))
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_init_worker, initargs=(entries,))
+            order = sorted(range(len(cells)), key=lambda i: (cells[i][4], -(cells[i][2] or 0)))
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                futures = {i: pool.submit(_worker_cell, cells[i]) for i in order}
-                return [futures[i].result() for i in range(len(cells))]
+                done = dict(zip(order, pool.map(_run_cell, [cells[i] for i in order])))
+                return [done[i] for i in range(len(cells))]
             finally:
                 pool.shutdown(cancel_futures=True)
-    return [_run_cell(entries, cell) for cell in cells]
+    return [_run_cell(cell) for cell in cells]
 
 
 def _study_row(problem, method, eps, res: _CellResult, ref_kind, ref_value,
@@ -250,6 +238,15 @@ def _log2_gap(a: float, b: float) -> float:
     return math.log2(abs(a - b)) if a != b else -math.inf
 
 
+def _strict_grid(values: Sequence, name: str, decreasing: bool) -> list:
+    """values as a list; InputError unless they strictly decrease (or increase)."""
+    values = list(values)
+    order = "decreasing" if decreasing else "increasing"
+    if any(b >= a if decreasing else b <= a for a, b in zip(values, values[1:])):
+        raise InputError(f"{name} must be strictly {order}")
+    return values
+
+
 def run_study(
     problem_id: str,
     methods: Sequence[str],
@@ -268,19 +265,16 @@ def run_study(
     there is one CPU or one cell), with the same rows either way but for
     ``wall_ns``. ``seed`` and ``jobs`` are accepted and ignored: every cell is
     deterministic."""
-    eps_grid = list(eps_grid)
-    if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
-        raise InputError("eps grid must be strictly decreasing")
+    eps_grid = _strict_grid(eps_grid, "eps grid", decreasing=True)
     entry = catalog.get(problem_id, c=c, m=m)
     if not methods:
         return StudyTable(rows=(), fitted={}, notes=())
 
     ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
 
-    cells = [(method, eps, m) for method in methods for eps in eps_grid]
-    results = _run_cells({m: entry}, cells)
+    cells = [(problem_id, c, m, method, eps) for method in methods for eps in eps_grid]
     rows = [_study_row(entry.id, method, eps, res, ref_kind, ref_value)
-            for (method, eps, _), res in zip(cells, results)]
+            for (*_, method, eps), res in zip(cells, _run_cells(cells))]
 
     fitted = {}
     for method in methods:
@@ -312,21 +306,23 @@ def run_rd_study(
     """Reaction-diffusion tables: tau-hat plus the successive-difference column
     log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m).
 
-    A cell that raises a SolverError becomes a failed row; the differences
-    next to it are left empty, and the vary-eps reference is the finest run
-    that did not fail. The cells of all methods run in worker processes, as in
+    The eps grid must strictly decrease and the m grid strictly increase. A
+    cell that raises a SolverError becomes a failed row; the differences next
+    to it are left empty, and the vary-eps reference is the finest run that
+    did not fail. The cells of all methods run in worker processes, as in
     run_study. ``seed`` is accepted and ignored."""
     if mode == VARY_EPS:
-        grid = [(m, e) for e in eps_grid]
+        grid = [(m, e) for e in _strict_grid(eps_grid, "eps grid", decreasing=True)]
         notes = [f"rd vary-eps: m = {m}; reference is each method's finest run"]
     elif mode == VARY_M:
-        grid = [(mm, eps) for mm in m_grid]
+        grid = [(mm, eps) for mm in _strict_grid(m_grid, "m grid", decreasing=False)]
         notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
         raise InputError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
-    entries = {mm: catalog.get("rd", m=mm) for mm, _ in grid}
-    results = iter(_run_cells(entries, [(method, e, mm) for method in methods
-                                        for mm, e in grid]))
+    for mm, _ in grid:  # a bad m raises here, and the workers inherit built entries
+        catalog.get("rd", m=mm)
+    results = iter(_run_cells([("rd", None, mm, method, e) for method in methods
+                               for mm, e in grid]))
     rows = []
     for method in methods:
         runs = [(mm, e, next(results)) for mm, e in grid]

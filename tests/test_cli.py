@@ -313,6 +313,9 @@ class TestExitCodes:
              "--threshold", "finverse:" + "(" * 300 + "eps" + ")" * 300 + "^-2", "--eps", "2^-4"),
             ("check", "--expr", "+".join(["x*x"] * 1500), "--x0", "0.5",
              "--threshold", "bprimelog"),
+            # the vary-m grid must increase, as the successive differences assume
+            ("rd-study", "--mode", "vary-m", "--m-grid", "8,4", "--methods", "adaptive",
+             "--eps", "2^-8", "--out", "o.csv"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, tmp_path, monkeypatch, argv):

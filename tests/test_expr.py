@@ -10,6 +10,7 @@ from blowup.expr import (
     DomainError,
     ExprSyntaxError,
     Mul,
+    Neg,
     Num,
     Pow,
     Var,
@@ -114,7 +115,7 @@ class TestParse:
         (expr._sub, (Var(), Num(-0.0)), "x"),
         (expr._mul, (Num(1.0), Num(-0.0)), "-0"),
         (expr._mul, (Num(-0.0), Var()), "0"),
-        (expr._mul, (Num(0.0), Num(math.inf)), "nan"),
+        (expr._mul, (Num(0.0), Num(math.inf)), "(1e999 - 1e999)"),
         (expr._div, (Num(-0.0), Num(2.0)), "-0"),
         (expr._div, (Num(0.0), Num(0.0)), "0"),
         (expr._div, (Num(1.0), Num(0.0)), "1/0"),
@@ -124,9 +125,9 @@ class TestParse:
         (expr._pow, (Num(0.0), Num(-0.0)), "1"),
         (expr._pow, (Num(0.0), Num(-1.0)), "0^-1"),
         (expr._pow, (Num(-0.0), Num(1.0)), "-0"),
-        (expr._pow, (Num(10.0), Num(400.0)), "inf"),
-        (expr._pow, (Num(-10.0), Num(401.0)), "-inf"),
-        (expr._pow, (Num(-10.0), Num(400.0)), "inf"),
+        (expr._pow, (Num(10.0), Num(400.0)), "1e999"),
+        (expr._pow, (Num(-10.0), Num(401.0)), "-1e999"),
+        (expr._pow, (Num(-10.0), Num(400.0)), "1e999"),
     ],
 )
 def test_constant_folding(build, operands, expected):
@@ -263,7 +264,7 @@ def test_pretty_parse_round_trip(expr_corpus):
                 assert got == expected
 
 
-@pytest.mark.parametrize("base", [-2.0, -0.0, -0.5, -1e100])
+@pytest.mark.parametrize("base", [-2.0, -0.0, -0.5, -1e100, -1e200])
 @pytest.mark.parametrize("exponent", [2.0, 3.0, 0.5, Pow(Num(-2.0), Num(2.0))])
 def test_negative_literal_base_round_trip(base, exponent):
     """A negative literal base prints in parentheses: -2^2 would parse as -(2^2).
@@ -279,6 +280,18 @@ def test_negative_literal_base_round_trip(base, exponent):
                     evaluate(parse(pretty(e)), x)
                 continue
             assert repr(evaluate(parse(pretty(e)), x)) == repr(expected)
+
+
+@pytest.mark.parametrize("e", [
+    Num(math.inf), Num(-math.inf), Num(math.nan),
+    expr._mul(Num(0.0), Num(math.inf)),  # folds to nan
+    differentiate(parse("x^1e999")),  # folds its literals to inf
+    Pow(Num(-math.inf), Num(3.0)), Pow(Var(), Num(math.nan)), Neg(Num(math.nan)),
+], ids=["inf", "-inf", "nan", "0*inf", "d(x^1e999)", "(-inf)^3", "x^nan", "-nan"])
+def test_non_finite_literal_round_trip(e):
+    """parse has no inf or nan; pretty writes them as 1e999 and 1e999 - 1e999."""
+    for x in (0.5, 1.5):
+        assert repr(evaluate(parse(pretty(e)), x)) == repr(evaluate(e, x))
 
 
 def test_negative_base_prints_in_parentheses():

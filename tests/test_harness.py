@@ -8,6 +8,7 @@ import re
 import pytest
 
 from blowup import catalog
+from blowup.errors import InputError
 from blowup.harness import (
     AXIS_COST,
     AXIS_ERROR,
@@ -135,6 +136,19 @@ class TestRunStudy:
         assert (kind1, val1) == (kind2, val2)
         assert kind1 == "pseudo"
 
+    def test_pseudo_reference_is_cached_per_entry(self):
+        # same id and notes, different x0: b = x^2 blows up at 1/x0
+        def entry(x0):
+            problem = ScalarProblem(rhs=lambda x: x * x, rhs_deriv=lambda x: 2.0 * x, x0=x0,
+                                    k=1.1, threshold=FInverse(lambda e: e ** -2.0))
+            return catalog.CatalogEntry("mine", problem, {"adaptive": Adaptive1D()},
+                                        catalog.Pseudo(2.0**-12))
+
+        _, tau_half, _ = reference_value(entry(0.5))
+        _, tau_quarter, _ = reference_value(entry(0.25))
+        assert tau_half == pytest.approx(2.0, abs=1e-2)
+        assert tau_quarter == pytest.approx(4.0, abs=1e-2)
+
     def test_pseudo_reference_needs_a_tolerance(self):
         # rd publishes no eps_ref: its reference is the finest run of the study at hand
         with pytest.raises(NoReference):
@@ -167,6 +181,19 @@ class TestRdStudy:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             run_rd_study("vary-all")
+
+    @pytest.mark.parametrize("mode, kwargs, message", [
+        ("vary-eps", dict(m=4, eps_grid=[2.0**-8, 2.0**-10, 2.0**-9]),
+         "eps grid must be strictly decreasing"),
+        ("vary-eps", dict(m=4, eps_grid=[2.0**-8, 2.0**-8]),
+         "eps grid must be strictly decreasing"),
+        ("vary-m", dict(eps=2.0**-9, m_grid=[8, 4, 4]), "m grid must be strictly increasing"),
+        ("vary-m", dict(eps=2.0**-9, m_grid=[4, 8, 8]), "m grid must be strictly increasing"),
+    ], ids=["eps-unordered", "eps-repeated", "m-unordered", "m-repeated"])
+    def test_grid_out_of_order(self, mode, kwargs, message):
+        # the finest run is the last and each difference is to the previous grid point
+        with pytest.raises(InputError, match=message):
+            run_rd_study(mode, methods=("adaptive",), **kwargs)
 
     def test_equal_successive_tau_gives_minus_infinity(self):
         # both radii fall below |x0|, so both runs are degenerate with tau_hat 0
@@ -249,6 +276,13 @@ class TestCellWorkers:
             run_study("sq", ["adaptive", "uniform"], [2.0**-k for k in range(5, 9)])
         # raised in a worker: the pool attaches the worker's traceback as the cause
         assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
+
+    def test_bad_m_raises_in_the_caller(self):
+        # every entry is looked up before the first cell, so no worker starts
+        with pytest.raises(catalog.UnknownId, match="rd needs m >= 2") as exc:
+            run_rd_study("vary-m", eps=2.0**-9, m_grid=[1, 4], methods=("adaptive",))
+        assert exc.value.__cause__ is None
         assert multiprocessing.active_children() == []
 
 
