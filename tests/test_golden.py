@@ -25,10 +25,11 @@ from blowup.harness import run_method
 
 TABLE = pathlib.Path(__file__).with_name("golden_cells.json")
 EPS_LOG2 = (4, 6)
-# rd at its planar size and at a small grid; the default m = 32 adds time, not paths.
+# rd at its planar size, at m = 5 (m^2 = 25 is not a power of two, so the kernels keep
+# the m^2 scale apart) and at m = 8; the default m = 32 adds time, not paths.
 # Its start has |x0| = 100 sqrt(m/2), above the radius 1/eps at 2^-4 and 2^-6, where
 # every run takes 0 steps, so its cells run at two finer tolerances.
-RD_SIZES = (3, 8)
+RD_SIZES = (3, 5, 8)
 RD_EPS_LOG2 = (8, 10)
 # (id, method, log2(1/eps)) of planar runs at finer tolerances, which take solve_nd's
 # float-pair path over longer trajectories; uncoupled/uniform/2^-6 belongs with them
