@@ -292,18 +292,29 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
 
     # One correlate call gives (v[i-1] - 2 v[i]) + v[i+1], summed left to right
     # with exact products, so it equals the padded three-slice stencil bit for
-    # bit. "full"[1:-1] rather than "same": for n < 3 numpy swaps the operands.
-    stencil = np.array([1.0, -2.0, 1.0])
+    # bit. Scaling by a power of two is exact (short of overflow and subnormals),
+    # so where m^2 is one it is folded into the stencil: correlate(v, m^2 [1, -2, 1])
+    # has the bytes of m^2 correlate(v, [1, -2, 1]). For n < 3 numpy swaps the
+    # operands and "same" returns 3 values, so those grids slice "full" instead.
+    folded = m & (m - 1) == 0
+    stencil = np.array([1.0, -2.0, 1.0]) * (m2 if folded else 1.0)
+    mode = "same" if n >= 3 else "full"
+
+    def laplacian(v):
+        out = np.correlate(v, stencil, mode)
+        if n < 3:
+            out = out[1:-1]
+        if not folded:
+            out *= m2
+        return out
 
     def rhs(x):
-        out = np.correlate(x, stencil, "full")[1:-1]
-        out *= m2
+        out = laplacian(x)
         out += x * x
         return out
 
     def jvp(x, v):
-        out = np.correlate(v, stencil, "full")[1:-1]
-        out *= m2
+        out = laplacian(v)
         out += 2.0 * x * v
         return out
 

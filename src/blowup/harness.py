@@ -99,6 +99,16 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
+def _law(entry: catalog.CatalogEntry, method: str):
+    """The entry's law or baseline for a method id; UnknownMethod if it has none."""
+    law = entry.methods.get(method)
+    if law is None:
+        raise UnknownMethod(
+            f"{method!r} not available for {entry.id!r}; known: {sorted(entry.methods)}"
+        )
+    return law
+
+
 def run_method(
     entry: catalog.CatalogEntry,
     method: str,
@@ -110,11 +120,7 @@ def run_method(
 ) -> RunResult:
     """Run one method of a catalog entry at one tolerance; rk_tol is read only by
     ArcLength and rescale_threshold only by Rescaling."""
-    law = entry.methods.get(method)
-    if law is None:
-        raise UnknownMethod(
-            f"{method!r} not available for {entry.id!r}; known: {sorted(entry.methods)}"
-        )
+    law = _law(entry, method)
     problem = entry.problem
     if isinstance(law, baselines.ArcLength):
         return baselines.solve_arclength(problem, eps, rk_tol, cfg)
@@ -269,6 +275,8 @@ def run_study(
     entry = catalog.get(problem_id, c=c, m=m)
     if not methods:
         return StudyTable(rows=(), fitted={}, notes=())
+    for method in methods:
+        _law(entry, method)
 
     ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
 
@@ -319,8 +327,10 @@ def run_rd_study(
         notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
         raise InputError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
-    for mm, _ in grid:  # a bad m raises here, and the workers inherit built entries
-        catalog.get("rd", m=mm)
+    for mm, _ in grid:  # a bad m or method raises here; the workers inherit built entries
+        entry = catalog.get("rd", m=mm)
+        for method in methods:
+            _law(entry, method)
     results = iter(_run_cells([("rd", None, mm, method, e) for method in methods
                                for mm, e in grid]))
     rows = []

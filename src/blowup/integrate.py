@@ -131,7 +131,10 @@ def solve_nd(
     eps: float,
     cfg: SolverConfig | None = None,
 ) -> RunResult:
-    """Estimate the blow-up time of a system by integrating to |x| > r(eps)."""
+    """Estimate the blow-up time of a system by integrating to |x| > r(eps).
+
+    A state of dimension other than 2 is one array that each step updates in
+    place, so an rhs that keeps its argument must keep a copy."""
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else AdaptiveND()
     if not isinstance(law, stepping.LAWS_ND):
@@ -161,6 +164,7 @@ def solve_nd(
         else:
             h_rule = law.step_size(problem, eps, r)
             constant_h = not callable(h_rule)
+            step = None if planar else np.empty_like(x)
             while nx <= r:
                 if n >= max_steps:
                     raise StepBudgetExceeded(f"exceeded {max_steps} steps at |x| = {nx!r}")
@@ -169,7 +173,9 @@ def solve_nd(
                 if planar:
                     x = (x[0] + bx[0] * h, x[1] + bx[1] * h)
                 else:
-                    x = x + bx * h
+                    # x + bx h with no new array; bx may alias x, so its product comes first
+                    np.multiply(bx, h, step)
+                    x += step
                 t += h
                 n += 1
                 nx = norm(x)

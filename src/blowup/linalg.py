@@ -44,8 +44,13 @@ class JacobianAccess:
 
 def safe_norm(x) -> float:
     """Euclidean norm that survives |x|^2 overflowing float64; inf if any |x_i| is."""
-    # np.dot reaches the same BLAS ddot as x @ x without the matmul ufunc's overhead
-    s = np.dot(x, x)
+    # x.dot reaches the same BLAS ddot as np.dot and x @ x with less call overhead;
+    # a sequence, which has no dot method, costs the array path nothing
+    try:
+        s = x.dot(x)
+    except AttributeError:
+        x = np.asarray(x, dtype=float)
+        s = x.dot(x)
     if s != math.inf:
         return math.sqrt(s)
     m = float(np.max(np.abs(x)))
@@ -64,7 +69,7 @@ def pair_norm(x) -> float:
         return safe_norm(x)
     a, b = x
     s = a * a + b * b
-    return math.sqrt(s) if s != math.inf else safe_norm(x)
+    return math.sqrt(s) if s != math.inf else safe_norm(np.array(x))
 
 
 def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:

@@ -68,6 +68,17 @@ class TestArclength:
         for y in (np.array([1.5, 1.1, 0.0]), np.array([40.0, 2.0, 0.2])):
             out = _arc_rhs(uncoupled.rhs, y)
             assert abs(float(out @ out) - 1.0) < 1e-12
+        # (b, 1) / hypot(1, |b|) has unit norm by construction, over |b| from 1e-300
+        # to just below the float64 ceiling, where |b|^2 alone would overflow
+        rng = np.random.default_rng(5)
+        with np.errstate(over="ignore"):  # as solve_arclength calls it
+            for dim in (1, 2, 3, 31):
+                for _ in range(300):
+                    b = rng.normal(size=dim) * 10.0 ** rng.uniform(-300.0, 300.0, size=dim)
+                    top = 1.7e308 / math.sqrt(dim) * rng.uniform(0.5, 1.0, size=dim)
+                    for state in (b, top * np.sign(rng.normal(size=dim))):
+                        out = _arc_rhs(lambda x: x, np.append(state, 0.0))
+                        assert abs(float(out @ out) - 1.0) < 1e-12
 
     def test_deterministic(self, sq):
         a = solve_arclength(sq, 2.0**-10, rk_tol=1e-10)

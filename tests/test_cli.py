@@ -316,6 +316,8 @@ class TestExitCodes:
             # the vary-m grid must increase, as the successive differences assume
             ("rd-study", "--mode", "vary-m", "--m-grid", "8,4", "--methods", "adaptive",
              "--eps", "2^-8", "--out", "o.csv"),
+            # an unknown method id stops the study before its first cell
+            ("rd-study", "--mode", "vary-eps", "--methods", "adaptive,bogus", "--out", "o.csv"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, tmp_path, monkeypatch, argv):

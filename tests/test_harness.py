@@ -128,6 +128,25 @@ class TestRunStudy:
         with pytest.raises(UnknownMethod, match="'rescaling' not available for 'coupled'"):
             run_method(catalog.get("coupled"), "rescaling", 0.1)
 
+    def test_studies_check_methods_before_any_run(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a study ran work before checking its methods")
+
+        monkeypatch.setattr(harness_mod, "_run_cells", ran)
+        monkeypatch.setattr(harness_mod, "reference_value", ran)
+        for entry, study in (
+            (catalog.get("coupled"),
+             lambda: run_study("coupled", ["adaptive", "bogus"], [2.0**-6, 2.0**-8])),
+            (catalog.get("rd", m=32),
+             lambda: run_rd_study("vary-eps", methods=("adaptive", "bogus"))),
+        ):
+            with pytest.raises(UnknownMethod) as caught:
+                study()
+            with pytest.raises(UnknownMethod) as direct:
+                run_method(entry, "bogus", 0.1)
+            assert str(caught.value) == str(direct.value)
+            assert caught.value.__cause__ is None
+
     def test_pseudo_reference_regenerates_bit_identically(self):
         entry = catalog.get("coupled")
         kind1, val1, _ = reference_value(entry, eps_ref=2.0**-10)

@@ -14,10 +14,12 @@ from blowup.integrate import (
     solve_log_nd,
     solve_nd,
 )
-from blowup.linalg import JacobianAccess, spectral_norm
+from blowup.linalg import JacobianAccess, safe_norm, spectral_norm
 from blowup.problems import ScalarProblem, VectorProblem
-from blowup.stepping import Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, Taylor1D, Uniform1D
-from blowup.thresholds import ExplicitRadius, PolyND
+from blowup.stepping import (
+    Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, Taylor1D, Uniform1D, UniformND,
+)
+from blowup.thresholds import ExplicitRadius, PolyND, radius
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +247,34 @@ class TestSolveND:
         )
         with pytest.raises(Overflow, match="nan after 136 steps"):
             solve_nd(prob, 2.0**-8)
+
+    @pytest.mark.parametrize("field", [lambda x: x, lambda x: x[::-1]],
+                             ids=["argument", "reversed-view"])
+    @pytest.mark.parametrize("law", [AltND(), UniformND()], ids=["alt", "uniform"])
+    def test_in_place_update_reads_an_aliased_rhs_first(self, field, law):
+        # b(x) = x, or x reversed: rhs hands back its argument or a view of it, which
+        # the in-place state update overwrites; J v is the same map applied to v
+        prob = VectorProblem(
+            dim=3,
+            rhs=field,
+            jacobian=JacobianAccess.matrix_free(lambda x, v: field(v)),
+            threshold=PolyND(1.0, 1.0, nominal=True),
+            delta=1.0,
+            x0=np.array([2.0, 1.5, 3.0]),
+        )
+        eps = 2.0**-10
+        r = radius(prob.threshold, prob, eps)
+        h_rule = law.step_size(prob, eps, r)
+        x, t, n = prob.x0.copy(), 0.0, 0
+        while safe_norm(x) <= r:  # solve_nd's loop, with a new state at each step
+            bx = prob.rhs(x)
+            h = h_rule(x, bx) if callable(h_rule) else h_rule
+            x = x + bx * h
+            t += h
+            n += 1
+        res = solve_nd(prob, eps, SolverConfig(law=law, max_steps=n))
+        assert (res.tau_hat.hex(), res.steps) == (t.hex(), n)
+        assert res.final_state.tobytes() == x.tobytes()
 
 
 class TestSolveLogND:
