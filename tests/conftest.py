@@ -6,6 +6,21 @@ import pytest
 from blowup import expr
 
 
+_D = expr.MAX_DEPTH
+# Input shapes by the way they nest: the input for k repetitions, and the largest k
+# whose input is MAX_DEPTH levels deep or less.
+NESTING_SHAPES = {
+    "parentheses": (lambda k: "(" * k + "x" + ")" * k, _D - 1),
+    "minus": (lambda k: "-" * k + "x", _D - 1),
+    "sqrt": (lambda k: "sqrt(" * k + "x" + ")" * k, _D - 1),
+    "sum": (lambda k: "x" + "+x" * k, _D - 1),
+    "quotients": (lambda k: "x" + "/x" * k, _D - 1),
+    "right powers": (lambda k: "x^" * k + "x", _D - 1),
+    "left powers": (lambda k: "(" * k + "x" + "^x)" * k, (_D - 1) // 2),
+    "powers over x": (lambda k: "x" + "^x/x" * k, _D - 2),
+}
+
+
 def gen_expr(rng: random.Random, depth: int = 0):
     """Random AST over the full grammar; leaves get likelier with depth."""
     leaf_p = 0.3 + 0.2 * depth

@@ -20,7 +20,7 @@ from blowup.expr import (
     pretty,
 )
 
-from conftest import central_fd, derivative_matches_fd, gen_expr
+from conftest import NESTING_SHAPES, central_fd, derivative_matches_fd, gen_expr
 
 
 class TestParse:
@@ -138,21 +138,10 @@ def test_constant_folding(build, operands, expected):
 
 class TestNestingBound:
     D = expr.MAX_DEPTH
-    # the input for k repetitions, and the largest k whose input is D levels deep or less
-    SHAPES = {
-        "parentheses": (lambda k: "(" * k + "x" + ")" * k, D - 1),
-        "minus": (lambda k: "-" * k + "x", D - 1),
-        "sqrt": (lambda k: "sqrt(" * k + "x" + ")" * k, D - 1),
-        "sum": (lambda k: "x" + "+x" * k, D - 1),
-        "quotients": (lambda k: "x" + "/x" * k, D - 1),
-        "right powers": (lambda k: "x^" * k + "x", D - 1),
-        "left powers": (lambda k: "(" * k + "x" + "^x)" * k, (D - 1) // 2),
-        "powers over x": (lambda k: "x" + "^x/x" * k, D - 2),
-    }
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
     def test_deepest_input_has_two_printable_derivatives(self, shape):
-        make, deepest = self.SHAPES[shape]
+        make, deepest = NESTING_SHAPES[shape]
         with pytest.raises(ExprSyntaxError, match=f"nested deeper than {self.D} levels"):
             parse(make(deepest + 1))
         second = differentiate(differentiate(parse(make(deepest))))
