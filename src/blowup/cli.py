@@ -157,6 +157,7 @@ def _expr_problem(args) -> ScalarProblem:
         raise InputError("--expr needs --x0")
     if not args.threshold:
         raise InputError("--expr needs --threshold")
+    # each expression compiles once, into the functions the run calls
     ast = expr.parse(args.expr)
     d_ast = expr.differentiate(ast)
     dd_ast = expr.differentiate(d_ast)
@@ -165,18 +166,17 @@ def _expr_problem(args) -> ScalarProblem:
     if spec == "bprimelog":
         rule = BPrimeLog()
     elif spec.startswith("finverse:"):
-        f_ast = expr.parse(spec.split(":", 1)[1], var="eps")
-        rule = FInverse(lambda e: expr.evaluate(f_ast, e))
+        rule = FInverse(expr.compile(expr.parse(spec.split(":", 1)[1], var="eps")))
     elif spec.startswith("radius:"):
-        r_ast = expr.parse(spec.split(":", 1)[1], var="eps")
-        rule = ExplicitRadius(lambda e: expr.evaluate(r_ast, e), tail_is_eps=False)
+        rule = ExplicitRadius(expr.compile(expr.parse(spec.split(":", 1)[1], var="eps")),
+                              tail_is_eps=False)
     else:
         raise InputError(f"bad --threshold {spec!r}")
 
     return ScalarProblem(
-        rhs=lambda x: expr.evaluate(ast, x),
-        rhs_deriv=lambda x: expr.evaluate(d_ast, x),
-        rhs_second=lambda x: expr.evaluate(dd_ast, x),
+        rhs=expr.compile(ast),
+        rhs_deriv=expr.compile(d_ast),
+        rhs_second=expr.compile(dd_ast),
         x0=args.x0,
         k=1.1 if args.k is None else args.k,
         threshold=rule,

@@ -15,11 +15,16 @@ natural logarithm. ``a^b`` with non-integer ``b`` requires ``a > 0``. Each
 operator, function call and pair of parentheses nests one level, and input
 nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
 first two derivatives stay within the recursion limit.
+
+``compile`` turns a tree into a Python function of x once; ``evaluate``
+compiles on every call, so a caller that evaluates a tree often compiles it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -228,7 +233,13 @@ def float_pow(base: float, exponent: float) -> float:
         return -math.inf if base < 0.0 and exponent % 2 else math.inf
 
 
-def _eval_pow(base: float, exponent: float, node) -> float:
+def _checked_div(num: float, den: float, node) -> float:
+    if den == 0.0:
+        raise DomainError(f"division by zero in '{pretty(node)}'")
+    return num / den
+
+
+def _checked_pow(base: float, exponent: float, node) -> float:
     if base > 0.0:
         return float_pow(base, exponent)
     if float(exponent).is_integer():
@@ -240,44 +251,113 @@ def _eval_pow(base: float, exponent: float, node) -> float:
     )
 
 
+def _checked_log(v: float, node) -> float:
+    if v <= 0.0:
+        raise DomainError(f"log of non-positive value {v!r} in '{pretty(node)}'")
+    return math.log(v)
+
+
+def _checked_sqrt(v: float, node) -> float:
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v!r} in '{pretty(node)}'")
+    return math.sqrt(v)
+
+
+# Each node kind's float semantics, as a Python statement that sets {v} from its
+# operand values {0} and {1}; {n} is the node, which a DomainError prints. A checked
+# kind computes inline where its operands are inside the domain and calls its
+# helper, which raises or takes the overflow rule, everywhere else. compile emits
+# one statement per node, and _fold reaches them through compile.
+_SEMANTICS = {
+    Add: "{v} = {0} + {1}",
+    Sub: "{v} = {0} - {1}",
+    Mul: "{v} = {0} * {1}",
+    Neg: "{v} = -{0}",
+    Div: "{v} = {0} / {1} if {1} != 0.0 else _checked_div({0}, {1}, {n})",
+    Pow: "try:\n    {v} = {0} ** {1} if {0} > 0.0 else _checked_pow({0}, {1}, {n})\n"
+         "except OverflowError:\n    {v} = _checked_pow({0}, {1}, {n})",
+    "exp": "{v} = _exp({0})",
+    "log": "{v} = _log({0}) if {0} > 0.0 else _checked_log({0}, {n})",
+    "sin": "{v} = _sin({0})",
+    "cos": "{v} = _cos({0})",
+    "sqrt": "{v} = _sqrt({0}) if {0} >= 0.0 else _checked_sqrt({0}, {n})",
+}
+_HELPERS = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
+            "_checked_log": _checked_log, "_checked_sqrt": _checked_sqrt, "_exp": float_exp,
+            "_log": math.log, "_sin": math.sin, "_cos": math.cos, "_sqrt": math.sqrt}
+
+
+def _operands(e: Expr) -> tuple:
+    """e's operand subtrees, left first."""
+    if isinstance(e, (Var, Num)):
+        return ()
+    return (e.a,) if isinstance(e, (Neg, Call)) else (e.a, e.b)
+
+
+def compile(e: Expr) -> Callable[[float], float]:
+    """e as a Python function of x, generated and compiled once. It runs one
+    statement per node, left operand first, each the node's float operation
+    of _SEMANTICS, so every value and every first DomainError is the same as
+    evaluating the tree node by node. Literals and nodes are bound in the
+    function's namespace, not written as source, so inf and nan need no text.
+    A subtree that e holds more than once (differentiate reuses its operands)
+    becomes one function, called at each place it occurs: the code grows with
+    the distinct nodes, not with the expanded tree, which reaches 330,000 nodes
+    for the second derivative of the deepest input."""
+    uses: dict[int, int] = {}
+
+    def count(node) -> None:
+        uses[id(node)] = uses.get(id(node), 0) + 1
+        if uses[id(node)] == 1:
+            for child in _operands(node):
+                count(child)
+
+    count(e)
+    names = {id(e): "f"}
+    namespace = dict(_HELPERS)
+    ids = itertools.count()
+    defs = []
+
+    def define(root) -> None:
+        # a node's value goes to its slot variable; its left operand shares the slot
+        # and its right operand takes the next, which its parent has read by then
+        lines = []
+
+        def emit(node, slot: int) -> str:
+            if isinstance(node, Var):
+                return "x"
+            name = f"k{next(ids)}"
+            if isinstance(node, Num):
+                namespace[name] = node.value
+                return name
+            if node is not root and uses[id(node)] > 1:
+                if id(node) not in names:
+                    names[id(node)] = f"s{len(names)}"
+                    define(node)
+                lines.append(f"v{slot} = {names[id(node)]}(x)")
+                return f"v{slot}"
+            namespace[name] = node
+            operands = []
+            for i, child in enumerate(_operands(node)):
+                operands.append(emit(child, slot + i))
+            kind = node.fn if isinstance(node, Call) else type(node)
+            lines.extend(_SEMANTICS[kind].format(*operands, v=f"v{slot}", n=name).split("\n"))
+            return f"v{slot}"
+
+        result = emit(root, 0)
+        body = "".join(f"    {line}\n" for line in lines)
+        defs.append(f"def {names[id(root)]}(x):\n{body}    return {result}\n")
+
+    define(e)
+    exec("\n".join(defs), namespace)
+    return namespace["f"]
+
+
 def evaluate(e: Expr, x: float) -> float:
-    """IEEE-754 double evaluation; raises DomainError outside the real domain."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -evaluate(e.a, x)
-    if isinstance(e, Add):
-        return evaluate(e.a, x) + evaluate(e.b, x)
-    if isinstance(e, Sub):
-        return evaluate(e.a, x) - evaluate(e.b, x)
-    if isinstance(e, Mul):
-        return evaluate(e.a, x) * evaluate(e.b, x)
-    if isinstance(e, Div):
-        num, den = evaluate(e.a, x), evaluate(e.b, x)
-        if den == 0.0:
-            raise DomainError(f"division by zero in '{pretty(e)}'")
-        return num / den
-    if isinstance(e, Pow):
-        return _eval_pow(evaluate(e.a, x), evaluate(e.b, x), e)
-    if isinstance(e, Call):
-        v = evaluate(e.a, x)
-        if e.fn == "exp":
-            return float_exp(v)
-        if e.fn == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v!r} in '{pretty(e)}'")
-            return math.log(v)
-        if e.fn == "sin":
-            return math.sin(v)
-        if e.fn == "cos":
-            return math.cos(v)
-        if e.fn == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r} in '{pretty(e)}'")
-            return math.sqrt(v)
-    raise TypeError(f"not an expression node: {e!r}")
+    """IEEE-754 double evaluation; raises DomainError outside the real domain.
+    It compiles e on every call: a caller that evaluates e more than once
+    compiles it once."""
+    return compile(e)(x)
 
 
 # --- smart constructors (constant folding only) --------------------------------
@@ -292,7 +372,7 @@ def _fold(cls, *operands):
     node = cls(*operands)
     if all(isinstance(e, Num) for e in operands):
         try:
-            return Num(evaluate(node, 0.0))
+            return Num(compile(node)(0.0))
         except DomainError:
             pass
     match node:

@@ -20,7 +20,7 @@ from blowup.expr import (
     pretty,
 )
 
-from conftest import NESTING_SHAPES, central_fd, derivative_matches_fd, gen_expr
+from conftest import NESTING_SHAPES, derivative_matches_fd, gen_expr
 
 
 class TestParse:

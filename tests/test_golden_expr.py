@@ -76,11 +76,13 @@ def _recorded(text: str) -> str:
 
 
 def outcomes(tree) -> list[str]:
-    """The table value of one expression: its outcome at each of POINTS."""
+    """The table value of one expression: its outcome at each of POINTS, from
+    one compiled function."""
+    f = expr.compile(tree)
     out = []
     for x in POINTS:
         try:
-            text = repr(expr.evaluate(tree, x))
+            text = repr(f(x))
         except Exception as exc:  # the first error of any kind is part of the record
             text = f"{type(exc).__name__}: {exc}"
         out.append(_recorded(text))
