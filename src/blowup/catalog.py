@@ -113,12 +113,14 @@ def _xlog(c: float) -> CatalogEntry:
     if not c > 0:
         raise UnknownId(f"xlog_c needs c > 0, got {c!r}")
 
+    one_c = 1.0 + c
+
     def rhs(x):
-        return x * math.log(x) ** (1.0 + c)
+        return x * math.log(x) ** one_c
 
     def rhs_deriv(x):
         lx = math.log(x)
-        return lx ** (1.0 + c) + (1.0 + c) * lx**c
+        return lx ** one_c + one_c * lx**c
 
     problem = ScalarProblem(
         rhs=rhs,
@@ -216,39 +218,40 @@ def _coupled() -> CatalogEntry:
     )
 
 
-def _log_weighted(a_coef: float, b_coef: float, x1: float, x2: float) -> float:
-    """log(a*x1^2 + b*x2^2), stable for components near the float64 ceiling."""
-    m = max(abs(x1), abs(x2))
-    u1 = x1 / m
-    u2 = x2 / m
-    return 2.0 * math.log(m) + math.log(a_coef * u1 * u1 + b_coef * u2 * u2)
-
-
 @lru_cache(maxsize=None)
 def _slowlog(c: float) -> CatalogEntry:
     if not c > 0:
         raise UnknownId(f"slowlog_c needs c > 0, got {c!r}")
     one_c = 1.0 + c
 
+    # l1 = log(x1^2 + 2 x2^2) and l2 = log(2 x1^2 + x2^2), taken as 2 log(m) plus
+    # the log of q1 or q2 over u = x/m, m = max|x_i|, so that squares near the
+    # float64 ceiling do not overflow
     def rhs(x):
         x1, x2 = x
-        l1 = _log_weighted(1.0, 2.0, x1, x2)
-        l2 = _log_weighted(2.0, 1.0, x1, x2)
+        m = max(abs(x1), abs(x2))
+        u1 = x1 / m
+        u2 = x2 / m
+        log_m2 = 2.0 * math.log(m)
+        l1 = log_m2 + math.log(u1 * u1 + 2.0 * u2 * u2)
+        l2 = log_m2 + math.log(2.0 * u1 * u1 + u2 * u2)
         return (x1 * l1**one_c, x2 * l2**one_c)
 
     def jac(x):
         x1, x2 = x
         m = max(abs(x1), abs(x2))
-        u1, u2 = x1 / m, x2 / m
-        l1 = _log_weighted(1.0, 2.0, x1, x2)
-        l2 = _log_weighted(2.0, 1.0, x1, x2)
+        u1 = x1 / m
+        u2 = x2 / m
+        log_m2 = 2.0 * math.log(m)
         q1 = u1 * u1 + 2.0 * u2 * u2
         q2 = 2.0 * u1 * u1 + u2 * u2
+        l1 = log_m2 + math.log(q1)
+        l2 = log_m2 + math.log(q2)
+        g1 = one_c * l1**c
+        g2 = one_c * l2**c
         return (
-            (l1**one_c + one_c * l1**c * (2.0 * u1 * u1 / q1),
-             one_c * l1**c * (4.0 * u1 * u2 / q1)),
-            (one_c * l2**c * (4.0 * u1 * u2 / q2),
-             l2**one_c + one_c * l2**c * (2.0 * u2 * u2 / q2)),
+            (l1**one_c + g1 * (2.0 * u1 * u1 / q1), g1 * (4.0 * u1 * u2 / q1)),
+            (g2 * (4.0 * u1 * u2 / q2), l2**one_c + g2 * (2.0 * u2 * u2 / q2)),
         )
 
     # l_i >= log(x1^2 + x2^2) = 2 log|x| > 0 on |x| > delta, so b.x >= 2^(1+c) |x|^2
