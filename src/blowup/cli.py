@@ -257,12 +257,14 @@ def _check_outputs(*paths) -> None:
 
 
 def _print_notes(table) -> None:
-    """The table's notes and one line per failed cell."""
+    """The table's notes, one line per failed cell and one per cell with warnings."""
     for note in table.notes:
         print(f"note={note}")
     for r in table.rows:
         if r.failed:
             print(f"failed={r.method} eps={r.epsilon:g}: {r.failed}")
+        if r.warnings:
+            print(f"warning={r.method} eps={r.epsilon:g}: {r.warnings}")
 
 
 def _cmd_study(args) -> int:

@@ -22,7 +22,8 @@ from .problems import RunResult, ScalarProblem
 from .stepping import LogNDImplicitN
 
 CSV_HEADER = (
-    "problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,wall_ns,failed"
+    "problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,wall_ns,failed,"
+    "warnings"
 )
 CSV_HEADER_RD = CSV_HEADER + ",m,succ_diff_log2"
 
@@ -70,6 +71,7 @@ class StudyRow:
     m: Optional[int] = None
     succ_diff_log2: Optional[float] = None
     failed: str = ""
+    warnings: str = ""
 
 
 @dataclass(frozen=True)
@@ -185,17 +187,19 @@ class _CellResult(NamedTuple):
     steps: int
     wall_time: float
     failed: str  # the SolverError of a cell that did not run, else ""
+    warnings: str  # the run's warnings, joined by "; "
 
 
 def _run_cell(cell) -> _CellResult:
     """Run one (problem_id, c, m, method, eps) cell on its catalog entry; a
-    SolverError gives a failed result with a NaN tau_hat and zero counts."""
+    SolverError gives a failed result with a NaN tau_hat, zero counts and no
+    warnings."""
     problem_id, c, m, method, eps = cell
     try:
         res = run_method(catalog.get(problem_id, c=c, m=m), method, eps)
     except SolverError as exc:
-        return _CellResult(math.nan, 0, 0.0, f"{type(exc).__name__}: {exc}")
-    return _CellResult(res.tau_hat, res.steps, res.wall_time, "")
+        return _CellResult(math.nan, 0, 0.0, f"{type(exc).__name__}: {exc}", "")
+    return _CellResult(res.tau_hat, res.steps, res.wall_time, "", "; ".join(res.warnings))
 
 
 def _run_cells(cells: list) -> list[_CellResult]:
@@ -235,6 +239,7 @@ def _study_row(problem, method, eps, res: _CellResult, ref_kind, ref_value,
         reference_value=ref_value,
         wall_ns=int(res.wall_time * 1e9),
         failed=res.failed,
+        warnings=res.warnings,
         **extra,
     )
 
@@ -377,7 +382,8 @@ def write_lines(path: str, lines: Sequence[str]) -> None:
 
 def emit_csv(table: StudyTable, path: str) -> None:
     """Write the table; floats carry 17 significant digits (lossless round-trip),
-    and a failed cell's reason is quoted as the csv module quotes."""
+    and a failed cell's reason and a cell's warnings are quoted as the csv module
+    quotes."""
     rd_style = any(r.m is not None for r in table.rows)
     rows = [(CSV_HEADER_RD if rd_style else CSV_HEADER).split(",")]
     for r in table.rows:
@@ -392,6 +398,7 @@ def emit_csv(table: StudyTable, path: str) -> None:
             _fmt(r.reference_value),
             str(r.wall_ns),
             r.failed,
+            r.warnings,
         ]
         if rd_style:
             cells += [_fmt(r.m), _fmt(r.succ_diff_log2)]

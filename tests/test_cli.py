@@ -390,6 +390,19 @@ def test_missing_output_directory_exits_before_any_cell(capsys, tmp_path, monkey
     assert not list(tmp_path.iterdir())
 
 
+def test_cell_warnings_are_printed_and_written(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "study", "--problem", "xlog_c", "--methods", "adaptive",
+                           "--eps-start", "2^-2", "--eps-stop", "2^-5", "--out", "x.csv")
+    assert code == 0
+    capped = "radius capped at 1e+250 (float64 range); tail bound is no longer <= eps"
+    assert [line for line in out.splitlines() if line.startswith("warning=")] == [
+        f"warning=adaptive eps=0.0625: {capped}", f"warning=adaptive eps=0.03125: {capped}"]
+    rows = (tmp_path / "x.csv").read_text().splitlines()
+    assert rows[0].endswith(",failed,warnings")
+    assert [row.endswith(f",,{capped}") for row in rows[1:]] == [False, False, True, True]
+
+
 def test_failed_cells_are_printed_and_written(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ("study", "--problem", "uncoupled", "--methods", "log-uniform,adaptive",
@@ -400,7 +413,7 @@ def test_failed_cells_are_printed_and_written(capsys, tmp_path, monkeypatch):
     assert [line for line in out.splitlines() if line.startswith("failed=")] == [
         f"failed=log-uniform eps=0.15: {reason}"
     ]
-    assert f',"{reason}"\n' in (tmp_path / "o.csv").read_text()
+    assert f',"{reason}",\n' in (tmp_path / "o.csv").read_text()
     # the one cell fails, so the chart has nothing to plot and the study writes nothing
     code, _, err = run_cli(
         capsys, "study", "--problem", "uncoupled", "--methods", "log-uniform",

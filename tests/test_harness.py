@@ -347,11 +347,42 @@ class TestEmission:
         path = tmp_path / "t.csv"
         emit_csv(StudyTable(rows=(good, bad)), str(path))
         lines = path.read_text().split("\n")
-        assert lines[0].endswith(",wall_ns,failed")
-        assert lines[1].endswith(",11,")
-        assert lines[2].endswith(',0,"SolverError: needs r > e, got 2.5 at eps = ""0.15"""')
+        assert lines[0].endswith(",wall_ns,failed,warnings")
+        assert lines[1].endswith(",11,,")
+        assert lines[2].endswith(',0,"SolverError: needs r > e, got 2.5 at eps = ""0.15""",')
         with open(path, newline="") as fh:
             assert [row["failed"] for row in csv.DictReader(fh)] == ["", reason]
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "in-process"])
+    def test_capped_cells_carry_their_warning(self, tmp_path, monkeypatch, cpus):
+        # xlog_c's radius exp((c eps)^(-1/c)) passes the cap from eps = 2^-4 at c = 1/2
+        _allow_cpus(monkeypatch, cpus)
+        grid = [2.0**-k for k in range(2, 6)]
+        table = run_study("xlog_c", ["adaptive"], grid)
+        entry = catalog.get("xlog_c")
+        for row, eps in zip(table.rows, grid):
+            res = run_method(entry, "adaptive", eps)
+            assert (row.tau_hat, row.steps) == (res.tau_hat, res.steps)
+            assert row.warnings == "; ".join(res.warnings)
+        assert [r.warnings.startswith("radius capped at 1e+250") for r in table.rows] == [
+            False, False, True, True]
+        path = tmp_path / "x.csv"
+        emit_csv(table, str(path))
+        with open(path, newline="") as fh:
+            assert [row["warnings"] for row in csv.DictReader(fh)] == [
+                r.warnings for r in table.rows]
+
+    def test_uncapped_study_has_an_empty_warnings_column(self, tmp_path):
+        grid = [2.0**-k for k in range(5, 9)]
+        table = run_study("sq", ["adaptive"], grid)
+        entry = catalog.get("sq")
+        for row, eps in zip(table.rows, grid):
+            res = run_method(entry, "adaptive", eps)
+            assert (row.tau_hat, row.steps, row.warnings) == (res.tau_hat, res.steps, "")
+        path = tmp_path / "sq.csv"
+        emit_csv(table, str(path))
+        with open(path, newline="") as fh:
+            assert [row["warnings"] for row in csv.DictReader(fh)] == [""] * len(grid)
 
     def test_rd_csv_has_extra_columns(self, tmp_path):
         table = run_rd_study("vary-m", eps=2.0**-8, m_grid=[4, 8], methods=("adaptive",))
