@@ -1,6 +1,7 @@
 """Each blowup module imports on its own, whatever order the package uses,
-every name that perfbench's tracer wraps exists, and every error the package
-defines is either an input error or a solver error.
+every name that perfbench's tracer wraps exists and is restored after the
+tracer is removed, and every error the package defines is either an input
+error or a solver error.
 
 Importing ``blowup.<module>`` normally runs the package's ``__init__`` first,
 which fixes one import order and can hide a cycle between two modules. Each
@@ -42,17 +43,43 @@ def test_module_imports_alone(module):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_tracer_span_targets_resolve():
-    # perfbench --trace 1 replaces each (module, attribute) pair of SPAN_TARGETS and
-    # fails with AttributeError on a name that is gone; tracing.py needs only the
-    # standard library, so it loads here by path
+def _load_tracing():
+    # tracing.py needs only the standard library, so it loads here by path
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_span_targets_resolve():
+    # perfbench --trace 1 replaces each (module, attribute) pair of SPAN_TARGETS and
+    # fails with AttributeError on a name that is gone
+    tracing = _load_tracing()
     missing = [f"{module}.{name}" for module, name in tracing.SPAN_TARGETS
                if not hasattr(importlib.import_module(module), name)]
     assert tracing.SPAN_TARGETS and not missing
+
+
+def test_tracer_installs_and_restores_every_patched_name():
+    # --trace 1 also wraps linalg.spectral_norm and expr.evaluate in counters; the
+    # probe patches and calls the same two names
+    tracing = _load_tracing()
+    targets = [*tracing.SPAN_TARGETS, ("blowup.linalg", "spectral_norm"),
+               ("blowup.expr", "evaluate")]
+    missing = [f"{module}.{name}" for module, name in targets
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+    before = [getattr(importlib.import_module(module), name) for module, name in targets]
+    tracer = tracing.Tracer("t")
+    tracer.install()
+    try:
+        during = [getattr(importlib.import_module(module), name) for module, name in targets]
+    finally:
+        tracer.uninstall()
+    after = [getattr(importlib.import_module(module), name) for module, name in targets]
+    assert all(d is not b for d, b in zip(during, before))
+    assert all(a is b for a, b in zip(after, before))
 
 
 def test_every_error_is_an_input_or_a_solver_error():
