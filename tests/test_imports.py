@@ -43,43 +43,35 @@ def test_module_imports_alone(module):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def _load_tracing():
-    # tracing.py needs only the standard library, so it loads here by path
+def test_tracer_span_targets_resolve():
+    # perfbench --trace 1 replaces each (module, attribute) pair of SPAN_TARGETS, and
+    # wraps linalg.spectral_norm and expr.evaluate in counters, which the probe also
+    # patches and calls; it fails with AttributeError on a name that is gone. So each
+    # name must exist, be replaced while a tracer is installed and be the original
+    # again once it is removed. tracing.py needs only the standard library, so it
+    # loads here by path.
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing
-
-
-def test_tracer_span_targets_resolve():
-    # perfbench --trace 1 replaces each (module, attribute) pair of SPAN_TARGETS and
-    # fails with AttributeError on a name that is gone
-    tracing = _load_tracing()
-    missing = [f"{module}.{name}" for module, name in tracing.SPAN_TARGETS
-               if not hasattr(importlib.import_module(module), name)]
-    assert tracing.SPAN_TARGETS and not missing
-
-
-def test_tracer_installs_and_restores_every_patched_name():
-    # --trace 1 also wraps linalg.spectral_norm and expr.evaluate in counters; the
-    # probe patches and calls the same two names
-    tracing = _load_tracing()
     targets = [*tracing.SPAN_TARGETS, ("blowup.linalg", "spectral_norm"),
                ("blowup.expr", "evaluate")]
     missing = [f"{module}.{name}" for module, name in targets
                if not hasattr(importlib.import_module(module), name)]
-    assert not missing
-    before = [getattr(importlib.import_module(module), name) for module, name in targets]
+    assert tracing.SPAN_TARGETS and not missing
+
+    def current():
+        return [getattr(importlib.import_module(module), name) for module, name in targets]
+
+    before = current()
     tracer = tracing.Tracer("t")
     tracer.install()
     try:
-        during = [getattr(importlib.import_module(module), name) for module, name in targets]
+        during = current()
     finally:
         tracer.uninstall()
-    after = [getattr(importlib.import_module(module), name) for module, name in targets]
     assert all(d is not b for d, b in zip(during, before))
-    assert all(a is b for a, b in zip(after, before))
+    assert all(a is b for a, b in zip(current(), before))
 
 
 def test_every_error_is_an_input_or_a_solver_error():
