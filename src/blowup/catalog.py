@@ -230,8 +230,7 @@ def _slowlog(c: float) -> CatalogEntry:
     def rhs(x):
         x1, x2 = x
         m = max(abs(x1), abs(x2))
-        u1 = x1 / m
-        u2 = x2 / m
+        u1, u2 = x1 / m, x2 / m
         log_m2 = 2.0 * math.log(m)
         l1 = log_m2 + math.log(u1 * u1 + 2.0 * u2 * u2)
         l2 = log_m2 + math.log(2.0 * u1 * u1 + u2 * u2)
@@ -240,8 +239,7 @@ def _slowlog(c: float) -> CatalogEntry:
     def jac(x):
         x1, x2 = x
         m = max(abs(x1), abs(x2))
-        u1 = x1 / m
-        u2 = x2 / m
+        u1, u2 = x1 / m, x2 / m
         log_m2 = 2.0 * math.log(m)
         q1 = u1 * u1 + 2.0 * u2 * u2
         q2 = 2.0 * u1 * u1 + u2 * u2

@@ -16,8 +16,8 @@ operator, function call and pair of parentheses nests one level, and input
 nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
 first two derivatives stay within the recursion limit.
 
-``compile`` turns a tree into a Python function of x once; ``evaluate``
-compiles on every call, so a caller that evaluates a tree often compiles it.
+``compile`` turns a tree into a Python function of x; a caller that evaluates
+a tree more than once compiles it once, where ``evaluate`` compiles per call.
 """
 from __future__ import annotations
 
@@ -355,8 +355,7 @@ def compile(e: Expr) -> Callable[[float], float]:
 
 def evaluate(e: Expr, x: float) -> float:
     """IEEE-754 double evaluation; raises DomainError outside the real domain.
-    It compiles e on every call: a caller that evaluates e more than once
-    compiles it once."""
+    It compiles e on every call."""
     return compile(e)(x)
 
 
