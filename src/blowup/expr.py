@@ -263,6 +263,12 @@ def _checked_sqrt(v: float, node) -> float:
     return math.sqrt(v)
 
 
+def _checked_trig(v: float, node) -> float:
+    if math.isinf(v):
+        raise DomainError(f"{node.fn} of infinite value {v!r} in '{pretty(node)}'")
+    return math.sin(v) if node.fn == "sin" else math.cos(v)
+
+
 # Each node kind's float semantics, as a Python statement that sets {v} from its
 # operand values {0} and {1}; {n} is the node, which a DomainError prints. A checked
 # kind computes inline where its operands are inside the domain and calls its
@@ -278,13 +284,14 @@ _SEMANTICS = {
          "except OverflowError:\n    {v} = _checked_pow({0}, {1}, {n})",
     "exp": "{v} = _exp({0})",
     "log": "{v} = _log({0}) if {0} > 0.0 else _checked_log({0}, {n})",
-    "sin": "{v} = _sin({0})",
-    "cos": "{v} = _cos({0})",
+    "sin": "{v} = _sin({0}) if -_inf < {0} < _inf else _checked_trig({0}, {n})",
+    "cos": "{v} = _cos({0}) if -_inf < {0} < _inf else _checked_trig({0}, {n})",
     "sqrt": "{v} = _sqrt({0}) if {0} >= 0.0 else _checked_sqrt({0}, {n})",
 }
 _HELPERS = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
-            "_checked_log": _checked_log, "_checked_sqrt": _checked_sqrt, "_exp": float_exp,
-            "_log": math.log, "_sin": math.sin, "_cos": math.cos, "_sqrt": math.sqrt}
+            "_checked_log": _checked_log, "_checked_sqrt": _checked_sqrt,
+            "_checked_trig": _checked_trig, "_exp": float_exp, "_log": math.log,
+            "_sin": math.sin, "_cos": math.cos, "_sqrt": math.sqrt, "_inf": math.inf}
 
 
 def _operands(e: Expr) -> tuple:

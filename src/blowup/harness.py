@@ -20,12 +20,15 @@ from .errors import InputError, SolverError
 from .integrate import SolverConfig, solve_1d, solve_log_nd, solve_nd
 from .problems import RunResult, ScalarProblem
 from .stepping import LogNDImplicitN
+from .thresholds import RADIUS_CAP, cap_warnings
 
 CSV_HEADER = (
     "problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,wall_ns,failed,"
     "warnings"
 )
 CSV_HEADER_RD = CSV_HEADER + ",m,succ_diff_log2"
+
+_CAPPED = cap_warnings(RADIUS_CAP)[0]  # the warning of a run at the capped radius
 
 AXIS_ERROR = "error"
 AXIS_COST = "cost"
@@ -141,23 +144,35 @@ def run_method(
 _REFERENCE_CACHE: dict = {}
 
 
+def _reference_eps(entry: catalog.CatalogEntry, eps_ref: float | None) -> float | None:
+    """The tolerance the entry's pseudo reference is generated at, or None for
+    an exact reference. Raises NoReference for a pseudo reference with no
+    tolerance to generate it at, and for an eps_ref given to an exact
+    reference, which would ignore it."""
+    ref = entry.reference
+    if isinstance(ref, catalog.Exact):
+        if eps_ref is not None:
+            raise NoReference(f"{entry.id!r} has an exact reference; eps_ref is for pseudo ones")
+        return None
+    eref = eps_ref if eps_ref is not None else ref.eps_ref
+    if eref is None:
+        raise NoReference(f"{entry.id!r} needs an explicit eps_ref for its pseudo reference")
+    return eref
+
+
 def reference_value(
     entry: catalog.CatalogEntry,
     *,
     eps_ref: float | None = None,
 ) -> tuple[str, float, list[str]]:
     """(kind, value, notes) for the entry's reference; pseudo references are
-    generated with the entry's adaptive method and cached by (entry, eps_ref).
-    Raises NoReference for a pseudo reference with no tolerance to generate it
-    at, and for an eps_ref given to an exact reference, which would ignore it."""
+    generated with the entry's adaptive method and cached by (entry, eps_ref)
+    with the run's warnings, which a note names. Raises NoReference as
+    _reference_eps does."""
+    eref = _reference_eps(entry, eps_ref)
     ref = entry.reference
-    if isinstance(ref, catalog.Exact):
-        if eps_ref is not None:
-            raise NoReference(f"{entry.id!r} has an exact reference; eps_ref is for pseudo ones")
-        return "exact", ref.value, []
-    eref = eps_ref if eps_ref is not None else ref.eps_ref
     if eref is None:
-        raise NoReference(f"{entry.id!r} needs an explicit eps_ref for its pseudo reference")
+        return "exact", ref.value, []
     notes = []
     if ref.eps_ref is not None and eps_ref is not None and eps_ref != ref.eps_ref:
         notes.append(
@@ -166,8 +181,12 @@ def reference_value(
         )
     key = (entry, eref)
     if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = run_method(entry, "adaptive", eref).tau_hat
-    return "pseudo", _REFERENCE_CACHE[key], notes
+        res = run_method(entry, "adaptive", eref)
+        _REFERENCE_CACHE[key] = res.tau_hat, "; ".join(res.warnings)
+    tau_hat, warnings = _REFERENCE_CACHE[key]
+    if warnings:
+        notes.append(f"pseudo reference at eps_ref = {eref:g}: {warnings}")
+    return "pseudo", tau_hat, notes
 
 
 def _cell_workers(n_cells: int) -> int:
@@ -193,11 +212,14 @@ class _CellResult(NamedTuple):
 def _run_cell(cell) -> _CellResult:
     """Run one (problem_id, c, m, method, eps) cell on its catalog entry; a
     SolverError gives a failed result with a NaN tau_hat, zero counts and no
-    warnings."""
+    warnings. Method None stands for the entry's pseudo reference, its adaptive
+    run at eps, whose SolverError is raised: a study cannot go on without it."""
     problem_id, c, m, method, eps = cell
     try:
-        res = run_method(catalog.get(problem_id, c=c, m=m), method, eps)
+        res = run_method(catalog.get(problem_id, c=c, m=m), method or "adaptive", eps)
     except SolverError as exc:
+        if method is None:
+            raise
         return _CellResult(math.nan, 0, 0.0, f"{type(exc).__name__}: {exc}", "")
     return _CellResult(res.tau_hat, res.steps, res.wall_time, "", "; ".join(res.warnings))
 
@@ -271,33 +293,48 @@ def run_study(
 ) -> StudyTable:
     """Run all (method, eps) cells, compute errors against the entry's
     reference, and fit log-log error/cost slopes per method. A cell that
-    raises a SolverError becomes a failed row. The cells run in forked worker
-    processes, one per CPU this process may run on (in this process where
-    there is one CPU or one cell), with the same rows either way but for
-    ``wall_ns``. ``seed`` and ``jobs`` are accepted and ignored: every cell is
-    deterministic."""
+    raises a SolverError becomes a failed row; a pseudo reference that raises
+    one makes the study raise it. The cells, and a pseudo reference not yet
+    cached, run in forked worker processes, one per CPU this process may run
+    on (in this process where there is one CPU or one cell), with the same
+    rows either way but for ``wall_ns``. The reference is the finest run, so
+    it starts first. The notes name the reference's warnings and, per method,
+    the cells at the capped radius that its slopes are fitted over. ``seed``
+    and ``jobs`` are accepted and ignored: every cell is deterministic."""
     eps_grid = _strict_grid(eps_grid, "eps grid", decreasing=True)
     entry = catalog.get(problem_id, c=c, m=m)
     if not methods:
         return StudyTable(rows=(), fitted={}, notes=())
     for method in methods:
         _law(entry, method)
+    eref = _reference_eps(entry, eps_ref)
 
-    ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
-
+    ref_cells = ([] if eref is None or (entry, eref) in _REFERENCE_CACHE
+                 else [(problem_id, c, m, None, eref)])
     cells = [(problem_id, c, m, method, eps) for method in methods for eps in eps_grid]
+    results = _run_cells(ref_cells + cells)
+    if ref_cells:
+        ref = results.pop(0)
+        _REFERENCE_CACHE[entry, eref] = ref.tau_hat, ref.warnings
+    ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
     rows = [_study_row(entry.id, method, eps, res, ref_kind, ref_value)
-            for (*_, method, eps), res in zip(cells, _run_cells(cells))]
+            for (*_, method, eps), res in zip(cells, results)]
 
     fitted = {}
     for method in methods:
         good = [r for r in rows if r.method == method and not r.failed]
         err_pts = [(r.epsilon, r.error) for r in good if r.error > 0]
         cost_pts = [(r.epsilon, float(r.steps)) for r in good if r.steps > 0]
-        fitted[method] = MethodRates(
+        rates = fitted[method] = MethodRates(
             error=fit_rate(err_pts) if len(err_pts) >= 3 else None,
             cost=fit_rate(cost_pts) if len(cost_pts) >= 3 else None,
         )
+        capped = sum(_CAPPED in r.warnings for r in good
+                     if (rates.error is not None and r.error > 0)
+                     or (rates.cost is not None and r.steps > 0))
+        if capped:
+            notes.append(f"{method}: its slopes are fitted over {capped} cells at the "
+                         f"capped radius {RADIUS_CAP:g}")
     return StudyTable(rows=tuple(rows), fitted=fitted, notes=tuple(notes))
 
 

@@ -318,6 +318,9 @@ class TestExitCodes:
              "--eps", "2^-8", "--out", "o.csv"),
             # an unknown method id stops the study before its first cell
             ("rd-study", "--mode", "vary-eps", "--methods", "adaptive,bogus", "--out", "o.csv"),
+            # exp(800) is inf, where sin and cos are undefined
+            ("run", "--expr", "x^2 + sin(exp(x))", "--x0", "800", "--threshold", "radius:1/eps",
+             "--eps", "2^-12"),
         ],
     )
     def test_edge_inputs_are_usage_errors(self, capsys, tmp_path, monkeypatch, argv):
@@ -398,6 +401,8 @@ def test_cell_warnings_are_printed_and_written(capsys, tmp_path, monkeypatch):
     capped = "radius capped at 1e+250 (float64 range); tail bound is no longer <= eps"
     assert [line for line in out.splitlines() if line.startswith("warning=")] == [
         f"warning=adaptive eps=0.0625: {capped}", f"warning=adaptive eps=0.03125: {capped}"]
+    assert [line for line in out.splitlines() if line.startswith("note=")] == [
+        "note=adaptive: its slopes are fitted over 2 cells at the capped radius 1e+250"]
     rows = (tmp_path / "x.csv").read_text().splitlines()
     assert rows[0].endswith(",failed,warnings")
     assert [row.endswith(f",,{capped}") for row in rows[1:]] == [False, False, True, True]

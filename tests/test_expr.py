@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -172,6 +173,17 @@ class TestEvaluate:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             evaluate(parse("1/x"), 0.0)
+
+    @pytest.mark.parametrize("fn", ["sin", "cos"])
+    def test_trig_domain(self, fn):
+        # sin and cos of +-inf are undefined; NaN passes through as for the other kinds
+        f = expr.compile(parse(f"{fn}(x)"))
+        for x in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"{fn} of infinite value {x!r} in '{fn}(x)'")):
+                f(x)
+        assert math.isnan(f(math.nan))
+        assert f(0.7) == getattr(math, fn)(0.7)
 
     def test_negative_base_integer_exponent(self):
         assert evaluate(parse("(0-2)^2"), 0.0) == 4.0

@@ -147,6 +147,78 @@ class TestRunStudy:
             assert str(caught.value) == str(direct.value)
             assert caught.value.__cause__ is None
 
+    @pytest.mark.parametrize("pid, methods, grid, eps_ref, ref_note", [
+        ("coupled", ["adaptive", "alt"], [2.0**-k for k in range(6, 10)], 2.0**-12, False),
+        # the reference at 2^-7 integrates to the capped radius, and a note says so
+        ("slowlog_c", ["adaptive"], [2.0**-k for k in range(3, 6)], 2.0**-7, True),
+    ], ids=["coupled", "slowlog_c"])
+    def test_pooled_reference_matches_the_in_process_run(self, monkeypatch, pid, methods,
+                                                         grid, eps_ref, ref_note):
+        tables = []
+        for cpus in (2, 1):
+            _allow_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(harness_mod, "_REFERENCE_CACHE", {})
+            tables.append(run_study(pid, methods, grid, eps_ref=eps_ref))
+        pooled, serial = tables
+        assert _rows_but_wall_time(pooled) == _rows_but_wall_time(serial)
+        assert pooled.fitted == serial.fitted and pooled.notes == serial.notes
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(harness_mod, "_REFERENCE_CACHE", {})
+        kind, value, notes = reference_value(catalog.get(pid), eps_ref=eps_ref)
+        assert {(r.reference_kind, r.reference_value) for r in pooled.rows} == {(kind, value)}
+        assert list(pooled.notes) == notes
+        warning = f"pseudo reference at eps_ref = {eps_ref:g}: radius capped at 1e+250"
+        assert [n.startswith(warning) for n in notes] == [False] + [True] * ref_note
+        # a cached reference keeps its warnings
+        assert run_study(pid, methods, grid, eps_ref=eps_ref).notes == pooled.notes
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "in-process"])
+    def test_failed_reference_raises(self, monkeypatch, cpus):
+        # a study cannot go on without its reference, so its SolverError is not a row
+        _allow_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(harness_mod, "_REFERENCE_CACHE", {})
+        real = harness_mod.run_method
+
+        def no_reference(entry, method, eps, **kw):
+            if eps == 2.0**-12:
+                raise StepBudgetExceeded("injected at the reference")
+            return real(entry, method, eps, **kw)
+
+        monkeypatch.setattr(harness_mod, "run_method", no_reference)
+        with pytest.raises(StepBudgetExceeded) as direct:
+            reference_value(catalog.get("coupled"), eps_ref=2.0**-12)
+        with pytest.raises(StepBudgetExceeded) as caught:
+            run_study("coupled", ["adaptive"], [2.0**-6, 2.0**-7, 2.0**-8], eps_ref=2.0**-12)
+        assert str(caught.value) == str(direct.value)
+        assert harness_mod._REFERENCE_CACHE == {}
+        assert multiprocessing.active_children() == []
+
+    def test_reference_is_one_more_cell_until_cached(self, monkeypatch):
+        monkeypatch.setattr(harness_mod, "_REFERENCE_CACHE", {})
+        real, seen = harness_mod._run_cells, []
+
+        def spy(cells):
+            seen.append(list(cells))
+            return real(cells)
+
+        monkeypatch.setattr(harness_mod, "_run_cells", spy)
+        grid = [2.0**-6, 2.0**-7, 2.0**-8]
+        study = [(m, e) for m in ("adaptive", "alt") for e in grid]
+        for _ in range(2):
+            run_study("coupled", ["adaptive", "alt"], grid, eps_ref=2.0**-12)
+        first, cached = seen
+        assert first[0] == ("coupled", None, None, None, 2.0**-12)
+        assert [cell[3:] for cell in first[1:]] == study
+        assert [cell[3:] for cell in cached] == study
+
+    def test_missing_reference_raises_before_any_cell(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a study ran cells without a reference")
+
+        monkeypatch.setattr(harness_mod, "_run_cells", ran)
+        with pytest.raises(NoReference):
+            run_study("rd", ["adaptive"], [2.0**-6, 2.0**-7, 2.0**-8], m=4)
+
     def test_pseudo_reference_regenerates_bit_identically(self):
         entry = catalog.get("coupled")
         kind1, val1, _ = reference_value(entry, eps_ref=2.0**-10)
@@ -366,6 +438,8 @@ class TestEmission:
             assert row.warnings == "; ".join(res.warnings)
         assert [r.warnings.startswith("radius capped at 1e+250") for r in table.rows] == [
             False, False, True, True]
+        assert table.notes == (
+            "adaptive: its slopes are fitted over 2 cells at the capped radius 1e+250",)
         path = tmp_path / "x.csv"
         emit_csv(table, str(path))
         with open(path, newline="") as fh:
@@ -379,6 +453,7 @@ class TestEmission:
         for row, eps in zip(table.rows, grid):
             res = run_method(entry, "adaptive", eps)
             assert (row.tau_hat, row.steps, row.warnings) == (res.tau_hat, res.steps, "")
+        assert table.notes == ()
         path = tmp_path / "sq.csv"
         emit_csv(table, str(path))
         with open(path, newline="") as fh:
