@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import os
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -112,6 +113,13 @@ def _law(entry: catalog.CatalogEntry, method: str):
             f"{method!r} not available for {entry.id!r}; known: {sorted(entry.methods)}"
         )
     return law
+
+
+def _distinct(methods: Sequence[str]) -> None:
+    """InputError for a method id given more than once, whose cells would run twice."""
+    repeated = sorted({method for method in methods if methods.count(method) > 1})
+    if repeated:
+        raise InputError(f"methods given more than once: {', '.join(repeated)}")
 
 
 def run_method(
@@ -224,27 +232,109 @@ def _run_cell(cell) -> _CellResult:
     return _CellResult(res.tau_hat, res.steps, res.wall_time, "", "; ".join(res.warnings))
 
 
+class WorkerLost(SolverError):
+    """A worker process ended without sending back the result of its cell."""
+
+
+def _serve(cells: list, task_r: int, result_w: int) -> None:
+    """A worker's loop: for each cell index read from task_r, one per line until
+    end of file, pickle (index, _CellResult or exception, traceback text) to
+    result_w."""
+    with open(task_r, "rb") as tasks, open(result_w, "wb") as replies:
+        for line in tasks:
+            i = int(line)
+            try:
+                reply = (i, _run_cell(cells[i]), "")
+            except Exception as exc:  # sent to the caller, which raises it
+                import traceback
+
+                reply = (i, exc, traceback.format_exc())
+            pickle.dump(reply, replies)
+            replies.flush()
+
+
+def _hand_out(sel, key, order) -> None:
+    """Send the worker of a selector key the next cell index of order, or close
+    its task pipe, so that it exits, where none is left."""
+    worker = key.data  # [pid, task pipe, index of the cell in flight]
+    worker[2] = next(order, None)
+    if worker[2] is None:
+        sel.unregister(key.fileobj)
+        worker[1].close()
+        return
+    try:
+        worker[1].write(b"%d\n" % worker[2])
+    except BrokenPipeError:
+        pass  # the worker is gone, and its result pipe reaches end of file
+
+
 def _run_cells(cells: list) -> list[_CellResult]:
     """_run_cell over the cells, in their order. With more than one CPU and
-    cell and the fork start method, the cells run in forked worker processes,
-    longest first (smallest eps, then largest m). The caller has looked every
-    entry up, so each worker finds it in the catalog cache it inherits; only
-    the cell goes in and only its row figures come back."""
+    cell, the cells run in forked worker processes, longest first (smallest
+    eps, then largest m). Each worker has one cell in flight and is sent the
+    next index when its result arrives. The caller has looked every entry up,
+    so each worker finds it in the catalog cache it inherits; only the index
+    goes in and only the row figures come back.
+
+    An exception in a cell is raised here with its type and message, and with
+    the worker's traceback text as its cause; a worker that ends without its
+    result raises WorkerLost. On any exception the other workers are killed
+    at once, and every worker is reaped before this returns or raises."""
     workers = _cell_workers(len(cells))
-    if workers > 1:
-        import multiprocessing
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_run_cell(cell) for cell in cells]
+    import selectors  # only a pooled study needs these two
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            order = sorted(range(len(cells)), key=lambda i: (cells[i][4], -(cells[i][2] or 0)))
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    order = iter(sorted(range(len(cells)), key=lambda i: (cells[i][4], -(cells[i][2] or 0))))
+    results, pids, ends = [None] * len(cells), [], []  # ends: this process's pipe ends
+    ok = False
+    try:
+        for _ in range(workers):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            ends += open(task_w, "wb", buffering=0), open(result_r, "rb")
             try:
-                done = dict(zip(order, pool.map(_run_cell, [cells[i] for i in order])))
-                return [done[i] for i in range(len(cells))]
+                pid = os.fork()
+                if pid == 0:  # the worker: it leaves only through os._exit
+                    try:
+                        for end in ends:  # a worker holding another's task pipe keeps it alive
+                            end.close()
+                        _serve(cells, task_r, result_w)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)  # reached only on an exception
             finally:
-                pool.shutdown(cancel_futures=True)
-    return [_run_cell(cell) for cell in cells]
+                os.close(task_r)
+                os.close(result_w)
+            pids.append(pid)
+        with selectors.DefaultSelector() as sel:
+            for pid, tasks, replies in zip(pids, ends[::2], ends[1::2]):
+                _hand_out(sel, sel.register(replies, selectors.EVENT_READ, [pid, tasks, None]),
+                          order)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    pid, _, cell = key.data
+                    try:
+                        i, value, text = pickle.load(key.fileobj)
+                    except (EOFError, pickle.UnpicklingError):
+                        pids.remove(pid)
+                        code = os.waitstatus_to_exitcode(status := os.waitpid(pid, 0)[1])
+                        how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
+                        raise WorkerLost(f"the worker of cell {cells[cell]} ended without its "
+                                         f"result (wait status {status}: {how})") from None
+                    if text:
+                        raise value from Exception(text)
+                    results[i] = value
+                    _hand_out(sel, key, order)
+        ok = True
+        return results
+    finally:
+        for end in ends:
+            end.close()
+        for pid in pids:
+            if not ok:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _study_row(problem, method, eps, res: _CellResult, ref_kind, ref_value,
@@ -292,16 +382,18 @@ def run_study(
     jobs: int | None = None,
 ) -> StudyTable:
     """Run all (method, eps) cells, compute errors against the entry's
-    reference, and fit log-log error/cost slopes per method. A cell that
-    raises a SolverError becomes a failed row; a pseudo reference that raises
-    one makes the study raise it. The cells, and a pseudo reference not yet
-    cached, run in forked worker processes, one per CPU this process may run
-    on (in this process where there is one CPU or one cell), with the same
-    rows either way but for ``wall_ns``. The reference is the finest run, so
-    it starts first. The notes name the reference's warnings and, per method,
-    the cells at the capped radius that its slopes are fitted over. ``seed``
-    and ``jobs`` are accepted and ignored: every cell is deterministic."""
+    reference, and fit log-log error/cost slopes per method. A method given
+    twice is an InputError. A cell that raises a SolverError becomes a failed
+    row; a pseudo reference that raises one makes the study raise it. The
+    cells, and a pseudo reference not yet cached, run in forked worker
+    processes, one per CPU this process may run on (in this process where
+    there is one CPU or one cell), with the same rows either way but for
+    ``wall_ns``. The reference is the finest run, so it starts first. The
+    notes name the reference's warnings and, per method, the cells at the
+    capped radius that its slopes are fitted over. ``seed`` and ``jobs`` are
+    accepted and ignored: every cell is deterministic."""
     eps_grid = _strict_grid(eps_grid, "eps grid", decreasing=True)
+    _distinct(methods)
     entry = catalog.get(problem_id, c=c, m=m)
     if not methods:
         return StudyTable(rows=(), fitted={}, notes=())
@@ -356,10 +448,10 @@ def run_rd_study(
     """Reaction-diffusion tables: tau-hat plus the successive-difference column
     log2|tau(eps) - tau(2 eps)| (vary-eps) or log2|tau(m) - tau(m/2)| (vary-m).
 
-    The eps grid must strictly decrease and the m grid strictly increase. A
-    cell that raises a SolverError becomes a failed row; the differences next
-    to it are left empty, and the vary-eps reference is the finest run that
-    did not fail. The cells of all methods run in worker processes, as in
+    The eps grid must strictly decrease, the m grid strictly increase and the
+    methods differ. A cell that raises a SolverError becomes a failed row; the
+    differences next to it are left empty, and the vary-eps reference is the
+    finest run that did not fail. The cells of all methods run in worker processes, as in
     run_study. ``seed`` is accepted and ignored."""
     if mode == VARY_EPS:
         grid = [(m, e) for e in _strict_grid(eps_grid, "eps grid", decreasing=True)]
@@ -369,6 +461,7 @@ def run_rd_study(
         notes = [f"rd vary-m: eps = {eps:g}; successive differences across m"]
     else:
         raise InputError(f"mode must be {VARY_EPS!r} or {VARY_M!r}, got {mode!r}")
+    _distinct(methods)
     for mm, _ in grid:  # a bad m or method raises here; the workers inherit built entries
         entry = catalog.get("rd", m=mm)
         for method in methods:

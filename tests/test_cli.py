@@ -316,6 +316,10 @@ class TestExitCodes:
             # the vary-m grid must increase, as the successive differences assume
             ("rd-study", "--mode", "vary-m", "--m-grid", "8,4", "--methods", "adaptive",
              "--eps", "2^-8", "--out", "o.csv"),
+            # a method given twice, whose cells would run twice
+            ("study", "--problem", "xlog_c", "--methods", "adaptive,adaptive",
+             "--eps-start", "2^-3", "--eps-stop", "2^-6", "--out", "o.csv"),
+            ("rd-study", "--mode", "vary-m", "--methods", "adaptive,adaptive", "--out", "o.csv"),
             # an unknown method id stops the study before its first cell
             ("rd-study", "--mode", "vary-eps", "--methods", "adaptive,bogus", "--out", "o.csv"),
             # exp(800) is inf, where sin and cos are undefined

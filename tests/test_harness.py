@@ -1,14 +1,16 @@
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
 from blowup import catalog
-from blowup.errors import InputError
+from blowup.errors import InputError, SolverError
 from blowup.harness import (
     AXIS_COST,
     AXIS_ERROR,
@@ -36,6 +38,12 @@ def _allow_cpus(monkeypatch, n):
     """Let the process run on n CPUs, so that a study of several cells runs in
     n worker processes, or in-process for n = 1, on any host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_no_children():
+    """No child process is left, live or zombie: there is nothing to wait for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestFitRate:
@@ -147,6 +155,18 @@ class TestRunStudy:
             assert str(caught.value) == str(direct.value)
             assert caught.value.__cause__ is None
 
+    def test_studies_refuse_a_repeated_method(self, monkeypatch):
+        # each cell of a repeated method would run twice and be fitted twice
+        def ran(*args, **kwargs):
+            raise AssertionError("a study ran work before checking its methods")
+
+        monkeypatch.setattr(harness_mod, "_run_cells", ran)
+        monkeypatch.setattr(harness_mod, "reference_value", ran)
+        with pytest.raises(InputError, match="^methods given more than once: adaptive$"):
+            run_study("xlog_c", ["adaptive", "adaptive"], [2.0**-k for k in range(3, 7)])
+        with pytest.raises(InputError, match="^methods given more than once: uniform$"):
+            run_rd_study("vary-m", methods=("uniform", "adaptive", "uniform"))
+
     @pytest.mark.parametrize("pid, methods, grid, eps_ref, ref_note", [
         ("coupled", ["adaptive", "alt"], [2.0**-k for k in range(6, 10)], 2.0**-12, False),
         # the reference at 2^-7 integrates to the capped radius, and a note says so
@@ -162,7 +182,7 @@ class TestRunStudy:
         pooled, serial = tables
         assert _rows_but_wall_time(pooled) == _rows_but_wall_time(serial)
         assert pooled.fitted == serial.fitted and pooled.notes == serial.notes
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
         monkeypatch.setattr(harness_mod, "_REFERENCE_CACHE", {})
         kind, value, notes = reference_value(catalog.get(pid), eps_ref=eps_ref)
         assert {(r.reference_kind, r.reference_value) for r in pooled.rows} == {(kind, value)}
@@ -191,7 +211,7 @@ class TestRunStudy:
             run_study("coupled", ["adaptive"], [2.0**-6, 2.0**-7, 2.0**-8], eps_ref=2.0**-12)
         assert str(caught.value) == str(direct.value)
         assert harness_mod._REFERENCE_CACHE == {}
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
 
     def test_reference_is_one_more_cell_until_cached(self, monkeypatch):
         monkeypatch.setattr(harness_mod, "_REFERENCE_CACHE", {})
@@ -352,7 +372,7 @@ class TestCellWorkers:
         assert _rows_but_wall_time(pooled) == _rows_but_wall_time(serial)
         assert pooled.fitted == serial.fitted and pooled.notes == serial.notes
         assert any(r.failed for r in serial.rows) == (args[0] == "uncoupled")
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
 
     def test_other_errors_reach_the_caller(self, monkeypatch):
         real = harness_mod.run_method
@@ -365,16 +385,89 @@ class TestCellWorkers:
         monkeypatch.setattr(harness_mod, "run_method", broken)
         with pytest.raises(ZeroDivisionError, match="injected") as exc:
             run_study("sq", ["adaptive", "uniform"], [2.0**-k for k in range(5, 9)])
-        # raised in a worker: the pool attaches the worker's traceback as the cause
-        assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
-        assert multiprocessing.active_children() == []
+        # raised in a worker: the worker's traceback text is the cause
+        cause = str(exc.value.__cause__)
+        assert "in broken" in cause and "ZeroDivisionError: injected" in cause
+        _assert_no_children()
+
+    @pytest.mark.parametrize("how, status", [
+        (lambda: os._exit(9), "wait status 2304: exit code 9"),
+        (lambda: os.kill(os.getpid(), 9), "wait status 9: SIGKILL"),
+    ], ids=["exit", "killed"])
+    def test_lost_worker_is_a_solver_error(self, monkeypatch, how, status):
+        real = harness_mod.run_method
+
+        def dies(entry, method, eps, **kw):
+            if (method, eps) == ("adaptive", 2.0**-7):
+                how()
+            return real(entry, method, eps, **kw)
+
+        monkeypatch.setattr(harness_mod, "run_method", dies)
+        with pytest.raises(harness_mod.WorkerLost) as exc:
+            run_study("sq", ["adaptive", "uniform"], [2.0**-k for k in range(5, 9)])
+        assert isinstance(exc.value, SolverError)
+        assert str(exc.value) == ("the worker of cell ('sq', None, None, 'adaptive', 0.0078125) "
+                                  f"ended without its result ({status})")
+        _assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["cell", "caller"])
+    def test_a_failure_ends_the_study_at_once(self, monkeypatch, failure):
+        # the cell at 2^-8 starts first and sleeps; the one at 2^-7 raises in its worker,
+        # or ends at once and the caller is interrupted as it hands out the next cell
+        real_run, real_hand_out = harness_mod.run_method, harness_mod._hand_out
+        handed = []
+
+        def slow_or_broken(entry, method, eps, **kw):
+            if eps == 2.0**-8:
+                time.sleep(30)
+            if failure == "cell" and eps == 2.0**-7:
+                raise ZeroDivisionError("injected")
+            return real_run(entry, method, eps, **kw)
+
+        def interrupted(sel, key, order):
+            handed.append(key)
+            if len(handed) > 2:
+                raise KeyboardInterrupt
+            real_hand_out(sel, key, order)
+
+        monkeypatch.setattr(harness_mod, "run_method", slow_or_broken)
+        if failure == "caller":
+            monkeypatch.setattr(harness_mod, "_hand_out", interrupted)
+        start = time.monotonic()
+        with pytest.raises(ZeroDivisionError if failure == "cell" else KeyboardInterrupt) as exc:
+            run_study("sq", ["adaptive"], [2.0**-k for k in range(5, 9)])
+        assert time.monotonic() - start < 10
+        if failure == "cell":
+            assert str(exc.value) == "injected"
+            assert "ZeroDivisionError: injected" in str(exc.value.__cause__)
+        _assert_no_children()
 
     def test_bad_m_raises_in_the_caller(self):
         # every entry is looked up before the first cell, so no worker starts
         with pytest.raises(catalog.UnknownId, match="rd needs m >= 2") as exc:
             run_rd_study("vary-m", eps=2.0**-9, m_grid=[1, 4], methods=("adaptive",))
         assert exc.value.__cause__ is None
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
+
+
+def test_pooled_study_imports_no_pool_module():
+    # the workers are forked with os alone: neither pool module is loaded
+    script = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or real_fork()
+from blowup.harness import run_study
+run_study("sq", ["adaptive"], [2.0**-k for k in range(5, 9)])
+print(len(forks), sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "2 []\n"
 
 
 class TestCellWorkerCount:
