@@ -32,10 +32,12 @@ from .integrate import (
 from .linalg import JacobianAccess, TransposeUnavailable, spectral_norm
 from .problems import (
     AssumptionReport,
+    InvalidProblem,
     RunResult,
     ScalarProblem,
     VectorProblem,
     check_assumptions,
+    require_valid,
 )
 from .stepping import (
     Adaptive1D,

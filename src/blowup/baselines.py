@@ -30,7 +30,7 @@ from . import thresholds
 from .errors import InputError, SolverError
 from .integrate import SolverConfig, StepBudgetExceeded
 from .linalg import safe_norm
-from .problems import RunResult, ScalarProblem, VectorProblem
+from .problems import RunResult, ScalarProblem, VectorProblem, require_valid
 
 
 class MinStepUnderflow(SolverError):
@@ -91,6 +91,7 @@ def solve_arclength(
     cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Arc-length RK5(4) blow-up estimate; cost is counted in stage evaluations."""
+    require_valid(problem)
     if not 0 < rk_tol < math.inf:  # rk_tol = inf would switch off error control
         raise InvalidParameter(f"rk_tol must be positive and finite, got {rk_tol!r}")
     cfg = cfg or SolverConfig()

@@ -43,7 +43,9 @@ class Exact:
 @dataclass(frozen=True)
 class Pseudo:
     """Reference is a pseudo solution: the adaptive method run at eps_ref.
-    eps_ref None means "the finest epsilon of the study at hand"."""
+    eps_ref None names no tolerance: run_study and reference_value raise
+    NoReference for it unless given an eps_ref. run_rd_study never reads the
+    entry's reference: its vary-eps table takes each method's finest run."""
 
     eps_ref: Optional[float]
 

@@ -22,7 +22,7 @@ from . import baselines, catalog, expr, harness, thresholds
 from .errors import InputError, SolverError
 # unused here, but perfbench's --trace 1 wraps cli.solve_1d, so the name must exist
 from .integrate import SolverConfig, solve_1d
-from .problems import ScalarProblem, check_assumptions, structural_violations
+from .problems import ScalarProblem, check_assumptions, require_valid, structural_violations
 from .thresholds import BPrimeLog, ExplicitRadius, FInverse
 
 
@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--eps", type=parse_eps, required=True, help="tolerance, e.g. 2^-12")
     run.add_argument("--M", type=float, help="rescaling threshold (default 4)")
     run.add_argument("--rk-tol", type=float, help="arclength RK tolerance (default 1e-10)")
-    run.add_argument("--max-steps", type=_positive_int, default=2**30, help="step budget")
+    run.add_argument("--max-steps", type=_positive_int, help="step budget (default 2^30)")
     run.add_argument("--trace", help="write (t, |x|) pairs to this CSV path")
     run.add_argument(
         "--expr-deriv-check",
@@ -227,9 +227,7 @@ def _cmd_run(args) -> int:
         _only_for(args, ("M",), "the rescaling method")
     if isinstance(law, (baselines.ArcLength, baselines.Rescaling)):
         _only_for(args, ("trace",), "the Euler step laws, which record a trace")
-    violations = structural_violations(entry.problem)
-    if violations:
-        raise InputError("; ".join(violations))
+    require_valid(entry.problem)
     _check_outputs(args.trace)
     if args.expr_deriv_check:
         bad = _deriv_check(entry.problem)
@@ -237,8 +235,10 @@ def _cmd_run(args) -> int:
             for line in bad:
                 print(line)
             return 2
-    cfg = SolverConfig(record_trace=args.trace is not None, max_steps=args.max_steps)
-    given = {"rk_tol": args.rk_tol, "rescale_threshold": args.M}  # run_method has the defaults
+    # SolverConfig and run_method hold the defaults of the options left out
+    budget = {} if args.max_steps is None else {"max_steps": args.max_steps}
+    cfg = SolverConfig(record_trace=args.trace is not None, **budget)
+    given = {"rk_tol": args.rk_tol, "rescale_threshold": args.M}
     res = harness.run_method(entry, args.method, args.eps, cfg=cfg,
                              **{name: v for name, v in given.items() if v is not None})
     _print_run(entry, args.method, args.eps, res)

@@ -233,10 +233,9 @@ def float_pow(base: float, exponent: float) -> float:
         return -math.inf if base < 0.0 and exponent % 2 else math.inf
 
 
-def _checked_div(num: float, den: float, node) -> float:
-    if den == 0.0:
-        raise DomainError(f"division by zero in '{pretty(node)}'")
-    return num / den
+def _checked_div(node) -> float:
+    """Raise for node's zero denominator; the Div statement calls it on no other."""
+    raise DomainError(f"division by zero in '{pretty(node)}'")
 
 
 def _checked_pow(base: float, exponent: float, node) -> float:
@@ -279,7 +278,7 @@ _SEMANTICS = {
     Sub: "{v} = {0} - {1}",
     Mul: "{v} = {0} * {1}",
     Neg: "{v} = -{0}",
-    Div: "{v} = {0} / {1} if {1} != 0.0 else _checked_div({0}, {1}, {n})",
+    Div: "{v} = {0} / {1} if {1} != 0.0 else _checked_div({n})",
     Pow: "try:\n    {v} = {0} ** {1} if {0} > 0.0 else _checked_pow({0}, {1}, {n})\n"
          "except OverflowError:\n    {v} = _checked_pow({0}, {1}, {n})",
     "exp": "{v} = _exp({0})",

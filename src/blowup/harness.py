@@ -236,10 +236,22 @@ class WorkerLost(SolverError):
     """A worker process ended without sending back the result of its cell."""
 
 
+def _picklable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a stand-in of its library
+    base, InputError or SolverError, or of RuntimeError, whose message is
+    "<TypeName>: <message>"."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        base = next((b for b in (InputError, SolverError) if isinstance(exc, b)), RuntimeError)
+        return base(f"{type(exc).__name__}: {exc}")
+
+
 def _serve(cells: list, task_r: int, result_w: int) -> None:
     """A worker's loop: for each cell index read from task_r, one per line until
     end of file, pickle (index, _CellResult or exception, traceback text) to
-    result_w."""
+    result_w. An exception that does not survive pickling goes as a stand-in."""
     with open(task_r, "rb") as tasks, open(result_w, "wb") as replies:
         for line in tasks:
             i = int(line)
@@ -248,7 +260,7 @@ def _serve(cells: list, task_r: int, result_w: int) -> None:
             except Exception as exc:  # sent to the caller, which raises it
                 import traceback
 
-                reply = (i, exc, traceback.format_exc())
+                reply = (i, _picklable(exc), traceback.format_exc())
             pickle.dump(reply, replies)
             replies.flush()
 
@@ -276,7 +288,8 @@ def _run_cells(cells: list) -> list[_CellResult]:
     so each worker finds it in the catalog cache it inherits; only the index
     goes in and only the row figures come back.
 
-    An exception in a cell is raised here with its type and message, and with
+    An exception in a cell is raised here with its type and message, or as
+    the stand-in of _picklable where it does not survive pickling, and with
     the worker's traceback text as its cause; a worker that ends without its
     result raises WorkerLost. On any exception the other workers are killed
     at once, and every worker is reaped before this returns or raises."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, stepping, thresholds
 from .errors import InputError, SolverError
-from .problems import RunResult, ScalarProblem, VectorProblem, structural_violations
+from .problems import RunResult, ScalarProblem, VectorProblem, require_valid
 from .stepping import Adaptive1D, AdaptiveND, LogNDFixedN, StepLaw, Taylor1D, Uniform1D
 
 
@@ -48,21 +48,16 @@ class SolverConfig:
             raise InputError("max_steps must be >= 1")
 
 
-def _base_warnings(problem) -> list[str]:
-    viol = structural_violations(problem)
-    return [f"structural violation: {v}" for v in viol]
-
-
 def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None) -> RunResult:
     """Estimate the 1D blow-up time by integrating to the threshold radius."""
+    require_valid(problem)
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else Adaptive1D()
     if not isinstance(law, stepping.LAWS_1D):
         raise TypeError(f"{law!r} is not a 1D step law")
-    warnings = _base_warnings(problem)
 
     r = thresholds.radius(problem.threshold, problem, eps)
-    warnings += thresholds.cap_warnings(r)
+    warnings = thresholds.cap_warnings(r)
 
     b = problem.rhs
     bd = problem.rhs_deriv
@@ -135,15 +130,15 @@ def solve_nd(
 
     A state of dimension other than 2 is one array that each step updates in
     place, so an rhs that keeps its argument must keep a copy."""
+    require_valid(problem)
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else AdaptiveND()
     if not isinstance(law, stepping.LAWS_ND):
         raise TypeError(f"{law!r} is not an R^n step law")
-    warnings = _base_warnings(problem)
 
     rule = problem.threshold
     r = thresholds.radius(rule, problem, eps)
-    warnings += thresholds.cap_warnings(r)
+    warnings = thresholds.cap_warnings(r)
 
     rhs = problem.rhs
     # A planar state is a pair of Python floats: 2-element arrays cost more in

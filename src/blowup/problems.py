@@ -1,4 +1,5 @@
-"""Problem definitions (1D and R^n), run records, and the assumption sampler.
+"""Problem definitions (1D and R^n), run records, the assumption sampler, and
+the structural validity rule that every solver applies.
 
 The sampler can only falsify the structural growth/monotonicity conditions on
 a finite point set; it never proves them.
@@ -105,99 +106,66 @@ def _safe_scalar(fn, x):
     return v
 
 
-class _Tracker:
-    """First-failure / first-untestable bookkeeping for one named check."""
-
-    def __init__(self, name):
-        self.name = name
-        self.fail_at = None
-        self.fail_detail = ""
-        self.untestable_at = None
-        self.tested = 0
-
-    def record(self, point, ok: bool, detail=""):
-        self.tested += 1
-        if not ok and self.fail_at is None:
-            self.fail_at = point
-            self.fail_detail = detail
-
-    def untestable(self, point):
-        if self.untestable_at is None:
-            self.untestable_at = point
-
-    def result(self, nominal=False) -> CheckResult:
-        if self.fail_at is not None:
-            status = NOMINAL if nominal else FAIL
-            return CheckResult(self.name, status, self.fail_detail, self.fail_at)
-        if self.tested == 0 and self.untestable_at is not None:
-            return CheckResult(self.name, UNTESTABLE, f"untestable at x={self.untestable_at!r}")
-        if nominal:
-            return CheckResult(self.name, NOMINAL, "spec is a reconstruction; sampled clean")
-        detail = ""
-        if self.untestable_at is not None:
-            detail = f"partially untestable from x={self.untestable_at!r}"
-        return CheckResult(self.name, PASS, detail)
+def _verdict(name: str, outcomes: list, nominal: bool = False) -> CheckResult:
+    """The result of one named check from its (x, ok, detail) outcomes, in
+    sample order, with ok None where x was untestable: the first failure
+    decides it, and the first untestable point is named."""
+    failure = next((o for o in outcomes if o[1] is not None and not o[1]), None)
+    if failure is not None:
+        x, _, detail = failure
+        return CheckResult(name, NOMINAL if nominal else FAIL, detail, x)
+    untestable = [x for x, ok, _ in outcomes if ok is None]
+    if untestable and len(untestable) == len(outcomes):
+        return CheckResult(name, UNTESTABLE, f"untestable at x={untestable[0]!r}")
+    if nominal:
+        return CheckResult(name, NOMINAL, "spec is a reconstruction; sampled clean")
+    detail = f"partially untestable from x={untestable[0]!r}" if untestable else ""
+    return CheckResult(name, PASS, detail)
 
 
 _REL_SLACK = 1e-9  # forgives pure roundoff in inequalities that hold with equality
 
 
 def _check_scalar(problem: ScalarProblem, samples: int) -> list:
-    pos_b = _Tracker("b positive")
-    pos_db = _Tracker("b_deriv positive")
-    inc_db = _Tracker("b_deriv increasing")
-    trackers = [pos_b, pos_db, inc_db]
-
-    growth_vs_x = None
-    if isinstance(problem.threshold, BPrimeLog):
-        growth_vs_x = _Tracker("x <= b_deriv(x)^C")
-        trackers.append(growth_vs_x)
-
+    names = ["b positive", "b_deriv positive", "b_deriv increasing"]
+    bprimelog = isinstance(problem.threshold, BPrimeLog)
+    if bprimelog:
+        names.append("x <= b_deriv(x)^C")
     if not problem.x0 > 0:  # no log-spaced grid; structural_violations says why
-        for t in trackers:
-            t.untestable(problem.x0)
-        return [t.result() for t in trackers]
-    xs = np.geomspace(problem.x0, 1e6 * problem.x0, samples)
+        return [_verdict(name, [(problem.x0, None, "")]) for name in names]
+    pos_b, pos_db, inc_db, growth_vs_x = [], [], [], []
     prev_db = None
-    for x in xs:
-        x = float(x)
+    for x in np.geomspace(problem.x0, 1e6 * problem.x0, samples).tolist():
         bx = _safe_scalar(problem.rhs, x)
-        if bx is None:
-            pos_b.untestable(x)
-        else:
-            pos_b.record(x, bx > 0.0, f"b({x!r}) = {bx!r}")
+        pos_b.append((x, None if bx is None else bx > 0.0, f"b({x!r}) = {bx!r}"))
         db = _safe_scalar(problem.rhs_deriv, x)
         if db is None:
-            pos_db.untestable(x)
-            inc_db.untestable(x)
+            pos_db.append((x, None, ""))
+            inc_db.append((x, None, ""))
             prev_db = None
         else:
-            pos_db.record(x, db > 0.0, f"b'({x!r}) = {db!r}")
+            pos_db.append((x, db > 0.0, f"b'({x!r}) = {db!r}"))
             if prev_db is not None:
-                ok = db >= prev_db * (1.0 - _REL_SLACK)
-                inc_db.record(x, ok, f"b' decreases to {db!r} at x={x!r}")
+                inc_db.append((x, db >= prev_db * (1.0 - _REL_SLACK),
+                               f"b' decreases to {db!r} at x={x!r}"))
             prev_db = db
-        if growth_vs_x is not None and db is not None:
-            if db > 0:  # C = 1, so the bound is b'(x) itself
-                growth_vs_x.record(x, x <= db * (1.0 + _REL_SLACK),
-                                   f"x = {x!r} > b'(x)^C = {db!r}")
-            else:
-                growth_vs_x.untestable(x)
-    return [t.result() for t in trackers]
+        if bprimelog and db is not None:  # C = 1, so the bound is b'(x) itself
+            growth_vs_x.append((x, x <= db * (1.0 + _REL_SLACK) if db > 0 else None,
+                                f"x = {x!r} > b'(x)^C = {db!r}"))
+    return [_verdict(name, outcomes)
+            for name, outcomes in zip(names, (pos_b, pos_db, inc_db, growth_vs_x))]
 
 
 def _check_vector(problem: VectorProblem, samples: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         r0 = safe_norm(problem.x0)
-    growth = _Tracker("growth lower bound")
-    outward = _Tracker("field points outward (b·x > 0)")
+    names = ("growth lower bound", "field points outward (b·x > 0)")
     rule = problem.threshold
     nominal = isinstance(rule, PolyND) and rule.nominal
     if not 0 < r0 < math.inf:  # no log-spaced grid from |x0| = 0 (or inf, or nan)
-        growth.untestable(r0)
-        outward.untestable(r0)
-        return [t.result(nominal=nominal) for t in (growth, outward)]
+        return [_verdict(name, [(r0, None, "")], nominal) for name in names]
+    growth, outward = [], []
     for rho in np.geomspace(r0, 1e6 * r0, samples).tolist():  # plain floats
         u = rng.normal(size=problem.dim)
         nu = math.sqrt(float(u @ u))
@@ -207,25 +175,21 @@ def _check_vector(problem: VectorProblem, samples: int, seed: int) -> list:
         try:
             bx = np.asarray(problem.rhs(x), dtype=float)
         except (OverflowError, ValueError, ZeroDivisionError):
-            growth.untestable(rho)
-            outward.untestable(rho)
-            continue
-        dot = float(bx @ x)
+            bx = None
+        dot = math.nan if bx is None else float(bx @ x)
         if not math.isfinite(dot):
-            growth.untestable(rho)
-            outward.untestable(rho)
+            growth.append((rho, None, ""))
+            outward.append((rho, None, ""))
             continue
-        outward.record(rho, dot > 0.0, f"b·x = {dot!r} at |x| = {rho!r}")
+        outward.append((rho, dot > 0.0, f"b·x = {dot!r} at |x| = {rho!r}"))
         if isinstance(rule, LogND):
             lower = rule.c_check * rho ** 2 * math.log(rho) ** (1.0 + rule.alpha)
         else:
             lower = rule.c_check * rho ** (2.0 + rule.alpha)
-        if not math.isfinite(lower):
-            growth.untestable(rho)
-            continue
-        growth.record(rho, dot >= lower * (1.0 - _REL_SLACK),
-                      f"b·x = {dot!r} < bound {lower!r} at |x| = {rho!r}")
-    return [t.result(nominal=nominal) for t in (growth, outward)]
+        growth.append((rho, dot >= lower * (1.0 - _REL_SLACK) if math.isfinite(lower) else None,
+                       f"b·x = {dot!r} < bound {lower!r} at |x| = {rho!r}"))
+    return [_verdict(name, outcomes, nominal)
+            for name, outcomes in zip(names, (growth, outward))]
 
 
 def check_assumptions(problem, samples: int = 1000, seed: int = 1) -> AssumptionReport:
@@ -282,3 +246,15 @@ def structural_violations(problem) -> list[str]:
         out.append(f"not a problem object: {problem!r}")
     return out
 
+
+class InvalidProblem(InputError):
+    """The problem breaks a structural condition that the estimate rests on:
+    x0 > 0 and k > 1 in 1D; |x0| > delta and a positive growth bound in R^n."""
+
+
+def require_valid(problem) -> None:
+    """Raise InvalidProblem, naming every structural violation, for a problem
+    that has any; each solver calls this before its radius solve."""
+    violations = structural_violations(problem)
+    if violations:
+        raise InvalidProblem("; ".join(violations))

@@ -173,6 +173,7 @@ def rd_vary_eps_table():
                         methods=("adaptive",))
 
 
+@pytest.mark.slow  # its fixture takes about 100 s
 def test_criterion_8_table1_anchor(rd_vary_eps_table):
     rows = {round(-math.log2(r.epsilon)): r for r in rd_vary_eps_table.rows}
     anchor = rows[23]

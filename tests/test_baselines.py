@@ -14,6 +14,7 @@ from blowup.baselines import (
     solve_rescaling_1d,
 )
 from blowup.integrate import SolverConfig, StepBudgetExceeded, solve_1d
+from blowup.problems import InvalidProblem
 from blowup.thresholds import ExplicitRadius
 
 
@@ -52,6 +53,11 @@ class TestArclength:
             warnings.simplefilter("error")
             res = solve_arclength(prob, 2.0**-6, rk_tol=1e-10)
         assert res.steps == 0 and res.tau_hat == 0.0 and res.final_state == 1e160
+
+    def test_negative_start_is_rejected_not_estimated(self, sq):
+        # an arc-length run from x0 = -1 returned tau_hat = 0.0 with no warning
+        with pytest.raises(InvalidProblem, match=r"^x0 must be positive, got -1.0$"):
+            solve_arclength(dataclasses.replace(sq, x0=-1.0), 2.0**-8, rk_tol=1e-10)
 
     def test_vector_problem(self):
         prob = catalog.get("uncoupled").problem

@@ -6,6 +6,7 @@ import pytest
 
 from blowup import catalog, cli, harness
 from blowup.cli import main, parse_eps
+from blowup.integrate import SolverConfig
 
 
 def run_cli(capsys, *argv):
@@ -190,10 +191,36 @@ class TestExitCodes:
         assert "violation=x0 must be positive" in out and "ok=false" in out
         assert "status=untestable" in out
 
+    def test_invalid_problem_is_1_before_the_output_check(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "run", "--expr", "x^2", "--x0", "0.5", "--k", "0.9",
+            "--threshold", "radius:eps^-1", "--eps", "2^-8",
+            "--trace", str(tmp_path / "missing" / "t.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: k must exceed 1, got 0.9\n"
+
     def test_clean_check_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--problem", "sq", "--samples", "300")
         assert code == 0
         assert "ok=true" in out
+
+    def test_max_steps_default_is_solver_configs(self, capsys, monkeypatch):
+        seen, real = [], harness.run_method
+
+        def spy(entry, method, eps, cfg, **kw):
+            seen.append(cfg)
+            return real(entry, method, eps, cfg=cfg, **kw)
+
+        monkeypatch.setattr(harness, "run_method", spy)
+        args = cli._build_parser().parse_args(["run", "--problem", "sq", "--eps", "2^-8"])
+        assert args.max_steps is None  # run passes max_steps only when it is given
+        assert run_cli(capsys, "run", "--problem", "sq", "--eps", "2^-8")[0] == 0
+        assert seen == [SolverConfig()]
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "step budget (default 2^30)" in capsys.readouterr().out
+        assert SolverConfig().max_steps == 2**30
 
     def test_solver_error_is_3(self, capsys):
         code, _, err = run_cli(

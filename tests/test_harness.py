@@ -341,6 +341,21 @@ class TestRdStudy:
         assert bad.succ_diff_log2 is None and ok2.succ_diff_log2 is None
 
 
+class TwoArgs(InputError):
+    """An error that pickles but cannot be unpickled: its args hold one value."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class HoldsLambda(Exception):
+    """An error that cannot be pickled: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two CPUs available, so that a study of several cells starts two workers
@@ -389,6 +404,32 @@ class TestCellWorkers:
         cause = str(exc.value.__cause__)
         assert "in broken" in cause and "ZeroDivisionError: injected" in cause
         _assert_no_children()
+
+    @pytest.mark.parametrize("error, stand_in, message", [
+        (TwoArgs("x", "y"), InputError, "TwoArgs: x and y"),
+        (HoldsLambda("injected"), RuntimeError, "HoldsLambda: injected"),
+    ], ids=["unpickles-badly", "does-not-pickle"])
+    def test_an_unpicklable_error_arrives_as_a_stand_in(self, monkeypatch, error, stand_in,
+                                                        message):
+        real = harness_mod.run_method
+
+        def broken(entry, method, eps, **kw):
+            if eps == 2.0**-7:
+                raise error
+            return real(entry, method, eps, **kw)
+
+        monkeypatch.setattr(harness_mod, "run_method", broken)
+        grid = [2.0**-k for k in range(5, 9)]
+        with pytest.raises(stand_in) as exc:
+            run_study("sq", ["adaptive", "uniform"], grid)
+        assert type(exc.value) is stand_in and str(exc.value) == message
+        cause = str(exc.value.__cause__)
+        assert "in broken" in cause and message in cause
+        _assert_no_children()
+        _allow_cpus(monkeypatch, 1)  # in process, the error itself
+        with pytest.raises(type(error)) as exc:
+            run_study("sq", ["adaptive", "uniform"], grid)
+        assert exc.value is error
 
     @pytest.mark.parametrize("how, status", [
         (lambda: os._exit(9), "wait status 2304: exit code 9"),

@@ -4,15 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from blowup import catalog
+from blowup import catalog, thresholds
+from blowup.baselines import solve_arclength
+from blowup.errors import InputError
+from blowup.integrate import solve_1d, solve_log_nd, solve_nd
 from blowup.linalg import JacobianAccess
 from blowup.problems import (
     FAIL,
     PASS,
     UNTESTABLE,
+    InvalidProblem,
     ScalarProblem,
     VectorProblem,
     check_assumptions,
+    require_valid,
     structural_violations,
 )
 from blowup.thresholds import FInverse, PolyND
@@ -67,6 +72,52 @@ class TestValidate:
             x0=np.array([4.0, 3.0]),
         )
         assert any("delta > 1" in v for v in structural_violations(bad))
+
+    def test_require_valid_joins_every_violation(self):
+        require_valid(_sq_problem())  # a valid problem passes
+        bad = dataclasses.replace(_sq_problem(k=0.9), x0=-1.0)
+        with pytest.raises(InvalidProblem) as exc:
+            require_valid(bad)
+        assert isinstance(exc.value, InputError)
+        assert str(exc.value) == "x0 must be positive, got -1.0; k must exceed 1, got 0.9"
+
+
+_SQ = catalog.get("sq").problem
+_COUPLED = catalog.get("coupled").problem  # |x0| = sqrt(5)
+_SLOWLOG = catalog.get("slowlog_c").problem  # |x0| = 5, LogND
+# one structural violation each: (problem, a fragment of its message)
+_INVALID = {
+    "x0-zero": (dataclasses.replace(_SQ, x0=0.0), "x0 must be positive"),
+    "x0-negative": (dataclasses.replace(_SQ, x0=-1.0), "x0 must be positive"),
+    "k-one": (dataclasses.replace(_SQ, k=1.0), "k must exceed 1"),
+    "x0-inside-delta": (dataclasses.replace(_COUPLED, delta=3.0), "must exceed delta"),
+    "log-x0-on-delta": (dataclasses.replace(_SLOWLOG, delta=5.0), "must exceed delta"),
+    "log-delta-below-one": (dataclasses.replace(_SLOWLOG, delta=0.5), "delta > 1"),
+}
+_VECTOR = ("x0-inside-delta", "log-x0-on-delta", "log-delta-below-one")
+# each solver with the violations that a problem of its kind can have
+_SOLVERS = {
+    "solve_1d": (solve_1d, ("x0-zero", "x0-negative", "k-one")),
+    "solve_nd": (solve_nd, _VECTOR),
+    "solve_log_nd": (solve_log_nd, _VECTOR[1:]),  # it takes LogND problems only
+    "solve_arclength": (lambda p, eps: solve_arclength(p, eps, rk_tol=1e-10), tuple(_INVALID)),
+}
+
+
+@pytest.mark.parametrize("solver, case", [(name, case) for name, (_, cases) in _SOLVERS.items()
+                                          for case in cases])
+def test_every_solver_rejects_an_invalid_problem(monkeypatch, solver, case):
+    def no_radius_solve(*args):
+        raise AssertionError("the radius was solved for an invalid problem")
+
+    monkeypatch.setattr(thresholds, "radius", no_radius_solve)
+    problem, fragment = _INVALID[case]
+    assert len(structural_violations(problem)) == 1
+    with pytest.raises(InvalidProblem) as exc:
+        _SOLVERS[solver][0](problem, 2.0**-8)
+    assert isinstance(exc.value, InputError)
+    assert str(exc.value) == structural_violations(problem)[0]
+    assert fragment in str(exc.value)
 
 
 class TestCheckAssumptions:
