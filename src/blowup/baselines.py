@@ -181,8 +181,7 @@ def solve_rescaling_1d(
         raise InvalidParameter(f"M^p overflows float64 for M = {M!r}, p = {p_exponent!r}")
     if not 0 < x0 < M:
         raise InvalidParameter(f"need 0 < x0 < M, got x0 = {x0!r}")
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps!r}")
+    thresholds.require_tolerance(eps)
     max_steps = (cfg or SolverConfig()).max_steps
 
     p = p_exponent

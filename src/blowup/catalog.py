@@ -13,9 +13,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import expr
 from .baselines import ArcLength, Rescaling
 from .errors import InputError
-from .expr import float_exp, float_pow
+from .expr import Add, Call, Mul, Num, Pow, Var, float_exp, float_pow
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
 from .stepping import (
@@ -71,8 +72,8 @@ def list_ids() -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _sq() -> CatalogEntry:
     problem = ScalarProblem(
-        rhs=lambda x: x * x,
-        rhs_deriv=lambda x: 2.0 * x,
+        rhs=expr.compile(expr.parse("x*x")),
+        rhs_deriv=expr.compile(expr.parse("2*x")),
         x0=0.5,
         k=1.1,
         threshold=FInverse(lambda e: e ** -2.0),
@@ -89,9 +90,9 @@ def _sq() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def _expsq() -> CatalogEntry:
     problem = ScalarProblem(
-        rhs=lambda x: float_exp(x * x),
-        rhs_deriv=lambda x: 2.0 * x * float_exp(x * x),
-        rhs_second=lambda x: (2.0 + 4.0 * x * x) * float_exp(x * x),
+        rhs=expr.compile(expr.parse("exp(x*x)")),
+        rhs_deriv=expr.compile(expr.parse("2*x*exp(x*x)")),
+        rhs_second=expr.compile(expr.parse("(2 + 4*x*x)*exp(x*x)")),
         x0=1.0,
         k=1.1,
         threshold=BPrimeLog(),
@@ -102,10 +103,11 @@ def _expsq() -> CatalogEntry:
         methods=SCALAR_METHODS,
         reference=Pseudo(2.0**-33),
         notes=(
-            "b = exp(x^2) from x0 = 1; no closed-form tau. The published protocol "
-            "uses eps_ref = 2^-33 (~1e10 steps); desk-scale studies substitute a "
-            "coarser eps_ref and must say so. C = 1 in the tail bound since "
-            "b'(x) = 2x exp(x^2) >= x on [1, inf)."
+            "b = exp(x^2) from x0 = 1; tau = (sqrt(pi)/2) erfc(1) = 0.13940279264033098. "
+            "The reference stays the published protocol's pseudo solution, eps_ref = 2^-33 "
+            "(~1e10 steps), until the scalar-sweep benchmark workload drops its --eps-ref "
+            "(ROADMAP item 2); desk-scale studies substitute a coarser eps_ref and must say "
+            "so. C = 1 in the tail bound since b'(x) = 2x exp(x^2) >= x on [1, inf)."
         ),
     )
 
@@ -115,18 +117,11 @@ def _xlog(c: float) -> CatalogEntry:
     if not c > 0:
         raise UnknownId(f"xlog_c needs c > 0, got {c!r}")
 
-    one_c = 1.0 + c
-
-    def rhs(x):
-        return x * math.log(x) ** one_c
-
-    def rhs_deriv(x):
-        lx = math.log(x)
-        return lx ** one_c + one_c * lx**c
-
+    one_c = Num(1.0 + c)
+    log_x = Call("log", Var())  # one node, so b' takes the log once
     problem = ScalarProblem(
-        rhs=rhs,
-        rhs_deriv=rhs_deriv,
+        rhs=expr.compile(Mul(Var(), Pow(log_x, one_c))),
+        rhs_deriv=expr.compile(Add(Pow(log_x, one_c), Mul(one_c, Pow(log_x, Num(c))))),
         x0=2.0,
         k=1.1,
         threshold=ExplicitRadius(lambda e: float_exp((c * e) ** (-1.0 / c)), tail_is_eps=True),

@@ -157,7 +157,8 @@ def _expr_problem(args) -> ScalarProblem:
         raise InputError("--expr needs --x0")
     if not args.threshold:
         raise InputError("--expr needs --threshold")
-    # each expression compiles once, into the functions the run calls
+    # each expression compiles once; solve_1d's loop computes b and b' inline
+    # from the trees the compiled functions carry
     ast = expr.parse(args.expr)
     d_ast = expr.differentiate(ast)
     dd_ast = expr.differentiate(d_ast)

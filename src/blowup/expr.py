@@ -16,12 +16,13 @@ operator, function call and pair of parentheses nests one level, and input
 nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
 first two derivatives stay within the recursion limit.
 
-``compile`` turns a tree into a Python function of x; a caller that evaluates
-a tree more than once compiles it once, where ``evaluate`` compiles per call.
+``emit`` turns a tree into straight-line Python statements, one per distinct
+node. ``compile`` makes them a Python function of x that carries its tree, and
+solve_1d's loop writes them inline. A caller that evaluates a tree more than
+once compiles it once, where ``evaluate`` compiles per call.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections.abc import Callable
@@ -271,8 +272,8 @@ def _checked_trig(v: float, node) -> float:
 # Each node kind's float semantics, as a Python statement that sets {v} from its
 # operand values {0} and {1}; {n} is the node, which a DomainError prints. A checked
 # kind computes inline where its operands are inside the domain and calls its
-# helper, which raises or takes the overflow rule, everywhere else. compile emits
-# one statement per node, and _fold reaches them through compile.
+# helper, which raises or takes the overflow rule, everywhere else. emit writes
+# one statement per distinct node, and _fold reaches them through compile.
 _SEMANTICS = {
     Add: "{v} = {0} + {1}",
     Sub: "{v} = {0} - {1}",
@@ -281,7 +282,7 @@ _SEMANTICS = {
     Div: "{v} = {0} / {1} if {1} != 0.0 else _checked_div({n})",
     Pow: "try:\n    {v} = {0} ** {1} if {0} > 0.0 else _checked_pow({0}, {1}, {n})\n"
          "except OverflowError:\n    {v} = _checked_pow({0}, {1}, {n})",
-    "exp": "{v} = _exp({0})",
+    "exp": "try:\n    {v} = _exp({0})\nexcept OverflowError:\n    {v} = _inf",
     "log": "{v} = _log({0}) if {0} > 0.0 else _checked_log({0}, {n})",
     "sin": "{v} = _sin({0}) if -_inf < {0} < _inf else _checked_trig({0}, {n})",
     "cos": "{v} = _cos({0}) if -_inf < {0} < _inf else _checked_trig({0}, {n})",
@@ -289,7 +290,7 @@ _SEMANTICS = {
 }
 _HELPERS = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
             "_checked_log": _checked_log, "_checked_sqrt": _checked_sqrt,
-            "_checked_trig": _checked_trig, "_exp": float_exp, "_log": math.log,
+            "_checked_trig": _checked_trig, "_exp": math.exp, "_log": math.log,
             "_sin": math.sin, "_cos": math.cos, "_sqrt": math.sqrt, "_inf": math.inf}
 
 
@@ -300,63 +301,58 @@ def _operands(e: Expr) -> tuple:
     return (e.a,) if isinstance(e, (Neg, Call)) else (e.a, e.b)
 
 
-def compile(e: Expr) -> Callable[[float], float]:
-    """e as a Python function of x, generated and compiled once. It runs one
-    statement per node, left operand first, each the node's float operation
-    of _SEMANTICS, so every value and every first DomainError is the same as
-    evaluating the tree node by node. Literals and nodes are bound in the
-    function's namespace, not written as source, so inf and nan need no text.
-    A subtree that e holds more than once (differentiate reuses its operands)
-    becomes one function, called at each place it occurs: the code grows with
-    the distinct nodes, not with the expanded tree, which reaches 330,000 nodes
-    for the second derivative of the deepest input."""
-    uses: dict[int, int] = {}
+def emit(e: Expr, var: str, namespace: dict, tag: str) -> tuple[list[str], str]:
+    """e as straight-line Python statements of the variable named var, and the
+    text of its value: one statement per distinct node, each the node's float
+    operation of _SEMANTICS, in the order a node-by-node evaluation first
+    reaches it, left operand first. So every value and every first DomainError
+    is the same as evaluating the tree node by node. A subtree that e holds
+    more than once (differentiate reuses its operands) is computed once into
+    its own local, so the code grows with the distinct nodes, not with the
+    expanded tree, which reaches 330,000 nodes for the second derivative of
+    the deepest input. Finite literals are written as source; the helpers, the
+    non-finite literals and the nodes (which a DomainError prints) are bound in
+    namespace. Every name emit makes starts with tag, which keeps the emissions
+    that share one namespace apart."""
+    namespace.update(_HELPERS)
+    texts: dict[int, str] = {}
+    lines: list[str] = []
 
-    def count(node) -> None:
-        uses[id(node)] = uses.get(id(node), 0) + 1
-        if uses[id(node)] == 1:
-            for child in _operands(node):
-                count(child)
-
-    count(e)
-    names = {id(e): "f"}
-    namespace = dict(_HELPERS)
-    ids = itertools.count()
-    defs = []
-
-    def define(root) -> None:
-        # a node's value goes to its slot variable; its left operand shares the slot
-        # and its right operand takes the next, which its parent has read by then
-        lines = []
-
-        def emit(node, slot: int) -> str:
-            if isinstance(node, Var):
-                return "x"
-            name = f"k{next(ids)}"
-            if isinstance(node, Num):
-                namespace[name] = node.value
-                return name
-            if node is not root and uses[id(node)] > 1:
-                if id(node) not in names:
-                    names[id(node)] = f"s{len(names)}"
-                    define(node)
-                lines.append(f"v{slot} = {names[id(node)]}(x)")
-                return f"v{slot}"
-            namespace[name] = node
-            operands = []
-            for i, child in enumerate(_operands(node)):
-                operands.append(emit(child, slot + i))
+    def visit(node) -> str:
+        if isinstance(node, Var):
+            return var
+        if id(node) in texts:
+            return texts[id(node)]
+        operands = []
+        for child in _operands(node):
+            operands.append(visit(child))
+        i = len(texts)
+        if isinstance(node, Num) and math.isfinite(node.value):
+            text = f"({node.value!r})"
+        elif isinstance(node, Num):
+            text = f"{tag}c{i}"
+            namespace[text] = node.value
+        else:
+            text = f"{tag}{i}"
+            namespace[f"{tag}n{i}"] = node
             kind = node.fn if isinstance(node, Call) else type(node)
-            lines.extend(_SEMANTICS[kind].format(*operands, v=f"v{slot}", n=name).split("\n"))
-            return f"v{slot}"
+            lines.extend(_SEMANTICS[kind].format(*operands, v=text, n=f"{tag}n{i}").split("\n"))
+        texts[id(node)] = text
+        return text
 
-        result = emit(root, 0)
-        body = "".join(f"    {line}\n" for line in lines)
-        defs.append(f"def {names[id(root)]}(x):\n{body}    return {result}\n")
+    return lines, visit(e)
 
-    define(e)
-    exec("\n".join(defs), namespace)
-    return namespace["f"]
+
+def compile(e: Expr) -> Callable[[float], float]:
+    """e as a Python function of x, generated by emit and compiled once; the
+    function carries e as its ``tree``, which solve_1d's loop emits inline."""
+    namespace: dict = {}
+    lines, result = emit(e, "x", namespace, "v")
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def f(x):\n{body}    return {result}\n", namespace)
+    f = namespace["f"]
+    f.tree = e
+    return f
 
 
 def evaluate(e: Expr, x: float) -> float:

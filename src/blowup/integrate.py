@@ -6,19 +6,24 @@ first crossing is the blow-up estimate, and a loop that ends on a NaN state
 raises Overflow instead. Step sizes come from the step_size method of the law
 selected in SolverConfig, called once per run, except for the Adaptive1D and
 Taylor1D steps, which solve_1d computes in its loop (see the stepping module).
+solve_1d's loop is generated for the law and the field, and cached: a field
+function that carries an expression tree, as expr.compile's do, is computed
+inline, with no call per step, and any other callable is called.
 solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop
 that predicts the next guess from the last pass, G <- ceil(N_actual^2 / G).
 """
 from __future__ import annotations
 
 import math
+import textwrap
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from . import linalg, stepping, thresholds
+from . import expr, linalg, stepping, thresholds
 from .errors import InputError, SolverError
 from .problems import RunResult, ScalarProblem, VectorProblem, require_valid
 from .stepping import Adaptive1D, AdaptiveND, LogNDFixedN, StepLaw, Taylor1D, Uniform1D
@@ -48,8 +53,74 @@ class SolverConfig:
             raise InputError("max_steps must be >= 1")
 
 
+# The step of each 1D law in solve_1d's generated loop. {d}, {bx} and {dx} are
+# b'(probe), b(x) and b'(x), computed by the statements emitted before them;
+# {fd} is d as a float, which a called b' need not return. Adaptive1D and
+# Taylor1D probe b' at min(k x, r).
+_PROBE = """\
+probe = k * x
+if probe > r:
+    probe = r
+{d_lines}d = {d}
+if d <= 0.0:
+    raise NonpositiveDerivative(f"b'({{probe!r}}) = {{d!r}}")
+"""
+_STEPS = {
+    Adaptive1D: _PROBE + "h = eps / sqrt(d)\n{bx_lines}bx = {bx}\nx = x + bx * h\n",
+    # h = eps^(1/2) / b'(probe)^(2/3), and the second derivative of the solution
+    # by the chain rule, x'' = b'(x) b(x)
+    Taylor1D: _PROBE + "h = root / {fd} ** (2.0 / 3.0)\n{bx_lines}bx = {bx}\n{dx_lines}"
+                       "x = x + bx * h + 0.5 * {dx} * bx * h * h\n",
+    Uniform1D: "{bx_lines}bx = {bx}\nx = x + bx * h\n",
+}
+# The emitted statements name helpers, non-finite literals and nodes; they are
+# bound as keyword defaults, so that the loop reads them as locals.
+_LOOP = """\
+def loop(x, r, k, eps, h, max_steps, b, bd, trace, *, {bound}):
+    root = eps ** 0.5
+    t = 0.0
+    for n in range(max_steps):
+{step}        t += h
+{record}        if not x < r:
+            break
+    else:
+        raise StepBudgetExceeded(f"exceeded {{max_steps}} steps at x = {{x!r}}")
+    return n + 1, t, x
+"""
+
+
+@lru_cache(maxsize=64)
+def _loop_1d(law: type, b, bd, trace: bool):
+    """solve_1d's loop for one law type, generated and compiled once. b and bd
+    are the field's functions when they carry an expression tree, which the
+    loop computes inline, or None for a field the loop calls: its b and bd
+    arguments. A loop without trace makes no trace test."""
+    namespace = {"sqrt": math.sqrt, "NonpositiveDerivative": stepping.NonpositiveDerivative,
+                 "StepBudgetExceeded": StepBudgetExceeded}
+
+    def field(fn, call: str, var: str, tag: str) -> tuple[str, str]:
+        if fn is None:
+            return "", f"{call}({var})"
+        lines, value = expr.emit(fn.tree, var, namespace, tag)
+        return "".join(f"{line}\n" for line in lines), value
+
+    bx_lines, bx = field(b, "b", "x", "_b")
+    d_lines, d = field(bd, "bd", "probe", "_p")
+    dx_lines, dx = field(bd, "bd", "x", "_q") if law is Taylor1D else ("", "")
+    step = _STEPS[law].format(bx_lines=bx_lines, bx=bx, d_lines=d_lines, d=d,
+                              dx_lines=dx_lines, dx=dx, fd="d" if bd is not None else "float(d)")
+    record = "        trace.append((t, x))\n" if trace else ""
+    bound = ", ".join(f"{name}={name}" for name in namespace)
+    exec(_LOOP.format(step=textwrap.indent(step, " " * 8), record=record, bound=bound), namespace)
+    return namespace["loop"]
+
+
 def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None) -> RunResult:
-    """Estimate the 1D blow-up time by integrating to the threshold radius."""
+    """Estimate the 1D blow-up time by integrating to the threshold radius.
+
+    The loop is generated for the law and the field (_loop_1d): rhs and
+    rhs_deriv run inline where they carry an expression tree, as expr.compile's
+    functions do, and are called each step where they do not."""
     require_valid(problem)
     cfg = cfg or SolverConfig()
     law = cfg.law if cfg.law is not None else Adaptive1D()
@@ -59,49 +130,19 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     r = thresholds.radius(problem.threshold, problem, eps)
     warnings = thresholds.cap_warnings(r)
 
-    b = problem.rhs
-    bd = problem.rhs_deriv
-    k = problem.k
+    b, bd = problem.rhs, problem.rhs_deriv
+    kind = next(c for c in stepping.LAWS_1D if isinstance(law, c))
+    loop = _loop_1d(kind, b if hasattr(b, "tree") else None,
+                    bd if hasattr(bd, "tree") else None, cfg.record_trace)
     x = float(problem.x0)
     t = 0.0
     steps = 0
     trace = [(0.0, x)] if cfg.record_trace else None
-    max_steps = cfg.max_steps
 
-    sqrt = math.sqrt
     start = time.perf_counter()
     if x < r:
-        probes = not isinstance(law, Uniform1D)
-        second = isinstance(law, Taylor1D)
-        root = eps ** 0.5
-        if not probes:
-            h = law.step_size(problem, eps, r)
-        for n in range(max_steps):
-            if probes:
-                probe = k * x
-                if probe > r:
-                    probe = r
-                d = bd(probe)
-                if d <= 0.0:
-                    raise stepping.NonpositiveDerivative(f"b'({probe!r}) = {d!r}")
-                if second:  # Taylor1D: h = eps^(1/2) / b'(probe)^(2/3)
-                    h = root / float(d) ** (2.0 / 3.0)
-                else:  # Adaptive1D: h = eps / sqrt(b'(probe))
-                    h = eps / sqrt(d)
-            bx = b(x)
-            if second:
-                # second derivative of the solution via the chain rule: x'' = b'(x) b(x)
-                x = x + bx * h + 0.5 * bd(x) * bx * h * h
-            else:
-                x = x + bx * h
-            t += h
-            if trace is not None:
-                trace.append((t, x))
-            if not x < r:
-                break
-        else:
-            raise StepBudgetExceeded(f"exceeded {max_steps} steps at x = {x!r}")
-        steps = n + 1
+        h = law.step_size(problem, eps, r) if isinstance(law, Uniform1D) else None
+        steps, t, x = loop(x, r, problem.k, eps, h, cfg.max_steps, b, bd, trace)
         if x != x:
             raise Overflow(f"state is nan after {steps} steps below r = {r!r}")
     else:
@@ -207,8 +248,7 @@ def solve_log_nd(
     """
     if not isinstance(problem.threshold, thresholds.LogND):
         raise InputError("solve_log_nd needs a LogND threshold (logarithmic growth)")
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps!r}")
+    thresholds.require_tolerance(eps)
     cfg = cfg or SolverConfig()
 
     n_guess = max(1, math.ceil(1.0 / eps))

@@ -4,8 +4,8 @@ The R^n laws and Uniform1D have ``step_size(problem, eps, r)``, which gives the
 step the solvers take: h(x, bx) with bx = b(x) for the adaptive R^n laws, or a
 plain float for the constant-step laws. solve_nd calls it once per run, and
 solve_1d calls Uniform1D's once. The two per-state 1D laws, Adaptive1D and
-Taylor1D, have no step_size: solve_1d computes their steps in its loop, since a
-call per step costs 20-30%. LogNDImplicitN has none either: solve_log_nd
+Taylor1D, have no step_size: the loop that solve_1d generates for each law
+computes their steps inline, since a call per step costs 20-30%. LogNDImplicitN has none either: solve_log_nd
 resolves its step count N by running LogNDFixedN passes.
 """
 from __future__ import annotations

@@ -10,7 +10,8 @@ radius evaluates every rule's formula on one path that reads float64
 overflow as +inf. A radius above the float64 range is clamped to RADIUS_CAP,
 and cap_warnings gives the warning the solvers attach to such a run, since the
 tail bound is then no longer <= eps. An infinite root-solve target raises
-BracketFailure, and a NaN radius raises SolverError.
+BracketFailure, and a NaN radius raises SolverError. A tolerance outside
+0 < eps < inf is an InputError (require_tolerance), in every solver.
 """
 from __future__ import annotations
 
@@ -160,6 +161,12 @@ def _solve_increasing(f, fprime, start: float, target: float) -> float:
     return x
 
 
+def require_tolerance(epsilon: float) -> None:
+    """Raise InputError unless 0 < epsilon < inf, the tolerances every solver runs."""
+    if not 0.0 < epsilon < math.inf:
+        raise InputError(f"eps must satisfy 0 < eps < inf, got {epsilon!r}")
+
+
 def cap_warnings(r: float) -> list[str]:
     """The run warning for a radius clamped to RADIUS_CAP, if r is one."""
     if r >= RADIUS_CAP:
@@ -172,8 +179,7 @@ def cap_warnings(r: float) -> list[str]:
 def radius(rule: ThresholdRule, problem, epsilon: float) -> float:
     """Truncation radius r(eps) for the given rule; clamped to RADIUS_CAP. The formula
     gives r itself, or for FInverse and BPrimeLog the target of a root solve."""
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {epsilon!r}")
+    require_tolerance(epsilon)
     try:
         if isinstance(rule, FInverse):
             value = float(rule.f_inv(epsilon))
@@ -206,8 +212,7 @@ def tau_tail_bound(rule: ThresholdRule, problem, epsilon: float) -> float:
     (C+1)*log(b'(r))/b'(r) with C = 1). Returns NaN for explicit radii with
     unknown tail.
     """
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {epsilon!r}")
+    require_tolerance(epsilon)
     if isinstance(rule, (FInverse, PolyND, LogND)):
         return epsilon
     if isinstance(rule, ExplicitRadius):

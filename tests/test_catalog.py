@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from blowup import catalog
+from blowup import catalog, expr
 from blowup.baselines import ArcLength, Rescaling
 from blowup.catalog import Exact, Pseudo, UnknownId, build_reaction_diffusion
 from blowup.harness import run_method
-from blowup.problems import check_assumptions
+from blowup.problems import ScalarProblem, check_assumptions
 
 
 def test_list_ids():
@@ -28,6 +28,23 @@ def test_unknown_id():
 def test_parameter_the_id_does_not_take_is_rejected(pid, kw):
     with pytest.raises(UnknownId, match="takes no parameter"):
         catalog.get(pid, **kw)
+
+
+def test_scalar_fields_carry_their_trees():
+    # solve_1d computes a field inline only when it carries its expression tree; a
+    # lambda here would silently put the entry back on the loop that calls it
+    entries = [catalog.get(pid) for pid in catalog.list_ids()] + [catalog.get("xlog_c", c=2.0)]
+    fields = [(entry.id, name, getattr(entry.problem, name)) for entry in entries
+              if isinstance(entry.problem, ScalarProblem)
+              for name in ("rhs", "rhs_deriv", "rhs_second")]
+    untreed = [(pid, name) for pid, name, f in fields if f is not None and not hasattr(f, "tree")]
+    assert len(fields) == 12 and not untreed
+
+
+def test_xlog_derivative_takes_one_log():
+    # lx^(1+c) + (1+c) lx^c, with lx = log(x) one shared node
+    lines, _ = expr.emit(catalog.get("xlog_c").problem.rhs_deriv.tree, "x", {}, "v")
+    assert sum("_log(" in line for line in lines) == 1
 
 
 @pytest.mark.parametrize("pid", catalog.list_ids())

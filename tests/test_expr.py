@@ -137,6 +137,15 @@ def test_constant_folding(build, operands, expected):
     assert pretty(build(*operands)) == expected
 
 
+def test_emit_computes_a_shared_subtree_once():
+    square = expr.Mul(expr.Var(), expr.Var())
+    tree = expr.Add(square, expr.Call("exp", square))
+    lines, _ = expr.emit(tree, "x", {}, "v")
+    assert sum(line.endswith(" = x * x") for line in lines) == 1
+    f = expr.compile(tree)
+    assert f.tree is tree and f(1.5) == 2.25 + math.exp(2.25)
+
+
 class TestNestingBound:
     D = expr.MAX_DEPTH
 

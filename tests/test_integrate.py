@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import NESTING_SHAPES
 
-from blowup import catalog, fit_rate
+from blowup import catalog, expr, fit_rate
+from blowup.baselines import solve_arclength, solve_rescaling_1d
+from blowup.errors import InputError
 from blowup.integrate import (
     Overflow,
     SolverConfig,
@@ -17,7 +20,8 @@ from blowup.integrate import (
 from blowup.linalg import JacobianAccess, safe_norm, spectral_norm
 from blowup.problems import ScalarProblem, VectorProblem
 from blowup.stepping import (
-    Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, Taylor1D, Uniform1D, UniformND,
+    Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, NonpositiveDerivative, Taylor1D, Uniform1D,
+    UniformND,
 )
 from blowup.thresholds import ExplicitRadius, PolyND, radius
 
@@ -108,6 +112,117 @@ class TestSolve1D:
         )
         with pytest.raises(Overflow, match="nan after 317 steps"):
             solve_1d(prob, 2.0**-8)
+
+
+def _compiled(text: str, deriv: str | None = None, x0: float = 0.5, r=lambda e: 1.0 / e):
+    """A problem whose b is text and b' is deriv (default: b's derivative), both
+    compiled, so that both carry their trees; the radius is r(eps)."""
+    tree = expr.parse(text)
+    d_tree = expr.parse(deriv) if deriv else expr.differentiate(tree)
+    return ScalarProblem(rhs=expr.compile(tree), rhs_deriv=expr.compile(d_tree), x0=x0, k=1.1,
+                         threshold=ExplicitRadius(r, tail_is_eps=False))
+
+
+class TestLoopPaths:
+    """solve_1d runs a field that carries an expression tree inline and calls any
+    other: the same fields wrapped in plain lambdas give the same results and
+    errors, bit for bit."""
+
+    LAWS = [Adaptive1D(), Taylor1D(), Uniform1D()]
+    LAW_IDS = ["adaptive", "taylor2", "uniform"]
+
+    @staticmethod
+    def outcome(problem, eps, law, trace=False, max_steps=2**30):
+        """repr of the result's figures, or the error's type and text."""
+        try:
+            res = solve_1d(problem, eps, SolverConfig(law=law, record_trace=trace,
+                                                      max_steps=max_steps))
+        except Exception as exc:  # the error is part of the outcome
+            return type(exc), str(exc)
+        return repr((res.tau_hat, res.steps, res.final_state, res.trace, res.warnings))
+
+    def both_paths(self, problem, *args, **kwargs):
+        """The outcome of problem's fields inline, after checking that the same
+        fields called through lambdas give the same one."""
+        called = dataclasses.replace(problem, rhs=lambda x: problem.rhs(x),
+                                     rhs_deriv=lambda x: problem.rhs_deriv(x))
+        inline = self.outcome(problem, *args, **kwargs)
+        assert inline == self.outcome(called, *args, **kwargs)
+        return inline
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("pid", ["sq", "expsq", "xlog_c"])
+    def test_catalog_fields(self, pid, law, trace):
+        problem = catalog.get(pid).problem
+        for eps in (2.0**-3, 2.0**-5, 2.0**-7):
+            assert isinstance(self.both_paths(problem, eps, law, trace), str)
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("text", ["x^2", "x*exp(x)", "x*log(x)^1.5", "x^2 + sin(x)/x",
+                                      "x*x + log(2 - x)", "x*x + sqrt(3 - x)", "sqrt(x)^3"])
+    def test_expression_fields(self, text, law, trace):
+        problem = _compiled(text, x0=1.25, r=lambda e: 8.0)
+        self.both_paths(problem, 2.0**-8, law, trace, max_steps=20_000)
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_deepest_nesting_shapes(self, shape, law):
+        make, deepest = NESTING_SHAPES[shape]
+        problem = _compiled(make(deepest), x0=1.5, r=lambda e: 4.0)
+        self.both_paths(problem, 2.0**-6, law, max_steps=5_000)
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_nan_field_raises_overflow(self, law):
+        # b is inf - inf where 1000 sin(x) > 709.8, on about (0.79, 2.35), and
+        # finite at x0 and r, which Uniform1D's step reads
+        problem = _compiled("x*x + (exp(1000*sin(x)) - exp(1000*sin(x)))", "2*x",
+                            r=lambda e: 4.0)
+        kind, text = self.both_paths(problem, 2.0**-8, law)
+        assert kind is Overflow and text.startswith("state is nan after ")
+
+    @pytest.mark.parametrize("law", LAWS[:2], ids=LAW_IDS[:2])
+    def test_nonpositive_derivative(self, law):
+        kind, text = self.both_paths(_compiled("x*x", "1 - x"), 2.0**-8, law)
+        assert kind is NonpositiveDerivative and text.startswith("b'(")
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_step_budget(self, law):
+        kind, text = self.both_paths(catalog.get("sq").problem, 2.0**-10, law, max_steps=10)
+        assert kind is StepBudgetExceeded and text.startswith("exceeded 10 steps at x = ")
+
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_degenerate_radius(self, law):
+        assert "degenerate radius" in self.both_paths(catalog.get("sq").problem, 4.0, law)
+
+    def test_a_field_with_a_tree_is_not_called(self):
+        # with an explicit radius and the Adaptive1D law nothing but the loop reads
+        # the field, and the loop computes a field that carries its tree itself
+        def refuse(x):
+            raise AssertionError("called")
+
+        problem = _compiled("x*x")
+        refuse.tree = problem.rhs.tree
+        uncalled = dataclasses.replace(problem, rhs=refuse)
+        assert self.outcome(uncalled, 2.0**-10, Adaptive1D()) == self.outcome(
+            problem, 2.0**-10, Adaptive1D())
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("solver", ["1d", "nd", "log_nd", "arclength-1d", "arclength-nd",
+                                    "rescaling"])
+def test_every_solver_refuses_a_tolerance_outside_0_inf(solver, eps):
+    runs = {
+        "1d": lambda: solve_1d(catalog.get("sq").problem, eps),
+        "nd": lambda: solve_nd(catalog.get("coupled").problem, eps),
+        "log_nd": lambda: solve_log_nd(catalog.get("slowlog_c").problem, eps),
+        "arclength-1d": lambda: solve_arclength(catalog.get("sq").problem, eps, 1e-8),
+        "arclength-nd": lambda: solve_arclength(catalog.get("coupled").problem, eps, 1e-8),
+        "rescaling": lambda: solve_rescaling_1d(2.0, 0.5, 8.0, eps),
+    }
+    with pytest.raises(InputError, match=r"^eps must satisfy 0 < eps < inf, got "):
+        runs[solver]()
 
 
 class TestStepBudget:
