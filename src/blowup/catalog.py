@@ -16,7 +16,7 @@ import numpy as np
 from . import expr
 from .baselines import ArcLength, Rescaling
 from .errors import InputError
-from .expr import Add, Call, Mul, Num, Pow, Var, float_exp, float_pow
+from .expr import Add, Call, Mul, Num, Pow, Var, float_pow
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
 from .stepping import (
@@ -63,10 +63,6 @@ class CatalogEntry:
 # The method table of every 1D entry and of an --expr problem.
 SCALAR_METHODS = {"adaptive": Adaptive1D(), "taylor2": Taylor1D(), "uniform": Uniform1D(),
                   "arclength": ArcLength()}
-
-
-def list_ids() -> tuple[str, ...]:
-    return IDS
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +120,8 @@ def _xlog(c: float) -> CatalogEntry:
         rhs_deriv=expr.compile(Add(Pow(log_x, one_c), Mul(one_c, Pow(log_x, Num(c))))),
         x0=2.0,
         k=1.1,
-        threshold=ExplicitRadius(lambda e: float_exp((c * e) ** (-1.0 / c)), tail_is_eps=True),
+        threshold=ExplicitRadius(expr.compile(Call("exp", Pow(Mul(Num(c), Var()), Num(-1.0 / c)))),
+                                 tail_is_eps=True),
     )
     return CatalogEntry(
         id="xlog_c",
@@ -152,7 +149,7 @@ def _uncoupled() -> CatalogEntry:
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
-        jacobian=JacobianAccess.from_dense(jac),
+        jacobian=JacobianAccess(dense=jac),
         # b.x = x1^4 + x2^6 >= 0.5*|x|^4 on |x| >= sqrt(3) (minimum ~0.5488 on the
         # boundary circle), so c_check = 0.5 is an honest constant; 1.0 is not.
         threshold=PolyND(c_check=0.5, alpha=2.0),
@@ -191,7 +188,7 @@ def _coupled() -> CatalogEntry:
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
-        jacobian=JacobianAccess.from_dense(jac),
+        jacobian=JacobianAccess(dense=jac),
         threshold=PolyND(c_check=1.0, alpha=2.0),  # b.x = |x|^4 exactly
         delta=math.sqrt(5.0) * (1.0 - 1e-9),
         x0=np.array([1.0, 2.0]),
@@ -255,7 +252,7 @@ def _slowlog(c: float) -> CatalogEntry:
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
-        jacobian=JacobianAccess.from_dense(jac),
+        jacobian=JacobianAccess(dense=jac),
         threshold=LogND(c_check=c_check, alpha=c),
         delta=5.0 * (1.0 - 1e-9),
         x0=np.array([4.0, 3.0]),
@@ -280,11 +277,11 @@ def _slowlog(c: float) -> CatalogEntry:
 
 
 @lru_cache(maxsize=None)
-def build_reaction_diffusion(m: int) -> VectorProblem:
+def _rd(m: int) -> CatalogEntry:
     """Method-of-lines discretisation of u_t = u_xx + u^2 on (0,1) with zero
     boundary values and u(x, 0) = 100 sin(pi x), on the grid k/m, k = 1..m-1."""
     if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
+        raise UnknownId(f"rd needs m >= 2, got {m!r}")
     m2 = float(m * m)
     n = m - 1
 
@@ -326,10 +323,10 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
             return array_jvp(np.asarray(x, dtype=float), v)
 
     x0 = 100.0 * np.sin(np.pi * np.arange(1, m) / m)
-    return VectorProblem(
+    problem = VectorProblem(
         dim=n,
         rhs=rhs,
-        jacobian=JacobianAccess.matrix_free(jvp),
+        jacobian=JacobianAccess(jvp=jvp),
         # Working reconstruction: the growth bound is not claimed to hold for this
         # field (the diffusion term breaks it near the initial profile); it exists
         # to make r(eps) = 1/eps computable. Sampler treats it as nominal.
@@ -337,13 +334,6 @@ def build_reaction_diffusion(m: int) -> VectorProblem:
         delta=1.0,
         x0=x0,
     )
-
-
-@lru_cache(maxsize=None)
-def _rd(m: int) -> CatalogEntry:
-    if m < 2:
-        raise UnknownId(f"rd needs m >= 2, got {m!r}")
-    problem = build_reaction_diffusion(m)
     cap = 1.0 / (2.0 * m * m)
     return CatalogEntry(
         id="rd",

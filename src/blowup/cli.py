@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "list":
-            for pid in catalog.list_ids():
+            for pid in catalog.IDS:
                 print(pid)
             return 0
         commands = {"run": _cmd_run, "study": _cmd_study, "rd-study": _cmd_rd_study,

@@ -11,7 +11,8 @@ and binds tighter than unary minus:
     FUNC   := 'exp' | 'log' | 'sin' | 'cos' | 'sqrt'
 
 There is no implicit multiplication: ``2x`` is a syntax error. ``log`` is the
-natural logarithm. ``a^b`` with non-integer ``b`` requires ``a > 0``. Each
+natural logarithm. ``a^b`` with non-integer ``b`` requires ``a >= 0``, and
+``0^b`` requires ``b > 0``; ``0^nan`` is NaN, as ``0.0 ** nan`` is. Each
 operator, function call and pair of parentheses nests one level, and input
 nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
 first two derivatives stay within the recursion limit.
@@ -216,16 +217,8 @@ def parse(text: str, var: str = "x") -> Expr:
 # --- evaluation ---------------------------------------------------------------
 
 
-def float_exp(v: float) -> float:
-    """math.exp(v), with overflow to inf as numpy gives it."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
 def float_pow(base: float, exponent: float) -> float:
-    """base ** exponent for a positive base or an integer exponent, with
+    """base ** exponent for a base >= 0 or an integer exponent, with
     overflow to +-inf as numpy gives it (Python's float ** raises
     OverflowError): the sign of a negative base survives an odd power."""
     try:
@@ -242,9 +235,11 @@ def _checked_div(node) -> float:
 def _checked_pow(base: float, exponent: float, node) -> float:
     if base > 0.0:
         return float_pow(base, exponent)
-    if float(exponent).is_integer():
-        if base == 0.0 and exponent <= 0.0:
+    if base == 0.0:
+        if exponent <= 0.0:
             raise DomainError(f"0 raised to nonpositive power in '{pretty(node)}'")
+        return float_pow(base, exponent)  # +-0.0, or NaN for a NaN exponent
+    if float(exponent).is_integer():
         return float_pow(base, int(exponent))
     raise DomainError(
         f"negative base {base!r} with non-integer exponent in '{pretty(node)}'"

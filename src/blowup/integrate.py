@@ -89,6 +89,14 @@ def loop(x, r, k, eps, h, max_steps, b, bd, trace, *, {bound}):
 """
 
 
+def _require_moving(h: float, eps: float, r: float) -> None:
+    """Raise SolverError for a constant step that is not positive, as where b(r)
+    or b'(r) overflows or eps^p underflows: the state would never move."""
+    if not h > 0.0:
+        raise SolverError(f"constant step h = {h!r} at eps = {eps!r} and r = {r!r}: "
+                          "the state cannot move")
+
+
 @lru_cache(maxsize=64)
 def _loop_1d(law: type, b, bd, trace: bool):
     """solve_1d's loop for one law type, generated and compiled once. b and bd
@@ -142,6 +150,8 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     start = time.perf_counter()
     if x < r:
         h = law.step_size(problem, eps, r) if isinstance(law, Uniform1D) else None
+        if h is not None:
+            _require_moving(h, eps, r)
         steps, t, x = loop(x, r, problem.k, eps, h, cfg.max_steps, b, bd, trace)
         if x != x:
             raise Overflow(f"state is nan after {steps} steps below r = {r!r}")
@@ -200,6 +210,8 @@ def solve_nd(
         else:
             h_rule = law.step_size(problem, eps, r)
             constant_h = not callable(h_rule)
+            if constant_h:
+                _require_moving(h_rule, eps, r)
             step = None if planar else np.empty_like(x)
             while nx <= r:
                 if n >= max_steps:

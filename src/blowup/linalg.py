@@ -33,14 +33,6 @@ class JacobianAccess:
         if (self.dense is None) == (self.jvp is None):
             raise InputError("exactly one of dense/jvp must be provided")
 
-    @classmethod
-    def from_dense(cls, fn: Callable) -> "JacobianAccess":
-        return cls(dense=fn)
-
-    @classmethod
-    def matrix_free(cls, jvp: Callable) -> "JacobianAccess":
-        return cls(jvp=jvp)
-
 
 def safe_norm(x) -> float:
     """Euclidean norm that survives |x|^2 overflowing float64; inf if any |x_i| is."""

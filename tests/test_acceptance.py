@@ -236,7 +236,7 @@ def test_criterion_10_property_suites():
         A = rng.normal(size=(dim, dim))
         sym = 0.5 * (A + A.T)
         exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-        jac = JacobianAccess.from_dense(lambda x, sym=sym: sym)
+        jac = JacobianAccess(dense=lambda x, sym=sym: sym)
         worst_sn = max(worst_sn, abs(spectral_norm(jac, np.zeros(dim)) - exact) / exact)
     checks.append(("dense spectral norm vs exact eigenvalues <= 1e-8", worst_sn <= 1e-8,
                    f"worst {worst_sn:.2e}"))

@@ -5,13 +5,13 @@ import pytest
 
 from blowup import catalog, expr
 from blowup.baselines import ArcLength, Rescaling
-from blowup.catalog import Exact, Pseudo, UnknownId, build_reaction_diffusion
+from blowup.catalog import Exact, Pseudo, UnknownId
 from blowup.harness import run_method
 from blowup.problems import ScalarProblem, check_assumptions
 
 
-def test_list_ids():
-    ids = catalog.list_ids()
+def test_ids():
+    ids = catalog.IDS
     assert ids == ("sq", "expsq", "xlog_c", "uncoupled", "coupled", "slowlog_c", "rd")
     assert len(set(ids)) == len(ids)
 
@@ -33,7 +33,7 @@ def test_parameter_the_id_does_not_take_is_rejected(pid, kw):
 def test_scalar_fields_carry_their_trees():
     # solve_1d computes a field inline only when it carries its expression tree; a
     # lambda here would silently put the entry back on the loop that calls it
-    entries = [catalog.get(pid) for pid in catalog.list_ids()] + [catalog.get("xlog_c", c=2.0)]
+    entries = [catalog.get(pid) for pid in catalog.IDS] + [catalog.get("xlog_c", c=2.0)]
     fields = [(entry.id, name, getattr(entry.problem, name)) for entry in entries
               if isinstance(entry.problem, ScalarProblem)
               for name in ("rhs", "rhs_deriv", "rhs_second")]
@@ -47,7 +47,7 @@ def test_xlog_derivative_takes_one_log():
     assert sum("_log(" in line for line in lines) == 1
 
 
-@pytest.mark.parametrize("pid", catalog.list_ids())
+@pytest.mark.parametrize("pid", catalog.IDS)
 def test_none_stands_for_the_default(pid):
     assert catalog.get(pid, c=None, m=None) is catalog.get(pid)
 
@@ -85,7 +85,7 @@ class TestReferences:
 
 class TestReactionDiffusion:
     def test_minimal_grid(self):
-        prob = build_reaction_diffusion(2)
+        prob = catalog.get("rd", m=2).problem
         assert prob.dim == 1
         assert np.allclose(prob.x0, [100.0], rtol=1e-14)
         for x in (1.0, 10.0, 50.0):
@@ -93,14 +93,14 @@ class TestReactionDiffusion:
 
     def test_initial_profile(self):
         m = 8
-        prob = build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         expected = 100.0 * np.sin(np.pi * np.arange(1, m) / m)
         assert np.array_equal(prob.x0, expected)
 
     def test_jvp_on_constant_vector(self):
         # v = 1: interior rows are 2*x_i, boundary-adjacent rows are -m^2 + 2*x_i
         m = 4
-        prob = build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         x = np.array([3.0, 5.0, 7.0])
         v = np.ones(3)
         got = prob.jacobian.jvp(x, v)
@@ -110,7 +110,7 @@ class TestReactionDiffusion:
 
     @pytest.mark.parametrize("m", [4, 8, 16])
     def test_jvp_matches_dense_assembly(self, m):
-        prob = build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         n = m - 1
         rng = np.random.default_rng(m)
         for _ in range(20):
@@ -135,7 +135,7 @@ class TestReactionDiffusion:
             pad[1:-1] = v
             return pad[:-2] - 2.0 * v + pad[2:]
 
-        prob = build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         m2 = float(m * m)
         rng = np.random.default_rng(1000 + m)
         for _ in range(50):
@@ -153,10 +153,10 @@ class TestReactionDiffusion:
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
-            build_reaction_diffusion(1)
+            catalog.get("rd", m=1)
 
     def test_growth_spec_is_nominal_reconstruction(self):
-        prob = build_reaction_diffusion(8)
+        prob = catalog.get("rd", m=8).problem
         assert prob.threshold.nominal
         assert prob.threshold.c_check == 1.0 and prob.threshold.alpha == 1.0
 
@@ -208,7 +208,7 @@ def test_entries_expose_expected_methods():
         "adaptive", "taylor2", "uniform", "arclength", "rescaling"}
     assert "log-uniform" in catalog.get("uncoupled").methods
     assert catalog.get("sq").methods["rescaling"] == Rescaling(2.0)
-    for pid in catalog.list_ids():
+    for pid in catalog.IDS:
         entry = catalog.get(pid)
         assert entry.methods["arclength"] == ArcLength()
         assert ("rescaling" in entry.methods) == (pid == "sq")

@@ -485,7 +485,7 @@ def test_rd_study_writes_table(capsys, tmp_path):
     assert header.endswith(",m,succ_diff_log2")
 
 
-@pytest.mark.parametrize("pid", catalog.list_ids())
+@pytest.mark.parametrize("pid", catalog.IDS)
 def test_check_prints_plain_floats(capsys, pid):
     # numpy scalars format as "np.float64(...)"; detail strings carry plain floats
     code, out, _ = run_cli(capsys, "check", "--problem", pid, "--samples", "200")

@@ -201,6 +201,18 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(parse("(0-2)^0.5"), 0.0)
 
+    @pytest.mark.parametrize("x", [0.0, -0.0], ids=["+0", "-0"])
+    def test_zero_base(self, x):
+        # 0 to a positive power is 0, to a NaN power NaN, to a nonpositive one an error
+        assert evaluate(parse("x^1.5"), x) == 0.0
+        assert evaluate(parse("(-x)^1.5"), x) == 0.0
+        with pytest.raises(DomainError, match=re.escape(
+                "0 raised to nonpositive power in 'x^(-1.5)'")):
+            evaluate(parse("x^-1.5"), x)
+        assert math.isnan(evaluate(Pow(Var(), Num(math.nan)), x))
+        with pytest.raises(DomainError, match="negative base -1.0 with non-integer exponent"):
+            evaluate(parse("(x - 1)^1.5"), x)
+
     def test_exp_overflow_is_inf(self):
         assert evaluate(parse("exp(x)"), 1e6) == math.inf
 

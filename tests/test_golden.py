@@ -47,7 +47,7 @@ PLANAR_CELLS = (
 
 
 def _entries():
-    for pid in catalog.list_ids():
+    for pid in catalog.IDS:
         if pid == "rd":
             for m in RD_SIZES:
                 yield f"rd({m})", catalog.get(pid, m=m), RD_EPS_LOG2

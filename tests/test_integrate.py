@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import NESTING_SHAPES
 
 from blowup import catalog, expr, fit_rate
 from blowup.baselines import solve_arclength, solve_rescaling_1d
-from blowup.errors import InputError
+from blowup.errors import InputError, SolverError
 from blowup.integrate import (
     Overflow,
     SolverConfig,
@@ -20,8 +21,8 @@ from blowup.integrate import (
 from blowup.linalg import JacobianAccess, safe_norm, spectral_norm
 from blowup.problems import ScalarProblem, VectorProblem
 from blowup.stepping import (
-    Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, NonpositiveDerivative, Taylor1D, Uniform1D,
-    UniformND,
+    Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, NonpositiveDerivative, PowerUniformND, Taylor1D,
+    Uniform1D, UniformND,
 )
 from blowup.thresholds import ExplicitRadius, PolyND, radius
 
@@ -247,6 +248,24 @@ class TestStepBudget:
             solve(problem, eps, SolverConfig(law=law, max_steps=n - 1))
 
 
+class TestZeroConstantStep:
+    """A constant step that cannot move the state raises before the loop, not at
+    the step budget."""
+
+    def test_uniform_1d_on_an_overflowing_field(self):
+        # b(r) = b'(r) = exp(1e6) overflow to inf, so h = min(eps/log(inf), 1/inf) = 0
+        problem = _compiled("exp(x)", x0=1.0, r=lambda e: 1e6)
+        with pytest.raises(SolverError, match=re.escape(
+                "constant step h = 0.0 at eps = 0.1 and r = 1000000.0")):
+            solve_1d(problem, 0.1, SolverConfig(law=Uniform1D(), max_steps=1000))
+
+    def test_power_uniform_nd_underflow(self, uncoupled):
+        # h = eps^2 underflows to 0 at eps = 2^-600
+        eps = 2.0**-600
+        with pytest.raises(SolverError, match=re.escape(f"constant step h = 0.0 at eps = {eps!r}")):
+            solve_nd(uncoupled, eps, SolverConfig(law=PowerUniformND(2.0), max_steps=1000))
+
+
 class TestLawDispatch:
     def test_1d_solver_rejects_nd_law(self, sq):
         with pytest.raises(TypeError):
@@ -353,7 +372,7 @@ class TestSolveND:
         prob = VectorProblem(
             dim=2,
             rhs=rhs,
-            jacobian=JacobianAccess.from_dense(
+            jacobian=JacobianAccess(dense=
                 lambda x: np.diag([3.0 * x[0] ** 2, 3.0 * x[1] ** 2])
             ),
             threshold=PolyND(1.0, 2.0),
@@ -372,7 +391,7 @@ class TestSolveND:
         prob = VectorProblem(
             dim=3,
             rhs=field,
-            jacobian=JacobianAccess.matrix_free(lambda x, v: field(v)),
+            jacobian=JacobianAccess(jvp=lambda x, v: field(v)),
             threshold=PolyND(1.0, 1.0, nominal=True),
             delta=1.0,
             x0=np.array([2.0, 1.5, 3.0]),

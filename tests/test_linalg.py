@@ -15,7 +15,7 @@ from blowup.linalg import (
 
 class TestSpectralNorm:
     def test_diagonal(self):
-        jac = JacobianAccess.from_dense(lambda x: np.diag([3.0, 5.0]))
+        jac = JacobianAccess(dense=lambda x: np.diag([3.0, 5.0]))
         assert spectral_norm(jac, np.zeros(2)) == 5.0
 
     def test_coupled_jacobian_at_known_point(self):
@@ -30,19 +30,19 @@ class TestSpectralNorm:
         x = np.array([math.sqrt(2.0), 1.0])
         assert spectral_norm(jac, x) == pytest.approx(6.0, rel=1e-12)
 
-    def test_matrix_free_without_hint_rejected(self):
-        jac = JacobianAccess.matrix_free(lambda x, v: v)
+    def test_jvp_only_without_hint_rejected(self):
+        jac = JacobianAccess(jvp=lambda x, v: v)
         with pytest.raises(TransposeUnavailable):
             spectral_norm(jac, np.zeros(3))
 
     def test_dense_size_must_match_dim(self):
-        jac = JacobianAccess.from_dense(lambda x: np.eye(3))
+        jac = JacobianAccess(dense=lambda x: np.eye(3))
         with pytest.raises(ValueError, match="expected dim 2"):
             spectral_norm(jac, np.zeros(3), 2)
 
     def test_nonsymmetric_small_is_exact(self):
         J = np.array([[1.0, 5.0], [0.0, 2.0]])
-        jac = JacobianAccess.from_dense(lambda x: J)
+        jac = JacobianAccess(dense=lambda x: J)
         expected = float(np.linalg.svd(J, compute_uv=False)[0])
         assert spectral_norm(jac, np.zeros(2)) == pytest.approx(expected, rel=1e-13)
 
@@ -60,7 +60,7 @@ def test_coupled_norm_identity_at_random_points():
 
 
 def _dense(J):
-    return JacobianAccess.from_dense(lambda x: J)
+    return JacobianAccess(dense=lambda x: J)
 
 
 def test_dense_norm_against_exact_eigenvalues():
@@ -113,19 +113,19 @@ def jvp_norm(jac, x, v):
 
 class TestJvpNorm:
     def test_diagonal_example(self):
-        jac = JacobianAccess.from_dense(lambda x: np.diag([3.0, 5.0]))
+        jac = JacobianAccess(dense=lambda x: np.diag([3.0, 5.0]))
         assert jvp_norm(jac, np.zeros(2), np.array([1.0, 1.0])) == pytest.approx(
             math.sqrt(34.0), rel=1e-15
         )
 
     def test_zero_vector(self):
-        jac = JacobianAccess.from_dense(lambda x: np.diag([3.0, 5.0]))
+        jac = JacobianAccess(dense=lambda x: np.diag([3.0, 5.0]))
         assert jvp_norm(jac, np.zeros(2), np.zeros(2)) == 0.0
 
     def test_rd_constant_profile_against_dense(self):
         # interior rows of b'(x) x are 2c^2 when every component equals c
         m = 8
-        prob = catalog.build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         c = 3.0
         x = np.full(m - 1, c)
         w = prob.jacobian.jvp(x, x)
@@ -144,7 +144,7 @@ class TestJvpNorm:
 def test_rd_jvp_linearity():
     rng = np.random.default_rng(9)
     for m in (4, 8, 32):
-        prob = catalog.build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         jvp = prob.jacobian.jvp
         for _ in range(20):
             x = rng.normal(size=m - 1) * 50.0

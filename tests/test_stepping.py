@@ -61,7 +61,7 @@ def step_nd(law, eps, r=1e6, jac_norm=1.0, b_norm=1.0, jvp_norm=0.0):
     """law's step at a state where |b(x)| = b_norm and |b'(x) b(x)| = jvp_norm,
     with b'(x) = diag(jac_norm, jvp_norm / b_norm) and b(x) = (0, b_norm). The
     2x2 closed form gives ||b'(x)|| = jac_norm exactly while jvp_norm is 0."""
-    jac = JacobianAccess.from_dense(lambda x: ((jac_norm, 0.0), (0.0, jvp_norm / b_norm)))
+    jac = JacobianAccess(dense=lambda x: ((jac_norm, 0.0), (0.0, jvp_norm / b_norm)))
     h = law.step_size(planar(jac), eps, r)
     return h(np.ones(2), (0.0, b_norm)) if callable(h) else h
 
@@ -190,7 +190,7 @@ class TestAltND:
 
     def test_falls_back_to_adaptive_where_jvp_vanishes(self):
         # J = [[0, 3], [0, 0]] is nilpotent: J(x) b(x) = 0 for b(x) = (1, 0), ||J|| = 3
-        prob = planar(JacobianAccess.from_dense(lambda x: np.array([[0.0, 3.0], [0.0, 0.0]])))
+        prob = planar(JacobianAccess(dense=lambda x: np.array([[0.0, 3.0], [0.0, 0.0]])))
         x, bx = np.ones(2), np.array([1.0, 0.0])
         eps = 2.0**-10
         adaptive = AdaptiveND().step_size(prob, eps, 1e6)(x, bx)
@@ -204,7 +204,7 @@ class TestAltND:
     def test_dense_jvp_beyond_the_plane(self):
         # dim 3 takes J v as dense(x) @ v: J b = (2, 0, 0) * 3 at b = (0, 3, 0)
         J = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
-        prob = VectorProblem(dim=3, rhs=lambda x: x, jacobian=JacobianAccess.from_dense(
+        prob = VectorProblem(dim=3, rhs=lambda x: x, jacobian=JacobianAccess(dense=
             lambda x: J), threshold=PolyND(1.0, 1.0), delta=1.0, x0=np.ones(3))
         eps = 2.0**-10
         h = AltND().step_size(prob, eps, 1e6)(np.ones(3), np.array([0.0, 3.0, 0.0]))
@@ -214,7 +214,7 @@ class TestAltND:
     def test_rd_initial_profile_against_dense_oracle(self):
         # oracle: dense tridiagonal assembly at m = 32
         m = 32
-        prob = catalog.build_reaction_diffusion(m)
+        prob = catalog.get("rd", m=m).problem
         x = prob.x0
         bx = prob.rhs(x)
         dense = np.diag(np.full(m - 1, -2.0 * m * m)) + np.diag(
@@ -304,7 +304,7 @@ def test_every_catalog_law_is_a_solver_law():
     # LogNDImplicitN, and the baselines' own solvers run ArcLength and Rescaling;
     # every other law gives its step through step_size
     baselines = (ArcLength, Rescaling)
-    for pid in catalog.list_ids():
+    for pid in catalog.IDS:
         for law in catalog.get(pid).methods.values():
             assert isinstance(law, LAWS_1D + LAWS_ND + (LogNDImplicitN,) + baselines)
             if not isinstance(law, (Adaptive1D, Taylor1D, LogNDImplicitN) + baselines):

@@ -99,6 +99,19 @@ class TestClosedForms:
         # representable for large enough eps
         assert radius(prob.threshold, prob, 0.1) == pytest.approx(math.exp(400.0), rel=1e-12)
 
+    @pytest.mark.parametrize("c", [0.125, 0.25, 0.5, 1.0, 3.0])
+    def test_xlog_radius_is_its_closed_form(self, c):
+        # min(exp((c eps)^(-1/c)), RADIUS_CAP) with math, overflow read as inf, by repr
+        prob = catalog.get("xlog_c", c=c).problem
+        for k in range(80):
+            for eps in (2.0**-k, 1.37 * 2.0**-k):
+                try:
+                    want = math.exp((c * eps) ** (-1.0 / c))
+                except OverflowError:
+                    want = math.inf
+                got = radius(prob.threshold, prob, eps)
+                assert repr(got) == repr(min(want, RADIUS_CAP)), eps
+
     def test_nan_radius_is_an_error_not_the_cap(self):
         with pytest.raises(SolverError, match="ExplicitRadius gives radius nan at eps = 0.25"):
             radius(ExplicitRadius(lambda e: math.nan), None, 0.25)
