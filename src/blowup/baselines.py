@@ -170,7 +170,8 @@ def solve_rescaling_1d(
     remaining tail M^((1-p)j)/(p-1) drops below eps/2. That tail, in
     [eps/(2*M^(p-1)), eps/2) for eps <= 2/(p-1), is not added to tau_hat, so
     tau_hat falls short of the blow-up time by it on top of the Euler error.
-    Each cycle takes at least one step, so a cycle estimate above cfg.max_steps
+    Each cycle takes at least one step, and cycle 0 at least a quarter of its
+    exact time over h, so a cycle estimate or cycle-0 bound above cfg.max_steps
     raises StepBudgetExceeded up front, as does a run that needs more steps.
     """
     if not p_exponent > 1:
@@ -190,6 +191,16 @@ def solve_rescaling_1d(
     if j_est > max_steps:
         raise StepBudgetExceeded(f"about {j_est} cycles exceed {max_steps} steps")
     h = eps / (2.0 * j_est * log_m)
+    # Cycle 0's exact time over h bounds its steps from below: Euler lags the convex
+    # solution, and rounding to nearest at most doubles a step's increment; 4h keeps
+    # a margin over 2h for the rounding of y^p h.
+    try:
+        n0 = (x0 ** (1.0 - p) - M ** (1.0 - p)) / ((p - 1.0) * 4.0 * h)
+    except OverflowError:  # x0^(1-p) is past float64
+        n0 = math.inf
+    if n0 > max_steps:
+        raise StepBudgetExceeded(f"cycle 0 takes at least {n0:.3g} steps of h = {h!r}, "
+                                 f"over {max_steps}")
 
     tau = 0.0
     steps = 0

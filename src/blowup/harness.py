@@ -11,8 +11,8 @@ import io
 import math
 import os
 import pickle
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,12 +22,6 @@ from .integrate import SolverConfig, solve_1d, solve_log_nd, solve_nd
 from .problems import RunResult, ScalarProblem
 from .stepping import LogNDImplicitN
 from .thresholds import RADIUS_CAP, cap_warnings
-
-CSV_HEADER = (
-    "problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,wall_ns,failed,"
-    "warnings"
-)
-CSV_HEADER_RD = CSV_HEADER + ",m,succ_diff_log2"
 
 _CAPPED = cap_warnings(RADIUS_CAP)[0]  # the warning of a run at the capped radius
 
@@ -63,6 +57,9 @@ class MethodRates:
 
 @dataclass(frozen=True)
 class StudyRow:
+    """One cell of a study, and one CSV line whose columns are these fields in
+    order; m and succ_diff_log2 are set in rd tables only."""
+
     problem: str
     method: str
     epsilon: float
@@ -72,10 +69,10 @@ class StudyRow:
     reference_kind: str
     reference_value: float
     wall_ns: int
-    m: Optional[int] = None
-    succ_diff_log2: Optional[float] = None
     failed: str = ""
     warnings: str = ""
+    m: Optional[int] = None
+    succ_diff_log2: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -207,29 +204,24 @@ def _cell_workers(n_cells: int) -> int:
     return min(cpus, n_cells)
 
 
-class _CellResult(NamedTuple):
-    """What a table row needs of one run; the final state and trace stay behind."""
-
-    tau_hat: float
-    steps: int
-    wall_time: float
-    failed: str  # the SolverError of a cell that did not run, else ""
-    warnings: str  # the run's warnings, joined by "; "
-
-
-def _run_cell(cell) -> _CellResult:
-    """Run one (problem_id, c, m, method, eps) cell on its catalog entry; a
-    SolverError gives a failed result with a NaN tau_hat, zero counts and no
-    warnings. Method None stands for the entry's pseudo reference, its adaptive
-    run at eps, whose SolverError is raised: a study cannot go on without it."""
+def _run_cell(cell) -> StudyRow:
+    """Run one (problem_id, c, m, method, eps) cell on its catalog entry, as a
+    row whose reference fields are unset: a NaN error and reference value and
+    an empty reference kind. A SolverError gives a failed row with a NaN
+    tau_hat, zero counts and no warnings. Method None stands for the entry's
+    pseudo reference, its adaptive run at eps, whose SolverError is raised: a
+    study cannot go on without it. The final state and trace stay behind."""
     problem_id, c, m, method, eps = cell
+    entry = catalog.get(problem_id, c=c, m=m)
     try:
-        res = run_method(catalog.get(problem_id, c=c, m=m), method or "adaptive", eps)
+        res = run_method(entry, method or "adaptive", eps)
     except SolverError as exc:
         if method is None:
             raise
-        return _CellResult(math.nan, 0, 0.0, f"{type(exc).__name__}: {exc}", "")
-    return _CellResult(res.tau_hat, res.steps, res.wall_time, "", "; ".join(res.warnings))
+        return StudyRow(entry.id, method, eps, math.nan, 0, math.nan, "", math.nan, 0,
+                        failed=f"{type(exc).__name__}: {exc}")
+    return StudyRow(entry.id, method or "adaptive", eps, res.tau_hat, res.steps, math.nan, "",
+                    math.nan, int(res.wall_time * 1e9), warnings="; ".join(res.warnings))
 
 
 class WorkerLost(SolverError):
@@ -250,7 +242,7 @@ def _picklable(exc: Exception) -> Exception:
 
 def _serve(cells: list, task_r: int, result_w: int) -> None:
     """A worker's loop: for each cell index read from task_r, one per line until
-    end of file, pickle (index, _CellResult or exception, traceback text) to
+    end of file, pickle (index, StudyRow or exception, traceback text) to
     result_w. An exception that does not survive pickling goes as a stand-in."""
     with open(task_r, "rb") as tasks, open(result_w, "wb") as replies:
         for line in tasks:
@@ -280,13 +272,13 @@ def _hand_out(sel, key, order) -> None:
         pass  # the worker is gone, and its result pipe reaches end of file
 
 
-def _run_cells(cells: list) -> list[_CellResult]:
+def _run_cells(cells: list) -> list[StudyRow]:
     """_run_cell over the cells, in their order. With more than one CPU and
     cell, the cells run in forked worker processes, longest first (smallest
     eps, then largest m). Each worker has one cell in flight and is sent the
     next index when its result arrives. The caller has looked every entry up,
     so each worker finds it in the catalog cache it inherits; only the index
-    goes in and only the row figures come back.
+    goes in and only the cell's row comes back.
 
     An exception in a cell is raised here with its type and message, or as
     the stand-in of _picklable where it does not survive pickling, and with
@@ -350,25 +342,6 @@ def _run_cells(cells: list) -> list[_CellResult]:
             os.waitpid(pid, 0)
 
 
-def _study_row(problem, method, eps, res: _CellResult, ref_kind, ref_value,
-               **extra) -> StudyRow:
-    """One table row; a failed cell carries NaNs and zero counts."""
-    return StudyRow(
-        problem=problem,
-        method=method,
-        epsilon=eps,
-        tau_hat=res.tau_hat,
-        steps=res.steps,
-        error=abs(res.tau_hat - ref_value),
-        reference_kind=ref_kind,
-        reference_value=ref_value,
-        wall_ns=int(res.wall_time * 1e9),
-        failed=res.failed,
-        warnings=res.warnings,
-        **extra,
-    )
-
-
 def _log2_gap(a: float, b: float) -> float:
     """log2|a - b|, or -inf where the two coincide."""
     return math.log2(abs(a - b)) if a != b else -math.inf
@@ -417,13 +390,13 @@ def run_study(
     ref_cells = ([] if eref is None or (entry, eref) in _REFERENCE_CACHE
                  else [(problem_id, c, m, None, eref)])
     cells = [(problem_id, c, m, method, eps) for method in methods for eps in eps_grid]
-    results = _run_cells(ref_cells + cells)
+    rows = _run_cells(ref_cells + cells)
     if ref_cells:
-        ref = results.pop(0)
+        ref = rows.pop(0)
         _REFERENCE_CACHE[entry, eref] = ref.tau_hat, ref.warnings
     ref_kind, ref_value, notes = reference_value(entry, eps_ref=eps_ref)
-    rows = [_study_row(entry.id, method, eps, res, ref_kind, ref_value)
-            for (*_, method, eps), res in zip(cells, results)]
+    rows = [replace(r, error=abs(r.tau_hat - ref_value), reference_kind=ref_kind,
+                    reference_value=ref_value) for r in rows]
 
     fitted = {}
     for method in methods:
@@ -483,19 +456,20 @@ def run_rd_study(
                                for mm, e in grid]))
     rows = []
     for method in methods:
-        runs = [(mm, e, next(results)) for mm, e in grid]
+        runs = [(mm, next(results)) for mm, _ in grid]
         if mode == VARY_EPS:
-            done = [res.tau_hat for _, _, res in runs if not res.failed]
+            done = [r.tau_hat for _, r in runs if not r.failed]
             ref_kind, ref_value = "pseudo", (done[-1] if done else math.nan)
         else:
             ref_kind, ref_value = "none", math.nan
         prev_tau = None
-        for mm, e, res in runs:
-            tau = None if res.failed else res.tau_hat
+        for mm, r in runs:
+            tau = None if r.failed else r.tau_hat
             diff = None if tau is None or prev_tau is None else _log2_gap(tau, prev_tau)
             prev_tau = tau
-            rows.append(_study_row(f"rd({mm})", method, e, res, ref_kind, ref_value,
-                                   m=mm, succ_diff_log2=diff))
+            rows.append(replace(r, problem=f"rd({mm})", error=abs(r.tau_hat - ref_value),
+                                reference_kind=ref_kind, reference_value=ref_value, m=mm,
+                                succ_diff_log2=diff))
     notes.append(
         "rd threshold rule is a reconstruction (polynomial growth, c_check = 1, "
         "alpha = 1, so r = 1/eps); the published table does not state its rule"
@@ -524,28 +498,14 @@ def write_lines(path: str, lines: Sequence[str]) -> None:
 
 
 def emit_csv(table: StudyTable, path: str) -> None:
-    """Write the table; floats carry 17 significant digits (lossless round-trip),
-    and a failed cell's reason and a cell's warnings are quoted as the csv module
-    quotes."""
+    """Write the table, one column per StudyRow field in field order, leaving
+    out m and succ_diff_log2 where no row has an m; floats carry 17 significant
+    digits (lossless round-trip), and a failed cell's reason and a cell's
+    warnings are quoted as the csv module quotes."""
     rd_style = any(r.m is not None for r in table.rows)
-    rows = [(CSV_HEADER_RD if rd_style else CSV_HEADER).split(",")]
-    for r in table.rows:
-        cells = [
-            r.problem,
-            r.method,
-            _fmt(r.epsilon),
-            _fmt(r.tau_hat),
-            str(r.steps),
-            _fmt(r.error),
-            r.reference_kind,
-            _fmt(r.reference_value),
-            str(r.wall_ns),
-            r.failed,
-            r.warnings,
-        ]
-        if rd_style:
-            cells += [_fmt(r.m), _fmt(r.succ_diff_log2)]
-        rows.append(cells)
+    names = [f.name for f in fields(StudyRow)
+             if rd_style or f.name not in ("m", "succ_diff_log2")]
+    rows = [names] + [[_fmt(getattr(r, name)) for name in names] for r in table.rows]
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
     write_lines(path, [text.getvalue().removesuffix("\n")])  # write_lines adds it back

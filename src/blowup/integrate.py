@@ -152,6 +152,9 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
         h = law.step_size(problem, eps, r) if isinstance(law, Uniform1D) else None
         if h is not None:
             _require_moving(h, eps, r)
+        elif bd(r) == math.inf:  # h = eps / sqrt(inf) = 0 once the probe min(k x, r) is r
+            raise SolverError(f"b'(r) = inf at eps = {eps!r} and r = {r!r}: the step is 0 "
+                              "once the probe reaches r, so the state cannot move")
         steps, t, x = loop(x, r, problem.k, eps, h, cfg.max_steps, b, bd, trace)
         if x != x:
             raise Overflow(f"state is nan after {steps} steps below r = {r!r}")

@@ -125,11 +125,21 @@ class TestRescaling:
         with pytest.raises(InvalidParameter):
             solve_rescaling_1d(2.0, 0.5, M, 0.01)
 
-    def test_cycle_estimate_over_budget_fails_at_once(self):
+    @pytest.mark.parametrize("p, x0, M, eps, cfg, match", [
         # about 6e9 cycles of at least one step each: over the 2^30 default budget
+        (2.0, 0.5, 1.000000001, 2.0**-8, None, "cycles exceed"),
+        # h ~ 1.2e-17 leaves y = 0.5 where it is, as x0^p h is below half an ulp:
+        # cycle 0's exact time 1.75 is about 1.4e17 steps of h
+        (2.0, 0.5, 4.0, 2.0**-50, SolverConfig(max_steps=1000),
+         r"^cycle 0 takes at least 3.55e\+16 steps"),
+        # x0^(1-p) = 1e600 is past float64, and y^p = 1e-900 underflows to 0
+        (3.0, 1e-300, 4.0, 2.0**-8, SolverConfig(max_steps=1000),
+         "^cycle 0 takes at least inf steps"),
+    ], ids=["cycles", "cycle-0", "cycle-0-overflow"])
+    def test_cycle_estimate_over_budget_fails_at_once(self, p, x0, M, eps, cfg, match):
         start = time.perf_counter()
-        with pytest.raises(StepBudgetExceeded):
-            solve_rescaling_1d(2.0, 0.5, 1.000000001, 2.0**-8)
+        with pytest.raises(StepBudgetExceeded, match=match):
+            solve_rescaling_1d(p, x0, M, eps, cfg)
         assert time.perf_counter() - start < 1.0
 
     def test_step_budget_counts_every_cycle(self):

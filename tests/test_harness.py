@@ -600,6 +600,19 @@ class TestEmission:
         header = path.read_text().split("\n")[0]
         assert header.endswith(",m,succ_diff_log2")
 
+    def test_csv_headers_are_the_documented_schema(self, tmp_path):
+        # README's schema: StudyRow's fields in order, with the rd columns last
+        study = ("problem,method,epsilon,tau_hat,steps,error,reference_kind,reference_value,"
+                 "wall_ns,failed,warnings")
+        for table, header in (
+            (run_study("sq", ["adaptive"], [2.0**-k for k in range(5, 8)]), study),
+            (run_rd_study("vary-m", eps=2.0**-8, m_grid=[4, 8], methods=("adaptive",)),
+             study + ",m,succ_diff_log2"),
+        ):
+            path = tmp_path / "t.csv"
+            emit_csv(table, str(path))
+            assert path.read_text().split("\n")[0] == header
+
     def test_svg_empty_table_is_error(self, tmp_path):
         from blowup.harness import StudyTable
 

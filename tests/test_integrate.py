@@ -249,8 +249,8 @@ class TestStepBudget:
 
 
 class TestZeroConstantStep:
-    """A constant step that cannot move the state raises before the loop, not at
-    the step budget."""
+    """A constant step that cannot move the state, or a probed step that cannot
+    once its probe reaches r, raises before the loop, not at the step budget."""
 
     def test_uniform_1d_on_an_overflowing_field(self):
         # b(r) = b'(r) = exp(1e6) overflow to inf, so h = min(eps/log(inf), 1/inf) = 0
@@ -264,6 +264,15 @@ class TestZeroConstantStep:
         eps = 2.0**-600
         with pytest.raises(SolverError, match=re.escape(f"constant step h = 0.0 at eps = {eps!r}")):
             solve_nd(uncoupled, eps, SolverConfig(law=PowerUniformND(2.0), max_steps=1000))
+
+    @pytest.mark.parametrize("law", [Adaptive1D(), Taylor1D()], ids=["adaptive", "taylor2"])
+    def test_probed_law_where_b_prime_overflows_at_r(self, law):
+        # b'(1000) = exp(exp(1000)) exp(1000) overflows to inf, and the probe
+        # min(k x, r) reaches r, where h = eps / sqrt(inf) = 0
+        problem = _compiled("exp(exp(x))", x0=1.0, r=lambda e: 1e3)
+        with pytest.raises(SolverError, match=re.escape(
+                "b'(r) = inf at eps = 0.01 and r = 1000.0: the step is 0")):
+            solve_1d(problem, 0.01, SolverConfig(law=law, max_steps=1000))
 
 
 class TestLawDispatch:
