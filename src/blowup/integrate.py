@@ -3,12 +3,12 @@
 The 1D loop advances x <- x + b(x)h while x < r(eps) (strict guard); the R^n
 loop advances while |x| <= r(eps). In both cases the accumulated time at the
 first crossing is the blow-up estimate, and a loop that ends on a NaN state
-raises Overflow instead. Step sizes come from the step_size method of the law
-selected in SolverConfig, called once per run, except for the Adaptive1D and
-Taylor1D steps, which solve_1d computes in its loop (see the stepping module).
-solve_1d's loop is generated for the law and the field, and cached: a field
+raises Overflow instead. Both loops are generated from one template and cached:
+a per-state law's step is its text in _STEPS (1D) or _STEPS_ND (R^n), and a
+constant law's step comes from its step_size, called once per run. A 1D field
 function that carries an expression tree, as expr.compile's do, is computed
-inline, with no call per step, and any other callable is called.
+inline; any other callable is called. A first step that leaves the state where
+it was raises SolverError, since no later step could move it.
 solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop
 that predicts the next guess from the last pass, G <- ceil(N_actual^2 / G).
 """
@@ -26,7 +26,7 @@ import numpy as np
 from . import expr, linalg, stepping, thresholds
 from .errors import InputError, SolverError
 from .problems import RunResult, ScalarProblem, VectorProblem, require_valid
-from .stepping import Adaptive1D, AdaptiveND, LogNDFixedN, StepLaw, Taylor1D, Uniform1D
+from .stepping import Adaptive1D, AdaptiveND, AltND, LogNDFixedN, StepLaw, Taylor1D
 
 
 class StepBudgetExceeded(SolverError):
@@ -53,10 +53,10 @@ class SolverConfig:
             raise InputError("max_steps must be >= 1")
 
 
-# The step of each 1D law in solve_1d's generated loop. {d}, {bx} and {dx} are
-# b'(probe), b(x) and b'(x), computed by the statements emitted before them;
-# {fd} is d as a float, which a called b' need not return. Adaptive1D and
-# Taylor1D probe b' at min(k x, r).
+# The step of each per-state 1D law in solve_1d's generated loop (a constant
+# law's is _EULER). {d}, {bx} and {dx} are b'(probe), b(x) and b'(x), computed by
+# the statements emitted before them; {fd} is d as a float, which a called b'
+# need not return. Adaptive1D and Taylor1D probe b' at min(k x, r).
 _PROBE = """\
 probe = k * x
 if probe > r:
@@ -65,36 +65,58 @@ if probe > r:
 if d <= 0.0:
     raise NonpositiveDerivative(f"b'({{probe!r}}) = {{d!r}}")
 """
+_EULER = "{bx_lines}bx = {bx}\nx = x + bx * h\n"
 _STEPS = {
-    Adaptive1D: _PROBE + "h = eps / sqrt(d)\n{bx_lines}bx = {bx}\nx = x + bx * h\n",
+    Adaptive1D: _PROBE + "h = eps / sqrt(d)\n" + _EULER,
     # h = eps^(1/2) / b'(probe)^(2/3), and the second derivative of the solution
     # by the chain rule, x'' = b'(x) b(x)
     Taylor1D: _PROBE + "h = root / {fd} ** (2.0 / 3.0)\n{bx_lines}bx = {bx}\n{dx_lines}"
                        "x = x + bx * h + 0.5 * {dx} * bx * h * h\n",
-    Uniform1D: "{bx_lines}bx = {bx}\nx = x + bx * h\n",
 }
-# The emitted statements name helpers, non-finite literals and nodes; they are
-# bound as keyword defaults, so that the loop reads them as locals.
+# The step size of each per-state R^n law in solve_nd's generated loop, which
+# computes bx = b(x) before it and the update after it. {jb} is J(x) b(x),
+# after the statements {jb_lines}. spectral_norm is looked up on linalg at each
+# step, so that a patched one is seen.
+_ADAPTIVE_ND = "sn = linalg.spectral_norm(jac, x, dim)\nh = eps / sqrt(sn if sn > 1.0 else 1.0)\n"
+_STEPS_ND = {
+    AdaptiveND: _ADAPTIVE_ND,
+    # where b'(x) b(x) = 0 the law has no scale, and the AdaptiveND step is taken;
+    # the cap is inf for none
+    AltND: "{jb_lines}jn = norm({jb})\nif jn <= 0.0:\n" + textwrap.indent(_ADAPTIVE_ND, "    ")
+           + "else:\n    h = eps * sqrt(norm(bx)) / sqrt(jn)\nif h > cap:\n    h = cap\n",
+    LogNDFixedN: "sn = linalg.spectral_norm(jac, x, dim)\n"
+                 "h = sqrt(eps / (N * (sn if sn > 1.0 else 1.0)))\n",
+}
+# Both dimension classes' loops. The first step is peeled: a state that it
+# leaves where it was cannot move, since every law's h and b are functions of
+# x alone. The emitted statements name helpers, non-finite literals and nodes;
+# they are bound as keyword defaults, so that the loop reads them as locals.
 _LOOP = """\
-def loop(x, r, k, eps, h, max_steps, b, bd, trace, *, {bound}):
-    root = eps ** 0.5
-    t = 0.0
-    for n in range(max_steps):
-{step}        t += h
-{record}        if not x < r:
+def loop(x, r, eps, h, max_steps, {args}, trace, *, {bound}):
+{prologue}    t = 0.0
+{first}    if {unmoved}:
+        raise SolverError(f"h = {{h!r}} at eps = {{eps!r}} leaves {state}: the state cannot move")
+    if not {guard}:
+        return 1, t, x
+    for n in range(1, max_steps):
+{step}        if not {guard}:
             break
     else:
-        raise StepBudgetExceeded(f"exceeded {{max_steps}} steps at x = {{x!r}}")
+        raise StepBudgetExceeded(f"exceeded {{max_steps}} steps at {state}")
     return n + 1, t, x
 """
 
 
-def _require_moving(h: float, eps: float, r: float) -> None:
-    """Raise SolverError for a constant step that is not positive, as where b(r)
-    or b'(r) overflows or eps^p underflows: the state would never move."""
-    if not h > 0.0:
-        raise SolverError(f"constant step h = {h!r} at eps = {eps!r} and r = {r!r}: "
-                          "the state cannot move")
+def _compile(namespace: dict, args: str, prologue: str, step: str, guard: str, state: str,
+             unmoved: str = "x == x0"):
+    """The loop of _LOOP whose steps run the statements step, which end by
+    advancing t and recording the trace; prologue saves the start state as x0."""
+    namespace.update(SolverError=SolverError, StepBudgetExceeded=StepBudgetExceeded)
+    bound = ", ".join(f"{name}={name}" for name in namespace)
+    exec(_LOOP.format(args=args, bound=bound, prologue=textwrap.indent(prologue, " " * 4),
+                      first=textwrap.indent(step, " " * 4), step=textwrap.indent(step, " " * 8),
+                      guard=guard, state=state, unmoved=unmoved), namespace)
+    return namespace["loop"]
 
 
 @lru_cache(maxsize=64)
@@ -103,8 +125,7 @@ def _loop_1d(law: type, b, bd, trace: bool):
     are the field's functions when they carry an expression tree, which the
     loop computes inline, or None for a field the loop calls: its b and bd
     arguments. A loop without trace makes no trace test."""
-    namespace = {"sqrt": math.sqrt, "NonpositiveDerivative": stepping.NonpositiveDerivative,
-                 "StepBudgetExceeded": StepBudgetExceeded}
+    namespace = {"sqrt": math.sqrt, "NonpositiveDerivative": stepping.NonpositiveDerivative}
 
     def field(fn, call: str, var: str, tag: str) -> tuple[str, str]:
         if fn is None:
@@ -115,12 +136,75 @@ def _loop_1d(law: type, b, bd, trace: bool):
     bx_lines, bx = field(b, "b", "x", "_b")
     d_lines, d = field(bd, "bd", "probe", "_p")
     dx_lines, dx = field(bd, "bd", "x", "_q") if law is Taylor1D else ("", "")
-    step = _STEPS[law].format(bx_lines=bx_lines, bx=bx, d_lines=d_lines, d=d,
-                              dx_lines=dx_lines, dx=dx, fd="d" if bd is not None else "float(d)")
-    record = "        trace.append((t, x))\n" if trace else ""
-    bound = ", ".join(f"{name}={name}" for name in namespace)
-    exec(_LOOP.format(step=textwrap.indent(step, " " * 8), record=record, bound=bound), namespace)
-    return namespace["loop"]
+    step = _STEPS.get(law, _EULER).format(bx_lines=bx_lines, bx=bx, d_lines=d_lines, d=d,
+                                          dx_lines=dx_lines, dx=dx,
+                                          fd="d" if bd is not None else "float(d)")
+    step += "t += h\n" + ("trace.append((t, x))\n" if trace else "")
+    return _compile(namespace, "k, b, bd", "root = eps ** 0.5\nx0 = x\n", step, "x < r",
+                    "x = {x!r}")
+
+
+@lru_cache(maxsize=64)
+def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool):
+    """solve_nd's loop for one law type, state form (a pair of floats or an
+    array updated in place) and J b access, generated and compiled once."""
+    namespace = {"sqrt": math.sqrt, "linalg": linalg, "np": np}
+    # J(x) b(x) for AltND: from the jvp, from a planar dense Jacobian as two
+    # float expressions, or as dense(x) @ bx
+    jb_lines, jb = (("", "jvp(x, bx)") if has_jvp else ("", "dense(x) @ bx") if not planar
+                    else ("(j11, j12), (j21, j22) = dense(x)\nb1, b2 = bx\n",
+                          "(j11 * b1 + j12 * b2, j21 * b1 + j22 * b2)"))
+    update = ("x = (x[0] + bx[0] * h, x[1] + bx[1] * h)\n" if planar else
+              # x + bx h with no new array; bx may alias x, so its product comes first
+              "np.multiply(bx, h, step)\nx += step\n")
+    step = ("bx = b(x)\n" + _STEPS_ND.get(law, "").format(jb_lines=jb_lines, jb=jb) + update
+            + "nx = norm(x)\nt += h\n" + ("trace.append((t, nx))\n" if trace else ""))
+    return _compile(namespace, "b, norm, jac, jvp, dense, dim, cap, N",
+                    "x0 = x\n" if planar else "x0 = x.copy()\nstep = np.empty_like(x)\n",
+                    step, "nx <= r", "|x| = {nx!r}", "x == x0" if planar else "(x == x0).all()")
+
+
+def _setup(problem, eps: float, cfg: SolverConfig | None, laws: tuple, default: StepLaw,
+           name: str):
+    """The start both solvers share: the problem's validity, the law (default
+    where cfg has none) and its type among laws, the radius and its warnings."""
+    require_valid(problem)
+    cfg = cfg or SolverConfig()
+    law = cfg.law if cfg.law is not None else default
+    if not isinstance(law, laws):
+        raise TypeError(f"{law!r} is not {name} step law")
+    r = thresholds.radius(problem.threshold, problem, eps)
+    kind = next(c for c in laws if isinstance(law, c))
+    return cfg, law, kind, r, thresholds.cap_warnings(r)
+
+
+def _constant_step(law: StepLaw, problem, eps: float, r: float):
+    """None for a per-state law, whose step is text in _STEPS or _STEPS_ND; else the
+    law's constant step, from its step_size once per run, which must be positive:
+    where b(r) or b'(r) overflows or eps^p underflows, the state would never move."""
+    if not hasattr(law, "step_size"):
+        return None
+    h = law.step_size(problem, eps, r)
+    if not h > 0.0:
+        raise SolverError(f"constant step h = {h!r} at eps = {eps!r} and r = {r!r}: "
+                          "the state cannot move")
+    return h
+
+
+def _result(law: StepLaw, t: float, steps: int, x, r: float, eps: float, start: float,
+            trace: list | None, warnings: list, **meta) -> RunResult:
+    """The run's result, with its wall time since start and the law in meta."""
+    return RunResult(
+        tau_hat=t,
+        steps=steps,
+        final_state=x,
+        radius_used=r,
+        epsilon=eps,
+        wall_time=time.perf_counter() - start,
+        trace=tuple(trace) if trace is not None else None,
+        warnings=tuple(warnings),
+        meta={"law": type(law).__name__, **meta},
+    )
 
 
 def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None) -> RunResult:
@@ -129,17 +213,9 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     The loop is generated for the law and the field (_loop_1d): rhs and
     rhs_deriv run inline where they carry an expression tree, as expr.compile's
     functions do, and are called each step where they do not."""
-    require_valid(problem)
-    cfg = cfg or SolverConfig()
-    law = cfg.law if cfg.law is not None else Adaptive1D()
-    if not isinstance(law, stepping.LAWS_1D):
-        raise TypeError(f"{law!r} is not a 1D step law")
-
-    r = thresholds.radius(problem.threshold, problem, eps)
-    warnings = thresholds.cap_warnings(r)
-
+    cfg, law, kind, r, warnings = _setup(problem, eps, cfg, stepping.LAWS_1D, Adaptive1D(),
+                                         "a 1D")
     b, bd = problem.rhs, problem.rhs_deriv
-    kind = next(c for c in stepping.LAWS_1D if isinstance(law, c))
     loop = _loop_1d(kind, b if hasattr(b, "tree") else None,
                     bd if hasattr(bd, "tree") else None, cfg.record_trace)
     x = float(problem.x0)
@@ -149,30 +225,16 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
 
     start = time.perf_counter()
     if x < r:
-        h = law.step_size(problem, eps, r) if isinstance(law, Uniform1D) else None
-        if h is not None:
-            _require_moving(h, eps, r)
-        elif bd(r) == math.inf:  # h = eps / sqrt(inf) = 0 once the probe min(k x, r) is r
+        h = _constant_step(law, problem, eps, r)
+        if h is None and bd(r) == math.inf:  # h = eps / sqrt(inf) = 0 once the probe is r
             raise SolverError(f"b'(r) = inf at eps = {eps!r} and r = {r!r}: the step is 0 "
                               "once the probe reaches r, so the state cannot move")
-        steps, t, x = loop(x, r, problem.k, eps, h, cfg.max_steps, b, bd, trace)
+        steps, t, x = loop(x, r, eps, h, cfg.max_steps, problem.k, b, bd, trace)
         if x != x:
             raise Overflow(f"state is nan after {steps} steps below r = {r!r}")
     else:
         warnings.append(f"degenerate radius: r = {r!r} <= x0 = {x!r}; no steps taken")
-    wall = time.perf_counter() - start
-
-    return RunResult(
-        tau_hat=t,
-        steps=steps,
-        final_state=x,
-        radius_used=r,
-        epsilon=eps,
-        wall_time=wall,
-        trace=tuple(trace) if trace is not None else None,
-        warnings=tuple(warnings),
-        meta={"law": type(law).__name__},
-    )
+    return _result(law, t, steps, x, r, eps, start, trace, warnings)
 
 
 def solve_nd(
@@ -182,27 +244,20 @@ def solve_nd(
 ) -> RunResult:
     """Estimate the blow-up time of a system by integrating to |x| > r(eps).
 
-    A state of dimension other than 2 is one array that each step updates in
-    place, so an rhs that keeps its argument must keep a copy."""
-    require_valid(problem)
-    cfg = cfg or SolverConfig()
-    law = cfg.law if cfg.law is not None else AdaptiveND()
-    if not isinstance(law, stepping.LAWS_ND):
-        raise TypeError(f"{law!r} is not an R^n step law")
-
-    rule = problem.threshold
-    r = thresholds.radius(rule, problem, eps)
-    warnings = thresholds.cap_warnings(r)
-
-    rhs = problem.rhs
+    The loop is generated for the law, the state form and the Jacobian's J b
+    access (_loop_nd). A state of dimension other than 2 is one array that each
+    step updates in place, so an rhs that keeps its argument must keep a copy."""
+    cfg, law, kind, r, warnings = _setup(problem, eps, cfg, stepping.LAWS_ND, AdaptiveND(),
+                                         "an R^n")
+    jac = problem.jacobian
     # A planar state is a pair of Python floats: 2-element arrays cost more in
     # numpy call overhead than the arithmetic they carry.
     planar = problem.dim == 2
+    loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace)
     x = tuple(problem.x0.tolist()) if planar else np.array(problem.x0, dtype=float)
     norm = linalg.pair_norm if planar else linalg.safe_norm
     t = 0.0
     n = 0
-    max_steps = cfg.max_steps
 
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,42 +266,16 @@ def solve_nd(
         if not nx <= r:
             warnings.append(f"degenerate radius: r = {r!r} < |x0| = {nx!r}; no steps taken")
         else:
-            h_rule = law.step_size(problem, eps, r)
-            constant_h = not callable(h_rule)
-            if constant_h:
-                _require_moving(h_rule, eps, r)
-            step = None if planar else np.empty_like(x)
-            while nx <= r:
-                if n >= max_steps:
-                    raise StepBudgetExceeded(f"exceeded {max_steps} steps at |x| = {nx!r}")
-                bx = rhs(x)
-                h = h_rule if constant_h else h_rule(x, bx)
-                if planar:
-                    x = (x[0] + bx[0] * h, x[1] + bx[1] * h)
-                else:
-                    # x + bx h with no new array; bx may alias x, so its product comes first
-                    np.multiply(bx, h, step)
-                    x += step
-                t += h
-                n += 1
-                nx = norm(x)
-                if trace is not None:
-                    trace.append((t, nx))
+            h = _constant_step(law, problem, eps, r)
+            cap = getattr(law, "cap", None)
+            n, t, x = loop(x, r, eps, h, cfg.max_steps, problem.rhs, norm, jac, jac.jvp,
+                           jac.dense, problem.dim, math.inf if cap is None else cap,
+                           getattr(law, "n", None), trace)
+            nx = norm(x)
             if nx != nx:
                 raise Overflow(f"|state| is nan after {n} steps below r = {r!r}")
-    wall = time.perf_counter() - start
-
-    return RunResult(
-        tau_hat=t,
-        steps=n,
-        final_state=np.array(x, dtype=float) if planar else x,
-        radius_used=r,
-        epsilon=eps,
-        wall_time=wall,
-        trace=tuple(trace) if trace is not None else None,
-        warnings=tuple(warnings),
-        meta={"law": type(law).__name__, "radius_rule": type(rule).__name__},
-    )
+    return _result(law, t, n, np.array(x, dtype=float) if planar else x, r, eps, start, trace,
+                   warnings, radius_rule=type(problem.threshold).__name__)
 
 
 def solve_log_nd(

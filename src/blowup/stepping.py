@@ -1,12 +1,12 @@
-"""Step-size laws, one frozen dataclass each.
+"""Step-size laws, one frozen dataclass each, holding the law's data.
 
-The R^n laws and Uniform1D have ``step_size(problem, eps, r)``, which gives the
-step the solvers take: h(x, bx) with bx = b(x) for the adaptive R^n laws, or a
-plain float for the constant-step laws. solve_nd calls it once per run, and
-solve_1d calls Uniform1D's once. The two per-state 1D laws, Adaptive1D and
-Taylor1D, have no step_size: the loop that solve_1d generates for each law
-computes their steps inline, since a call per step costs 20-30%. LogNDImplicitN has none either: solve_log_nd
-resolves its step count N by running LogNDFixedN passes.
+A law whose step is a formula of the state (Adaptive1D, Taylor1D, AdaptiveND,
+AltND, LogNDFixedN) is step text in integrate's step tables, from which
+solve_1d and solve_nd generate their loops, since a call per step costs 20-30%.
+A constant-step law (Uniform1D, UniformND, PowerUniformND) has
+``step_size(problem, eps, r)``, which the solvers call once per run.
+LogNDImplicitN has neither: solve_log_nd resolves its step count N by running
+LogNDFixedN passes.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import linalg
 from .errors import InputError, SolverError
 
 
@@ -24,6 +23,13 @@ class NonpositiveDerivative(SolverError):
 
 class NonincreasingField(SolverError):
     """b(r) is not above b(x0), or one is NaN; Uniform1D needs b to grow to r."""
+
+
+def _require_positive_cap(law) -> None:
+    """A step cap is None or above 0, inf included: a cap of 0 holds the state
+    still, a negative one runs it backwards, and a NaN one clips nothing."""
+    if law.cap is not None and not law.cap > 0.0:
+        raise InputError(f"{type(law).__name__} needs cap > 0 or None, got {law.cap!r}")
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,7 @@ class Uniform1D:
 
 @dataclass(frozen=True)
 class AdaptiveND:
-    """h = eps / sqrt(max(||b'(x)||, 1))."""
-
-    def step_size(self, problem, eps: float, r: float):
-        jac, dim, sqrt = problem.jacobian, problem.dim, math.sqrt
-
-        def h(x, bx):
-            # looked up on the module at each call, so a patched spectral_norm is seen
-            sn = linalg.spectral_norm(jac, x, dim)
-            return eps / sqrt(sn if sn > 1.0 else 1.0)
-        return h
+    """h = eps / sqrt(max(||b'(x)||, 1)); solve_nd computes it."""
 
 
 @dataclass(frozen=True)
@@ -74,51 +71,25 @@ class AltND:
 
     Where b'(x) b(x) = 0 the law has no scale and the AdaptiveND step is taken.
     ``cap`` optionally clips h, e.g. to the CFL-type 1/(2 m^2) of the
-    reaction-diffusion grid.
+    reaction-diffusion grid. solve_nd computes it.
     """
 
     cap: Optional[float] = None
 
-    def step_size(self, problem, eps: float, r: float):
-        jac, cap = problem.jacobian, self.cap
-        jvp, dense = jac.jvp, jac.dense
-        adaptive = AdaptiveND().step_size(problem, eps, r)
-        planar = problem.dim == 2
-        norm = linalg.pair_norm if planar else linalg.safe_norm
-        sqrt = math.sqrt
-        if jvp is None and planar:
-            def jvp(x, v):  # J v for a planar Jacobian, as two float expressions
-                (a, b), (c, d) = dense(x)
-                v1, v2 = v
-                return (a * v1 + b * v2, c * v1 + d * v2)
-        elif jvp is None:
-            def jvp(x, v):
-                return dense(x) @ v
-
-        def h(x, bx):
-            jn = norm(jvp(x, bx))
-            step = adaptive(x, bx) if jn <= 0.0 else eps * sqrt(norm(bx)) / sqrt(jn)
-            return cap if cap is not None and step > cap else step
-        return h
+    def __post_init__(self):
+        _require_positive_cap(self)
 
 
 @dataclass(frozen=True)
 class LogNDFixedN:
-    """h = sqrt(eps / (N * max(1, ||b'(x)||))) for a given step count N >= 1."""
+    """h = sqrt(eps / (N * max(1, ||b'(x)||))) for a given step count N >= 1;
+    solve_nd computes it."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"LogNDFixedN needs n >= 1, got {self.n!r}")
-
-    def step_size(self, problem, eps: float, r: float):
-        jac, dim, n, sqrt = problem.jacobian, problem.dim, self.n, math.sqrt
-
-        def h(x, bx):
-            sn = linalg.spectral_norm(jac, x, dim)
-            return sqrt(eps / (n * (sn if sn > 1.0 else 1.0)))
-        return h
 
 
 @dataclass(frozen=True)
@@ -136,6 +107,9 @@ class UniformND:
     whose radius is not."""
 
     cap: Optional[float] = None
+
+    def __post_init__(self):
+        _require_positive_cap(self)
 
     def step_size(self, problem, eps: float, r: float) -> float:
         if not r > math.e:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import NESTING_SHAPES
 
-from blowup import catalog, expr, fit_rate
+from blowup import catalog, expr, fit_rate, linalg
 from blowup.baselines import solve_arclength, solve_rescaling_1d
 from blowup.errors import InputError, SolverError
 from blowup.integrate import (
@@ -21,8 +21,8 @@ from blowup.integrate import (
 from blowup.linalg import JacobianAccess, safe_norm, spectral_norm
 from blowup.problems import ScalarProblem, VectorProblem
 from blowup.stepping import (
-    Adaptive1D, AdaptiveND, AltND, LogNDImplicitN, NonpositiveDerivative, PowerUniformND, Taylor1D,
-    Uniform1D, UniformND,
+    Adaptive1D, AdaptiveND, AltND, LogNDFixedN, LogNDImplicitN, NonpositiveDerivative,
+    PowerUniformND, Taylor1D, Uniform1D, UniformND,
 )
 from blowup.thresholds import ExplicitRadius, PolyND, radius
 
@@ -407,17 +407,81 @@ class TestSolveND:
         )
         eps = 2.0**-10
         r = radius(prob.threshold, prob, eps)
-        h_rule = law.step_size(prob, eps, r)
         x, t, n = prob.x0.copy(), 0.0, 0
         while safe_norm(x) <= r:  # solve_nd's loop, with a new state at each step
             bx = prob.rhs(x)
-            h = h_rule(x, bx) if callable(h_rule) else h_rule
+            # AltND's step, J b = field(bx) never vanishing here; UniformND's constant one
+            h = (eps * math.sqrt(safe_norm(bx)) / math.sqrt(safe_norm(field(bx)))
+                 if isinstance(law, AltND) else law.step_size(prob, eps, r))
             x = x + bx * h
             t += h
             n += 1
         res = solve_nd(prob, eps, SolverConfig(law=law, max_steps=n))
         assert (res.tau_hat.hex(), res.steps) == (t.hex(), n)
         assert res.final_state.tobytes() == x.tobytes()
+
+
+    @pytest.mark.parametrize("law", [AdaptiveND(), AltND(), AltND(cap=2.0**-8), LogNDFixedN(64)],
+                             ids=["adaptive", "alt", "alt-cap", "log-fixed-n"])
+    def test_dense_field_beyond_the_plane_against_a_written_out_loop(self, law):
+        # b(x) = |x|^2 x in R^3, whose dense Jacobian |x|^2 I + 2 x x^T takes the
+        # SVD norm, and J b = dense(x) @ b(x); no catalog field is dense off the plane
+        def jac(x):
+            return (x @ x) * np.eye(3) + 2.0 * np.outer(x, x)
+
+        prob = VectorProblem(dim=3, rhs=lambda x: (x @ x) * x, jacobian=JacobianAccess(dense=jac),
+                             threshold=PolyND(1.0, 2.0), delta=0.5, x0=np.array([1.0, 0.5, 0.25]))
+        eps = 2.0**-6
+        res = solve_nd(prob, eps, SolverConfig(law=law, record_trace=True))
+
+        def svd_norm(x):
+            return float(np.linalg.svd(jac(x), compute_uv=False)[0])
+
+        h_of = {  # each law's step, written out
+            AdaptiveND: lambda x, bx: eps / math.sqrt(max(svd_norm(x), 1.0)),
+            AltND: lambda x, bx: min(eps * math.sqrt(safe_norm(bx)) / math.sqrt(
+                safe_norm(jac(x) @ bx)), law.cap or math.inf),
+            LogNDFixedN: lambda x, bx: math.sqrt(eps / (64 * max(svd_norm(x), 1.0))),
+        }[type(law)]
+        x, t, trace = prob.x0.copy(), 0.0, [(0.0, safe_norm(prob.x0))]
+        while trace[-1][1] <= res.radius_used:
+            bx = prob.rhs(x)
+            h = h_of(x, bx)
+            x = x + bx * h
+            t += h
+            trace.append((t, safe_norm(x)))
+        assert res.trace == tuple(trace) and len(trace) > 50
+        assert (res.tau_hat, res.steps) == (t, len(trace) - 1)
+        assert res.final_state.tobytes() == x.tobytes()
+
+    def test_spectral_norm_is_called_once_per_step(self, coupled, monkeypatch):
+        # the loop looks spectral_norm up on linalg at each step, so a patched one is seen
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return spectral_norm(*args)
+
+        monkeypatch.setattr(linalg, "spectral_norm", counted)
+        res = solve_nd(coupled, 2.0**-10, SolverConfig(law=AdaptiveND()))
+        assert len(calls) == res.steps > 100
+
+
+class TestStateThatCannotMove:
+    """A first step that leaves the state where it was raises SolverError at
+    once, in each dimension class, where x + b(x) h == x since h is below half
+    an ulp of the state: no later step could move it."""
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: solve_1d(_compiled("x^2", x0=0.5, r=lambda e: 1e10), 1e-200, cfg),
+        lambda cfg: solve_nd(catalog.get("coupled").problem, 1e-300, cfg),
+        lambda cfg: solve_nd(catalog.get("rd", m=8).problem, 1e-300, dataclasses.replace(
+            cfg, law=catalog.get("rd", m=8).methods["adaptive"])),
+    ], ids=["1d-expr", "planar-coupled", "array-rd8"])
+    def test_first_step_stall(self, run):
+        with pytest.raises(SolverError, match="cannot move") as info:
+            run(SolverConfig(max_steps=1000))
+        assert type(info.value) is SolverError  # not its subclass StepBudgetExceeded
 
 
 class TestSolveLogND:

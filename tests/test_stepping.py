@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from blowup import catalog
+from blowup import catalog, integrate
 from blowup.baselines import ArcLength, Rescaling
-from blowup.errors import SolverError
-from blowup.integrate import SolverConfig, solve_1d
+from blowup.errors import InputError, SolverError
+from blowup.integrate import SolverConfig, solve_1d, solve_nd
 from blowup.linalg import JacobianAccess, safe_norm
 from blowup.problems import ScalarProblem, VectorProblem
 from blowup.stepping import (
@@ -23,7 +24,7 @@ from blowup.stepping import (
     Uniform1D,
     UniformND,
 )
-from blowup.thresholds import ExplicitRadius, PolyND
+from blowup.thresholds import ExplicitRadius, PolyND, radius
 
 B_SQ = lambda x: x * x
 DB_SQ = lambda x: 2.0 * x
@@ -46,24 +47,40 @@ def uniform_step(eps, r, x0):
     return Uniform1D().step_size(scalar(x0, r), eps, r)
 
 
-def planar(jacobian):
+def planar(jacobian, rhs):
     return VectorProblem(
         dim=2,
-        rhs=lambda x: x,
+        rhs=rhs,
         jacobian=jacobian,
         threshold=PolyND(1.0, 1.0),
-        delta=1.0,
-        x0=np.ones(2),
+        delta=0.5,
+        x0=np.array([1.0, 0.0]),
     )
 
 
+def first_step_nd(law, problem, eps):
+    """The size of law's first step in a traced solve_nd run of problem, with
+    its radius moved down to |x0|, so that a first step that grows |x| crosses it."""
+    n0 = safe_norm(problem.x0)
+    c = 1.0 / (n0 * eps)
+    while radius(PolyND(c, 1.0), problem, eps) < n0:  # r = 1/(c eps), rounded
+        c = math.nextafter(c, 0.0)
+    at_x0 = dataclasses.replace(problem, threshold=PolyND(c, 1.0, nominal=True))
+    res = solve_nd(at_x0, eps, SolverConfig(law=law, record_trace=True, max_steps=1))
+    return res.trace[1][0]
+
+
 def step_nd(law, eps, r=1e6, jac_norm=1.0, b_norm=1.0, jvp_norm=0.0):
-    """law's step at a state where |b(x)| = b_norm and |b'(x) b(x)| = jvp_norm,
-    with b'(x) = diag(jac_norm, jvp_norm / b_norm) and b(x) = (0, b_norm). The
-    2x2 closed form gives ||b'(x)|| = jac_norm exactly while jvp_norm is 0."""
-    jac = JacobianAccess(dense=lambda x: ((jac_norm, 0.0), (0.0, jvp_norm / b_norm)))
-    h = law.step_size(planar(jac), eps, r)
-    return h(np.ones(2), (0.0, b_norm)) if callable(h) else h
+    """law's step where |b(x)| = b_norm and |b'(x) b(x)| = jvp_norm, with the
+    constant b(x) = (b_norm, 0) and b'(x) = diag(jvp_norm / b_norm, jac_norm). The
+    2x2 closed form gives ||b'(x)|| = jac_norm exactly while jvp_norm is 0. A
+    per-state law's step is read from a run (first_step_nd), a constant law's
+    is its step_size at radius r."""
+    jac = JacobianAccess(dense=lambda x: ((jvp_norm / b_norm, 0.0), (0.0, jac_norm)))
+    prob = planar(jac, lambda x: (b_norm, 0.0))
+    if hasattr(law, "step_size"):
+        return law.step_size(prob, eps, r)
+    return first_step_nd(law, prob, eps)
 
 
 class TestAdaptive1D:
@@ -190,24 +207,25 @@ class TestAltND:
 
     def test_falls_back_to_adaptive_where_jvp_vanishes(self):
         # J = [[0, 3], [0, 0]] is nilpotent: J(x) b(x) = 0 for b(x) = (1, 0), ||J|| = 3
-        prob = planar(JacobianAccess(dense=lambda x: np.array([[0.0, 3.0], [0.0, 0.0]])))
-        x, bx = np.ones(2), np.array([1.0, 0.0])
+        prob = planar(JacobianAccess(dense=lambda x: np.array([[0.0, 3.0], [0.0, 0.0]])),
+                      lambda x: (1.0, 0.0))
         eps = 2.0**-10
-        adaptive = AdaptiveND().step_size(prob, eps, 1e6)(x, bx)
+        adaptive = first_step_nd(AdaptiveND(), prob, eps)
         assert adaptive == pytest.approx(eps / 3.0**0.5, rel=1e-15)
         for law in (AltND(), AltND(cap=1.0)):
-            assert law.step_size(prob, eps, 1e6)(x, bx) == adaptive
-        assert AltND(cap=adaptive / 2).step_size(prob, eps, 1e6)(x, bx) == adaptive / 2
+            assert first_step_nd(law, prob, eps) == adaptive
+        assert first_step_nd(AltND(cap=adaptive / 2), prob, eps) == adaptive / 2
         # the same through step_nd's diagonal Jacobian
         assert step_nd(AltND(), eps, jac_norm=3.0, jvp_norm=0.0) == adaptive
 
     def test_dense_jvp_beyond_the_plane(self):
         # dim 3 takes J v as dense(x) @ v: J b = (2, 0, 0) * 3 at b = (0, 3, 0)
         J = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
-        prob = VectorProblem(dim=3, rhs=lambda x: x, jacobian=JacobianAccess(dense=
-            lambda x: J), threshold=PolyND(1.0, 1.0), delta=1.0, x0=np.ones(3))
+        prob = VectorProblem(dim=3, rhs=lambda x: np.array([0.0, 3.0, 0.0]), jacobian=
+            JacobianAccess(dense=lambda x: J), threshold=PolyND(1.0, 1.0), delta=0.5,
+            x0=np.array([1.0, 0.0, 0.0]))
         eps = 2.0**-10
-        h = AltND().step_size(prob, eps, 1e6)(np.ones(3), np.array([0.0, 3.0, 0.0]))
+        h = first_step_nd(AltND(), prob, eps)
         assert h == eps * math.sqrt(3.0) / math.sqrt(6.0)
         assert h == pytest.approx(eps / math.sqrt(2.0), rel=1e-15)
 
@@ -227,7 +245,7 @@ class TestAltND:
 
         eps = 2.0**-18
         cap = 1.0 / (2.0 * m * m)
-        h_alt = AltND(cap=cap).step_size(prob, eps, 1.0 / eps)(x, bx)
+        h_alt = first_step_nd(AltND(cap=cap), prob, eps)
         # the adaptive branch, not the cap, binds at t = 0 for this tolerance
         assert h_alt < cap
         assert h_alt == pytest.approx(
@@ -300,12 +318,23 @@ def test_every_law_increasing_in_eps():
 
 
 def test_every_catalog_law_is_a_solver_law():
-    # solve_1d computes Adaptive1D and Taylor1D steps itself, solve_log_nd runs
-    # LogNDImplicitN, and the baselines' own solvers run ArcLength and Rescaling;
-    # every other law gives its step through step_size
+    # solve_log_nd runs LogNDImplicitN, and the baselines' own solvers run
+    # ArcLength and Rescaling
     baselines = (ArcLength, Rescaling)
     for pid in catalog.IDS:
         for law in catalog.get(pid).methods.values():
             assert isinstance(law, LAWS_1D + LAWS_ND + (LogNDImplicitN,) + baselines)
-            if not isinstance(law, (Adaptive1D, Taylor1D, LogNDImplicitN) + baselines):
-                assert callable(law.step_size)
+    # every law the two Euler solvers take has one representation: step text in
+    # one of integrate's step tables, or a step_size called once per run
+    for kind in LAWS_1D + LAWS_ND:
+        tables = [table for table in (integrate._STEPS, integrate._STEPS_ND) if kind in table]
+        assert len(tables) + hasattr(kind, "step_size") == 1, kind
+
+
+@pytest.mark.parametrize("cap", [0.0, -1e-3, math.nan], ids=["0", "negative", "nan"])
+@pytest.mark.parametrize("law", [AltND, UniformND])
+def test_step_cap_must_be_positive(law, cap):
+    # a cap of 0 holds the state still, a negative one runs it backwards, and a
+    # NaN one clips nothing
+    with pytest.raises(InputError, match="needs cap > 0 or None"):
+        law(cap=cap)
