@@ -28,9 +28,9 @@ import numpy as np
 
 from . import thresholds
 from .errors import InputError, SolverError
-from .integrate import SolverConfig, StepBudgetExceeded
+from .integrate import SolverConfig, StepBudgetExceeded, run_record, run_setup
 from .linalg import safe_norm
-from .problems import RunResult, ScalarProblem, VectorProblem, require_valid
+from .problems import RunResult, ScalarProblem, VectorProblem
 
 
 class MinStepUnderflow(SolverError):
@@ -91,10 +91,11 @@ def solve_arclength(
     cfg: SolverConfig | None = None,
 ) -> RunResult:
     """Arc-length RK5(4) blow-up estimate; cost is counted in stage evaluations."""
-    require_valid(problem)
     if not 0 < rk_tol < math.inf:  # rk_tol = inf would switch off error control
         raise InvalidParameter(f"rk_tol must be positive and finite, got {rk_tol!r}")
     cfg = cfg or SolverConfig()
+    law = ArcLength()
+    _, r, warnings = run_setup(problem, eps, law, (ArcLength,))
 
     scalar = isinstance(problem, ScalarProblem)
     if scalar:
@@ -103,8 +104,6 @@ def solve_arclength(
     else:
         y = np.concatenate([np.asarray(problem.x0, dtype=float), [0.0]])
         rhs = problem.rhs
-    r = thresholds.radius(problem.threshold, problem, eps)
-    warnings = thresholds.cap_warnings(r)
 
     n_evals = 0
     attempts = 0
@@ -144,19 +143,8 @@ def solve_arclength(
                 _FAC_MAX, max(_FAC_MIN, _SAFETY * err ** -_ORDER_EXP)
             )
             h *= factor
-    wall = time.perf_counter() - start
-
-    final = float(y[0]) if scalar else y[:-1]
-    return RunResult(
-        tau_hat=float(y[-1]),
-        steps=n_evals,
-        final_state=final,
-        radius_used=r,
-        epsilon=eps,
-        wall_time=wall,
-        warnings=tuple(warnings),
-        meta={"method": "arclength", "rk_tol": rk_tol, "attempts": attempts},
-    )
+    return run_record(law, float(y[-1]), n_evals, float(y[0]) if scalar else y[:-1], r, eps,
+                      start, warnings, rk_tol=rk_tol, attempts=attempts)
 
 
 def solve_rescaling_1d(
@@ -187,9 +175,10 @@ def solve_rescaling_1d(
 
     p = p_exponent
     log_m = math.log(M)
-    j_est = max(1, math.ceil(math.log(2.0 / ((p - 1.0) * eps)) / ((p - 1.0) * log_m)))
-    if j_est > max_steps:
-        raise StepBudgetExceeded(f"about {j_est} cycles exceed {max_steps} steps")
+    estimate = math.log(2.0 / ((p - 1.0) * eps)) / ((p - 1.0) * log_m)
+    if estimate > max_steps:  # inf at a subnormal eps, where 2 / ((p - 1) eps) overflows
+        raise StepBudgetExceeded(f"about {estimate:.3g} cycles exceed {max_steps} steps")
+    j_est = max(1, math.ceil(estimate))
     h = eps / (2.0 * j_est * log_m)
     # Cycle 0's exact time over h bounds its steps from below: Euler lags the convex
     # solution, and rounding to nearest at most doubles a step's increment; 4h keeps
@@ -225,20 +214,5 @@ def solve_rescaling_1d(
         # after cycle j-1 the unscaled solution sits at M^j; exact remaining tail:
         if M ** ((1.0 - p) * j) / (p - 1.0) < eps / 2.0:
             break
-    wall = time.perf_counter() - start
-
-    return RunResult(
-        tau_hat=tau,
-        steps=steps,
-        final_state=y,
-        radius_used=M,
-        epsilon=eps,
-        wall_time=wall,
-        meta={
-            "method": "rescaling",
-            "cycles": j,
-            "cycle_times": tuple(cycle_times),
-            "h_cycle": h,
-            "cycles_estimate": j_est,
-        },
-    )
+    return run_record(Rescaling(p), tau, steps, y, M, eps, start, [], cycles=j,
+                      cycle_times=tuple(cycle_times), h_cycle=h, cycles_estimate=j_est)

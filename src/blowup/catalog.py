@@ -7,6 +7,7 @@ other ids take none.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -313,15 +314,6 @@ def _rd(m: int) -> CatalogEntry:
         out += 2.0 * x * v
         return out
 
-    if n == 2:  # solve_nd carries a planar state as a float pair; the kernels need arrays
-        array_rhs, array_jvp = rhs, jvp
-
-        def rhs(x):
-            return array_rhs(np.asarray(x, dtype=float))
-
-        def jvp(x, v):
-            return array_jvp(np.asarray(x, dtype=float), v)
-
     x0 = 100.0 * np.sin(np.pi * np.arange(1, m) / m)
     problem = VectorProblem(
         dim=n,
@@ -368,7 +360,7 @@ IDS = tuple(_BUILDERS)
 def get(id: str, c: float | None = None, m: int | None = None) -> CatalogEntry:
     """Look up a catalog entry; xlog_c/slowlog_c take c (default 0.5), rd takes
     m (default 32). None stands for the default; a c or m that the id does not
-    take raises UnknownId."""
+    take, and an m that is not integral, raise UnknownId."""
     if id not in _BUILDERS:
         raise UnknownId(f"unknown problem id {id!r}; known: {', '.join(IDS)}")
     build, params = _BUILDERS[id]
@@ -376,4 +368,7 @@ def get(id: str, c: float | None = None, m: int | None = None) -> CatalogEntry:
     extra = sorted(given.keys() - params.keys())
     if extra:
         raise UnknownId(f"problem {id!r} takes no parameter {extra[0]}")
+    if m is not None and not (isinstance(m, numbers.Real) and float(m).is_integer()):
+        # int(m) would truncate 4.5 to 4
+        raise UnknownId(f"problem {id!r} needs an integral m, got {m!r}")
     return build(*(type(default)(given.get(name, default)) for name, default in params.items()))

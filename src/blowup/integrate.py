@@ -11,6 +11,8 @@ inline; any other callable is called. A first step that leaves the state where
 it was raises SolverError, since no later step could move it.
 solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop
 that predicts the next guess from the last pass, G <- ceil(N_actual^2 / G).
+run_setup and run_record are the start and the record of every solver's run,
+the baselines' included.
 """
 from __future__ import annotations
 
@@ -164,18 +166,15 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool):
                     step, "nx <= r", "|x| = {nx!r}", "x == x0" if planar else "(x == x0).all()")
 
 
-def _setup(problem, eps: float, cfg: SolverConfig | None, laws: tuple, default: StepLaw,
-           name: str):
-    """The start both solvers share: the problem's validity, the law (default
-    where cfg has none) and its type among laws, the radius and its warnings."""
+def run_setup(problem, eps: float, law, laws: tuple):
+    """The start every solver of a problem shares: the problem's validity, the
+    law's type among laws, the radius and its warnings."""
     require_valid(problem)
-    cfg = cfg or SolverConfig()
-    law = cfg.law if cfg.law is not None else default
-    if not isinstance(law, laws):
-        raise TypeError(f"{law!r} is not {name} step law")
+    kind = next((c for c in laws if isinstance(law, c)), None)
+    if kind is None:
+        raise TypeError(f"{law!r} is not one of {', '.join(c.__name__ for c in laws)}")
     r = thresholds.radius(problem.threshold, problem, eps)
-    kind = next(c for c in laws if isinstance(law, c))
-    return cfg, law, kind, r, thresholds.cap_warnings(r)
+    return kind, r, thresholds.cap_warnings(r)
 
 
 def _constant_step(law: StepLaw, problem, eps: float, r: float):
@@ -191,9 +190,10 @@ def _constant_step(law: StepLaw, problem, eps: float, r: float):
     return h
 
 
-def _result(law: StepLaw, t: float, steps: int, x, r: float, eps: float, start: float,
-            trace: list | None, warnings: list, **meta) -> RunResult:
-    """The run's result, with its wall time since start and the law in meta."""
+def run_record(law, t: float, steps: int, x, r: float, eps: float, start: float,
+               warnings: list, trace: list | None = None, **meta) -> RunResult:
+    """Every solver's record of its run, with its wall time since start and the
+    law's type in meta."""
     return RunResult(
         tau_hat=t,
         steps=steps,
@@ -213,8 +213,9 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
     The loop is generated for the law and the field (_loop_1d): rhs and
     rhs_deriv run inline where they carry an expression tree, as expr.compile's
     functions do, and are called each step where they do not."""
-    cfg, law, kind, r, warnings = _setup(problem, eps, cfg, stepping.LAWS_1D, Adaptive1D(),
-                                         "a 1D")
+    cfg = cfg or SolverConfig()
+    law = cfg.law or Adaptive1D()
+    kind, r, warnings = run_setup(problem, eps, law, stepping.LAWS_1D)
     b, bd = problem.rhs, problem.rhs_deriv
     loop = _loop_1d(kind, b if hasattr(b, "tree") else None,
                     bd if hasattr(bd, "tree") else None, cfg.record_trace)
@@ -234,7 +235,7 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
             raise Overflow(f"state is nan after {steps} steps below r = {r!r}")
     else:
         warnings.append(f"degenerate radius: r = {r!r} <= x0 = {x!r}; no steps taken")
-    return _result(law, t, steps, x, r, eps, start, trace, warnings)
+    return run_record(law, t, steps, x, r, eps, start, warnings, trace)
 
 
 def solve_nd(
@@ -245,14 +246,17 @@ def solve_nd(
     """Estimate the blow-up time of a system by integrating to |x| > r(eps).
 
     The loop is generated for the law, the state form and the Jacobian's J b
-    access (_loop_nd). A state of dimension other than 2 is one array that each
-    step updates in place, so an rhs that keeps its argument must keep a copy."""
-    cfg, law, kind, r, warnings = _setup(problem, eps, cfg, stepping.LAWS_ND, AdaptiveND(),
-                                         "an R^n")
+    access (_loop_nd). A state that is not planar (dim 2 with a dense Jacobian)
+    is one array that each step updates in place, so an rhs that keeps its
+    argument must keep a copy."""
+    cfg = cfg or SolverConfig()
+    law = cfg.law or AdaptiveND()
+    kind, r, warnings = run_setup(problem, eps, law, stepping.LAWS_ND)
     jac = problem.jacobian
-    # A planar state is a pair of Python floats: 2-element arrays cost more in
-    # numpy call overhead than the arithmetic they carry.
-    planar = problem.dim == 2
+    # A planar state, dim 2 with a dense Jacobian, is a pair of Python floats:
+    # 2-element arrays cost more in numpy call overhead than the arithmetic they
+    # carry. A field with a JVP keeps an array state, as other dimensions do.
+    planar = problem.dim == 2 and jac.dense is not None
     loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace)
     x = tuple(problem.x0.tolist()) if planar else np.array(problem.x0, dtype=float)
     norm = linalg.pair_norm if planar else linalg.safe_norm
@@ -274,8 +278,8 @@ def solve_nd(
             nx = norm(x)
             if nx != nx:
                 raise Overflow(f"|state| is nan after {n} steps below r = {r!r}")
-    return _result(law, t, n, np.array(x, dtype=float) if planar else x, r, eps, start, trace,
-                   warnings, radius_rule=type(problem.threshold).__name__)
+    return run_record(law, t, n, np.array(x, dtype=float) if planar else x, r, eps, start,
+                      warnings, trace, radius_rule=type(problem.threshold).__name__)
 
 
 def solve_log_nd(
@@ -295,6 +299,8 @@ def solve_log_nd(
     thresholds.require_tolerance(eps)
     cfg = cfg or SolverConfig()
 
+    if 1.0 / eps == math.inf:  # a subnormal eps, where math.ceil would raise OverflowError
+        raise SolverError(f"1/eps overflows at eps = {eps!r}: no first guess of N")
     n_guess = max(1, math.ceil(1.0 / eps))
     total_steps = 0
     start = time.perf_counter()
@@ -304,14 +310,10 @@ def solve_log_nd(
         actual = res.steps
         total_steps += actual
         if actual == 0 or (actual <= n_guess <= 4 * actual):
-            wall = time.perf_counter() - start
-            meta = dict(res.meta)
-            meta.update(
-                n_guess=n_guess,
-                outer_iterations=outer,
-                total_steps_all_iterations=total_steps,
-            )
-            return replace(res, wall_time=wall, meta=meta)
+            # the last pass's record, with the wall time and the steps of every pass
+            return replace(res, wall_time=time.perf_counter() - start,
+                           meta={**res.meta, "n_guess": n_guess, "outer_iterations": outer,
+                                 "total_steps_all_iterations": total_steps})
         n_guess = max(1, -(-actual * actual // n_guess))
     raise FixedPointDivergence(
         f"implicit-N iteration did not settle in 40 rounds (last guess {n_guess})"

@@ -55,8 +55,8 @@ def safe_norm(x) -> float:
 def pair_norm(x) -> float:
     """safe_norm of a planar vector, with |x|^2 taken on Python floats when x is
     a pair of floats; an array, or a pair whose |x|^2 overflows, goes to
-    safe_norm. The solvers pick it once per run for dim 2, so that arrays of
-    other sizes pay no type test."""
+    safe_norm. solve_nd picks it once per run for a planar state (dim 2 with a
+    dense Jacobian), so that array states pay no type test."""
     if type(x) is np.ndarray:
         return safe_norm(x)
     a, b = x

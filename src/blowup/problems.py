@@ -34,10 +34,10 @@ class VectorProblem:
     """Autonomous system x' = b(x) on {|x| > delta} that blows up in finite time.
 
     ``threshold`` is the field's growth bound on b(x)·x, PolyND or LogND; it
-    also fixes the truncation radius r(eps). For dim 2, solve_nd passes the
-    state to ``rhs`` and the Jacobian as a pair of floats, and they may return
-    any length-2 sequence (nested for the dense Jacobian); other dimensions
-    pass ndarrays.
+    also fixes the truncation radius r(eps). For dim 2 with a dense Jacobian,
+    solve_nd passes the state to ``rhs`` and the Jacobian as a pair of floats,
+    and they may return any length-2 sequence (nested for the Jacobian); every
+    other problem, a dim-2 one with a JVP included, is passed ndarrays.
     """
 
     dim: int
@@ -53,7 +53,17 @@ class VectorProblem:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one blow-up-time estimation run."""
+    """Outcome of one blow-up-time estimation run, built by integrate.run_record.
+
+    ``meta`` holds, by the solver that sets them:
+    - ``law``, the step law's or baseline's type name: every run;
+    - ``radius_rule``, the threshold's type name: solve_nd, so solve_log_nd too;
+    - ``n_guess``, ``outer_iterations`` and ``total_steps_all_iterations``:
+      solve_log_nd, whose ``law`` is its last pass's LogNDFixedN;
+    - ``rk_tol`` and ``attempts``: solve_arclength;
+    - ``cycles``, ``cycle_times``, ``h_cycle`` and ``cycles_estimate``:
+      solve_rescaling_1d.
+    """
 
     tau_hat: float
     steps: int

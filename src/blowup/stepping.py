@@ -124,6 +124,11 @@ class PowerUniformND:
 
     exponent: float
 
+    def __post_init__(self):
+        # eps^p shrinks with eps only for p > 0; NaN fails this test too
+        if not self.exponent > 0.0:
+            raise InputError(f"PowerUniformND needs exponent > 0, got {self.exponent!r}")
+
     def step_size(self, problem, eps: float, r: float) -> float:
         return eps ** self.exponent
 

@@ -13,6 +13,7 @@ from blowup.baselines import (
     solve_arclength,
     solve_rescaling_1d,
 )
+from blowup.harness import run_method
 from blowup.integrate import SolverConfig, StepBudgetExceeded, solve_1d
 from blowup.problems import InvalidProblem
 from blowup.thresholds import ExplicitRadius
@@ -21,6 +22,15 @@ from blowup.thresholds import ExplicitRadius
 @pytest.fixture(scope="module")
 def sq():
     return catalog.get("sq").problem
+
+
+@pytest.mark.parametrize("pid", ["sq", "uncoupled"])
+def test_every_record_names_its_method_type(pid):
+    # the baselines return through integrate.run_record as the Euler solvers do
+    entry = catalog.get(pid)
+    for method, law in entry.methods.items():
+        res = run_method(entry, method, 2.0**-6)
+        assert res.meta["law"] == type(law).__name__ and "method" not in res.meta
 
 
 class TestArclength:
@@ -135,7 +145,9 @@ class TestRescaling:
         # x0^(1-p) = 1e600 is past float64, and y^p = 1e-900 underflows to 0
         (3.0, 1e-300, 4.0, 2.0**-8, SolverConfig(max_steps=1000),
          "^cycle 0 takes at least inf steps"),
-    ], ids=["cycles", "cycle-0", "cycle-0-overflow"])
+        # 2 / ((p - 1) eps) overflows at a subnormal eps, so the estimate is inf
+        (2.0, 0.5, 4.0, 1e-310, None, "^about inf cycles exceed"),
+    ], ids=["cycles", "cycle-0", "cycle-0-overflow", "subnormal-eps"])
     def test_cycle_estimate_over_budget_fails_at_once(self, p, x0, M, eps, cfg, match):
         start = time.perf_counter()
         with pytest.raises(StepBudgetExceeded, match=match):

@@ -6,7 +6,9 @@ import pytest
 from blowup import catalog, expr
 from blowup.baselines import ArcLength, Rescaling
 from blowup.catalog import Exact, Pseudo, UnknownId
+from blowup.errors import BlowupError
 from blowup.harness import run_method
+from blowup.integrate import SolverConfig
 from blowup.problems import ScalarProblem, check_assumptions
 
 
@@ -28,6 +30,31 @@ def test_unknown_id():
 def test_parameter_the_id_does_not_take_is_rejected(pid, kw):
     with pytest.raises(UnknownId, match="takes no parameter"):
         catalog.get(pid, **kw)
+
+
+@pytest.mark.parametrize("m", [4.5, 8.25, math.nan, math.inf, "8"])
+def test_non_integral_m_is_rejected(m):
+    # int(m) truncates: a vary-m row labelled rd(4.5) was computed on rd(4)
+    with pytest.raises(UnknownId, match="needs an integral m"):
+        catalog.get("rd", m=m)
+
+
+@pytest.mark.parametrize("m", [8, 8.0, np.int64(8), np.int32(8)], ids=str)
+def test_integral_m_of_any_type_is_taken(m):
+    assert catalog.get("rd", m=m).problem.dim == 7
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-320, 1e-310])
+@pytest.mark.parametrize("pid", catalog.IDS)
+def test_every_method_at_a_subnormal_eps_returns_or_raises_a_blowup_error(pid, eps):
+    # 1/eps overflows here: solve_log_nd's first guess of N and rescaling's cycle
+    # estimate each raised a bare OverflowError from math.ceil
+    entry = catalog.get(pid)
+    for method in entry.methods:
+        try:
+            run_method(entry, method, eps, cfg=SolverConfig(max_steps=100))
+        except BlowupError:
+            pass
 
 
 def test_scalar_fields_carry_their_trees():
@@ -165,7 +192,9 @@ class TestReactionDiffusion:
         assert entry.methods["adaptive"].cap == 1.0 / 2048.0
 
     def test_planar_grid_takes_float_pairs(self):
-        # m = 3 is a planar system, so solve_nd hands the kernels a float pair
+        # m = 3 is dim 2 with a JVP, so solve_nd keeps the array state that the
+        # kernels take: only a dense Jacobian makes a planar state a float pair, and
+        # both state forms give these figures
         res = run_method(catalog.get("rd", m=3), "adaptive", 2.0**-8)
         assert res.steps == 27
         assert res.tau_hat == 0.006921794314000456

@@ -240,6 +240,17 @@ class TestExitCodes:
         assert code == 3
         assert "StepBudgetExceeded" in err
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--problem", "slowlog_c", "--eps", "1e-320"), "SolverError: 1/eps overflows"),
+        (("--problem", "sq", "--method", "rescaling", "--eps", "1e-310"),
+         "StepBudgetExceeded: about inf cycles"),
+    ], ids=["implicit-n", "rescaling"])
+    def test_subnormal_eps_is_3(self, capsys, argv, error):
+        # 1/eps overflows at these eps: both printed an OverflowError traceback
+        code, _, err = run_cli(capsys, "run", *argv)
+        assert code == 3
+        assert error in err
+
     def test_nan_state_is_3(self, capsys):
         # exp(exp(x)) / exp(exp(x)) is inf / inf = NaN once exp(x) > 709.8, below r = 256
         code, _, err = run_cli(

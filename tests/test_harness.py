@@ -483,6 +483,12 @@ class TestCellWorkers:
             assert "ZeroDivisionError: injected" in str(exc.value.__cause__)
         _assert_no_children()
 
+    def test_non_integral_m_raises_in_the_caller(self):
+        # int(m) truncated 4.5 to 4, so a row labelled rd(4.5) was computed on rd(4)
+        with pytest.raises(catalog.UnknownId, match="needs an integral m, got 4.5"):
+            run_rd_study("vary-m", eps=2.0**-8, m_grid=[4.5, 8], methods=("adaptive",))
+        _assert_no_children()
+
     def test_bad_m_raises_in_the_caller(self):
         # every entry is looked up before the first cell, so no worker starts
         with pytest.raises(catalog.UnknownId, match="rd needs m >= 2") as exc:

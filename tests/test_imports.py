@@ -90,3 +90,10 @@ def test_every_error_is_an_input_or_a_solver_error():
     raising = [p.name for p in (SRC / "blowup").glob("*.py")
                if "raise ValueError(" in p.read_text()]
     assert not raising
+
+
+def test_one_function_builds_every_run_record():
+    # integrate.run_record builds every solver's RunResult, baselines included, so
+    # a field or meta key added to the record reaches every run from one place
+    built = {p.name: p.read_text().count("RunResult(") for p in (SRC / "blowup").glob("*.py")}
+    assert {name: n for name, n in built.items() if n} == {"integrate.py": 1}

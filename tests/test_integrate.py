@@ -489,6 +489,13 @@ class TestSolveLogND:
         with pytest.raises(ValueError):
             solve_log_nd(uncoupled, 0.1)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310])
+    def test_subnormal_eps_is_a_solver_error(self, eps):
+        # 1/eps overflows, and math.ceil raised a bare OverflowError on it
+        with pytest.raises(SolverError, match="1/eps overflows") as exc:
+            solve_log_nd(catalog.get("slowlog_c").problem, eps)
+        assert type(exc.value) is SolverError
+
     def test_trivial_tolerance_converges_in_one_round(self):
         prob = catalog.get("slowlog_c", c=0.5).problem
         res = solve_log_nd(prob, 1.0)

@@ -20,6 +20,7 @@ from blowup.stepping import (
     LogNDImplicitN,
     NonincreasingField,
     NonpositiveDerivative,
+    PowerUniformND,
     Taylor1D,
     Uniform1D,
     UniformND,
@@ -338,3 +339,11 @@ def test_step_cap_must_be_positive(law, cap):
     # NaN one clips nothing
     with pytest.raises(InputError, match="needs cap > 0 or None"):
         law(cap=cap)
+
+
+@pytest.mark.parametrize("exponent", [0.0, -1.0, math.nan], ids=["0", "negative", "nan"])
+def test_power_exponent_must_be_positive(exponent):
+    # eps^p shrinks with eps only for p > 0: on uncoupled at 2^-6, where tau = 1/4,
+    # an exponent of -1 gave tau_hat = 64 in one step and 0 gave 2 in two
+    with pytest.raises(InputError, match="needs exponent > 0"):
+        PowerUniformND(exponent)
