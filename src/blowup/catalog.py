@@ -17,7 +17,7 @@ import numpy as np
 from . import expr
 from .baselines import ArcLength, Rescaling
 from .errors import InputError
-from .expr import Add, Call, Mul, Num, Pow, Var, float_pow
+from .expr import Add, Call, Mul, Num, Pow, Var
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
 from .stepping import (
@@ -111,9 +111,6 @@ def _expsq() -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _xlog(c: float) -> CatalogEntry:
-    if not c > 0:
-        raise UnknownId(f"xlog_c needs c > 0, got {c!r}")
-
     one_c = Num(1.0 + c)
     log_x = Call("log", Var())  # one node, so b' takes the log once
     problem = ScalarProblem(
@@ -137,20 +134,26 @@ def _xlog(c: float) -> CatalogEntry:
     )
 
 
+# The planar variables, and the planar field (b1, b2) and its Jacobian
+# ((db1/dx1, db1/dx2), (db2/dx1, db2/dx2)) as compiled trees, which solve_nd's
+# loop computes inline
+X1, X2 = Var(1), Var(2)
+
+
+def _planar(rhs: tuple, jac: tuple) -> tuple:
+    return expr.compile(rhs, dim=2), JacobianAccess(dense=expr.compile(jac, dim=2))
+
+
 @lru_cache(maxsize=None)
 def _uncoupled() -> CatalogEntry:
-    def rhs(x):
-        x1, x2 = x
-        return (float_pow(x1, 3), float_pow(x2, 5))
-
-    def jac(x):
-        x1, x2 = x
-        return ((3.0 * float_pow(x1, 2), 0.0), (0.0, 5.0 * float_pow(x2, 4)))
-
+    # x^3 and x^5 with float exponents, since float ** int converts the int
+    rhs, jac = _planar((Pow(X1, Num(3.0)), Pow(X2, Num(5.0))),
+                       ((Mul(Num(3.0), Pow(X1, Num(2.0))), Num(0.0)),
+                        (Num(0.0), Mul(Num(5.0), Pow(X2, Num(4.0))))))
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
-        jacobian=JacobianAccess(dense=jac),
+        jacobian=jac,
         # b.x = x1^4 + x2^6 >= 0.5*|x|^4 on |x| >= sqrt(3) (minimum ~0.5488 on the
         # boundary circle), so c_check = 0.5 is an honest constant; 1.0 is not.
         threshold=PolyND(c_check=0.5, alpha=2.0),
@@ -174,22 +177,17 @@ def _uncoupled() -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _coupled() -> CatalogEntry:
-    def rhs(x):
-        x1, x2 = x
-        s = x1 * x1 + x2 * x2
-        return (x1 * s, x2 * s)
-
-    def jac(x):
-        x1, x2 = x
-        return (
-            (3.0 * x1 * x1 + x2 * x2, 2.0 * x1 * x2),
-            (2.0 * x1 * x2, x1 * x1 + 3.0 * x2 * x2),
-        )
-
+    # s = |x|^2 and b = s x; J = s I + 2 x x^T, with each product taken left
+    # to right, and x1^2, x2^2 and 2 x1 x2 one node each
+    x11, x22, x12 = Mul(X1, X1), Mul(X2, X2), Mul(Mul(Num(2.0), X1), X2)
+    s = Add(x11, x22)
+    rhs, jac = _planar((Mul(X1, s), Mul(X2, s)),
+                       ((Add(Mul(Mul(Num(3.0), X1), X1), x22), x12),
+                        (x12, Add(x11, Mul(Mul(Num(3.0), X2), X2)))))
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
-        jacobian=JacobianAccess(dense=jac),
+        jacobian=jac,
         threshold=PolyND(c_check=1.0, alpha=2.0),  # b.x = |x|^4 exactly
         delta=math.sqrt(5.0) * (1.0 - 1e-9),
         x0=np.array([1.0, 2.0]),
@@ -215,8 +213,6 @@ def _coupled() -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _slowlog(c: float) -> CatalogEntry:
-    if not c > 0:
-        raise UnknownId(f"slowlog_c needs c > 0, got {c!r}")
     one_c = 1.0 + c
 
     # l1 = log(x1^2 + 2 x2^2) and l2 = log(2 x1^2 + x2^2), taken as 2 log(m) plus
@@ -360,7 +356,8 @@ IDS = tuple(_BUILDERS)
 def get(id: str, c: float | None = None, m: int | None = None) -> CatalogEntry:
     """Look up a catalog entry; xlog_c/slowlog_c take c (default 0.5), rd takes
     m (default 32). None stands for the default; a c or m that the id does not
-    take, and an m that is not integral, raise UnknownId."""
+    take, a c that is not a finite real above 0 and an m that is not integral
+    raise UnknownId."""
     if id not in _BUILDERS:
         raise UnknownId(f"unknown problem id {id!r}; known: {', '.join(IDS)}")
     build, params = _BUILDERS[id]
@@ -368,6 +365,8 @@ def get(id: str, c: float | None = None, m: int | None = None) -> CatalogEntry:
     extra = sorted(given.keys() - params.keys())
     if extra:
         raise UnknownId(f"problem {id!r} takes no parameter {extra[0]}")
+    if c is not None and not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):
+        raise UnknownId(f"problem {id!r} needs a finite real c > 0, got {c!r}")
     if m is not None and not (isinstance(m, numbers.Real) and float(m).is_integer()):
         # int(m) would truncate 4.5 to 4
         raise UnknownId(f"problem {id!r} needs an integral m, got {m!r}")

@@ -1,4 +1,5 @@
-"""Single-variable arithmetic expressions with exact symbolic differentiation.
+"""Arithmetic expressions of a scalar or a vector, with exact symbolic
+differentiation of scalar ones.
 
 Grammar (EBNF), in order of increasing precedence; ``^`` is right-associative
 and binds tighter than unary minus:
@@ -10,17 +11,20 @@ and binds tighter than unary minus:
     atom   := NUMBER | VAR | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := 'exp' | 'log' | 'sin' | 'cos' | 'sqrt'
 
-There is no implicit multiplication: ``2x`` is a syntax error. ``log`` is the
-natural logarithm. ``a^b`` with non-integer ``b`` requires ``a >= 0``, and
-``0^b`` requires ``b > 0``; ``0^nan`` is NaN, as ``0.0 ** nan`` is. Each
-operator, function call and pair of parentheses nests one level, and input
-nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
-first two derivatives stay within the recursion limit.
+VAR is ``x``, or one of ``x1`` .. ``xn`` of a vector x as ``parse(text,
+dim=n)`` reads it (``var`` renames x). There is no implicit multiplication:
+``2x`` is a syntax error. ``log`` is the natural logarithm. ``a^b`` with
+non-integer ``b`` requires ``a >= 0``, and ``0^b`` requires ``b > 0``;
+``0^nan`` is NaN, as ``0.0 ** nan`` is. Each operator, function call and pair
+of parentheses nests one level, and input nested deeper than MAX_DEPTH levels
+is a syntax error, so that a tree and its first two derivatives stay within
+the recursion limit.
 
 ``emit`` turns a tree into straight-line Python statements, one per distinct
-node. ``compile`` makes them a Python function of x that carries its tree, and
-solve_1d's loop writes them inline. A caller that evaluates a tree more than
-once compiles it once, where ``evaluate`` compiles per call.
+node. ``compile`` makes them a Python function of x that carries its tree, or
+its tuple of trees as a planar field and its Jacobian are, and the solvers'
+loops write them inline. A caller that evaluates a tree more than once
+compiles it once, where ``evaluate`` compiles per call.
 """
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ class DomainError(InputError):
 
 @dataclass(frozen=True)
 class Var:
-    pass
+    index: int = 0  # 0 is the scalar variable x; i >= 1 is x_i of a vector
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,10 @@ MAX_DEPTH = 48
 _BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
-def parse(text: str, var: str = "x") -> Expr:
-    """Parse ``text`` into an AST whose single variable is named ``var``."""
+def parse(text: str, var: str = "x", dim: int = 1) -> Expr:
+    """Parse ``text`` into an AST whose variable is named ``var``, or, where dim
+    is above 1, whose variables are named ``var1`` .. ``var<dim>``."""
+    names = {var: Var()} if dim == 1 else {f"{var}{i}": Var(i) for i in range(1, dim + 1)}
     tokens = _tokenize(text)
     pos = 0
 
@@ -196,10 +202,11 @@ def parse(text: str, var: str = "x") -> Expr:
         if kind == "num":
             return Num(val), 1
         if kind == "ident":
-            if val == var:
-                return Var(), 1
+            if val in names:
+                return names[val], 1
             if val not in FUNCTIONS:
-                raise ExprSyntaxError(off, f"unknown identifier {val!r} (variable is {var!r})")
+                known = " or ".join(map(repr, names))
+                raise ExprSyntaxError(off, f"unknown identifier {val!r} (variable is {known})")
             expect("(")
         elif (kind, val) != ("op", "("):
             raise ExprSyntaxError(off, "expected a number, variable, function call or '('")
@@ -296,16 +303,18 @@ def _operands(e: Expr) -> tuple:
     return (e.a,) if isinstance(e, (Neg, Call)) else (e.a, e.b)
 
 
-def emit(e: Expr, var: str, namespace: dict, tag: str) -> tuple[list[str], str]:
-    """e as straight-line Python statements of the variable named var, and the
-    text of its value: one statement per distinct node, each the node's float
-    operation of _SEMANTICS, in the order a node-by-node evaluation first
-    reaches it, left operand first. So every value and every first DomainError
-    is the same as evaluating the tree node by node. A subtree that e holds
-    more than once (differentiate reuses its operands) is computed once into
-    its own local, so the code grows with the distinct nodes, not with the
-    expanded tree, which reaches 330,000 nodes for the second derivative of
-    the deepest input. Finite literals are written as source; the helpers, the
+def emit(e, var: str, namespace: dict, tag: str) -> tuple[list[str], str | tuple]:
+    """e, a tree or a nested tuple of trees, as straight-line Python statements
+    of the variable named var (x_i is var followed by i), and the text of its
+    value, or the tuple of them in e's shape: one statement per distinct node,
+    each the node's float operation of _SEMANTICS, in the order a node-by-node
+    evaluation first reaches it, left operand first. So every value and every
+    first DomainError is the same as evaluating the tree node by node. A
+    subtree that e holds more than once (differentiate reuses its operands, and
+    two trees of a tuple may share one) is computed once into its own local, so
+    the code grows with the distinct nodes, not with the expanded tree, which
+    reaches 330,000 nodes for the second derivative of the deepest input.
+    Finite literals are written as source; the helpers, the
     non-finite literals and the nodes (which a DomainError prints) are bound in
     namespace. Every name emit makes starts with tag, which keeps the emissions
     that share one namespace apart."""
@@ -313,9 +322,11 @@ def emit(e: Expr, var: str, namespace: dict, tag: str) -> tuple[list[str], str]:
     texts: dict[int, str] = {}
     lines: list[str] = []
 
-    def visit(node) -> str:
+    def visit(node):
+        if isinstance(node, tuple):
+            return tuple(visit(child) for child in node)
         if isinstance(node, Var):
-            return var
+            return f"{var}{node.index or ''}"
         if id(node) in texts:
             return texts[id(node)]
         operands = []
@@ -338,13 +349,22 @@ def emit(e: Expr, var: str, namespace: dict, tag: str) -> tuple[list[str], str]:
     return lines, visit(e)
 
 
-def compile(e: Expr) -> Callable[[float], float]:
-    """e as a Python function of x, generated by emit and compiled once; the
-    function carries e as its ``tree``, which solve_1d's loop emits inline."""
+def _display(value) -> str:
+    """emit's value text, or its nested tuple of texts as one tuple display."""
+    return value if isinstance(value, str) else f"({', '.join(map(_display, value))},)"
+
+
+def compile(e, dim: int = 1) -> Callable:
+    """e, a tree or a nested tuple of trees, as a Python function of x, a float
+    or, where dim is above 1, a sequence (x1, .., x<dim>), that returns e's
+    value or values in e's shape. It is generated by emit and compiled once, and
+    carries e as its ``tree``, which the solvers' loops emit inline."""
     namespace: dict = {}
     lines, result = emit(e, "x", namespace, "v")
+    if dim > 1:
+        lines.insert(0, ", ".join(f"x{i}" for i in range(1, dim + 1)) + " = x")
     body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def f(x):\n{body}    return {result}\n", namespace)
+    exec(f"def f(x):\n{body}    return {_display(result)}\n", namespace)
     f = namespace["f"]
     f.tree = e
     return f
@@ -449,7 +469,7 @@ def pretty(e: Expr, var: str = "x") -> str:
         text = f"{abs(e.value):.17g}" if math.isfinite(e.value) else "1e999"
         return "-" + text if math.copysign(1.0, e.value) < 0 else text
     if isinstance(e, Var):
-        return var
+        return f"{var}{e.index or ''}"
     if isinstance(e, Neg):
         return "-" + wrap(e.a, 3)
     if isinstance(e, Add):

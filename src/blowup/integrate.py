@@ -76,19 +76,25 @@ _STEPS = {
                        "x = x + bx * h + 0.5 * {dx} * bx * h * h\n",
 }
 # The step size of each per-state R^n law in solve_nd's generated loop, which
-# computes bx = b(x) before it and the update after it. {jb} is J(x) b(x),
-# after the statements {jb_lines}. spectral_norm is looked up on linalg at each
-# step, so that a patched one is seen.
-_ADAPTIVE_ND = "sn = linalg.spectral_norm(jac, x, dim)\nh = eps / sqrt(sn if sn > 1.0 else 1.0)\n"
+# computes b(x) before it and the update after it. {sn} is ||J(x)||_2, {nb} is
+# |b(x)| and {njb} is |J(x) b(x)|, after the statements {jb_lines}. A called
+# spectral_norm is looked up on linalg at each step, so that a patched one is seen.
+_ADAPTIVE_ND = "sn = {sn}\nh = eps / sqrt(sn if sn > 1.0 else 1.0)\n"
 _STEPS_ND = {
     AdaptiveND: _ADAPTIVE_ND,
     # where b'(x) b(x) = 0 the law has no scale, and the AdaptiveND step is taken;
     # the cap is inf for none
-    AltND: "{jb_lines}jn = norm({jb})\nif jn <= 0.0:\n" + textwrap.indent(_ADAPTIVE_ND, "    ")
-           + "else:\n    h = eps * sqrt(norm(bx)) / sqrt(jn)\nif h > cap:\n    h = cap\n",
-    LogNDFixedN: "sn = linalg.spectral_norm(jac, x, dim)\n"
-                 "h = sqrt(eps / (N * (sn if sn > 1.0 else 1.0)))\n",
+    AltND: "{jb_lines}jn = {njb}\nif jn <= 0.0:\n" + textwrap.indent(_ADAPTIVE_ND, "    ")
+           + "else:\n    h = eps * sqrt({nb}) / sqrt(jn)\nif h > cap:\n    h = cap\n",
+    LogNDFixedN: "sn = {sn}\nh = sqrt(eps / (N * (sn if sn > 1.0 else 1.0)))\n",
 }
+# The inline planar loop's texts: linalg.spectral_norm's closed form of the 2x2
+# Jacobian ((j11, j12), (j21, j22)), and linalg.pair_norm of the float pair
+# ({0}, {1}) as one expression, which takes safe_norm where the sum of squares s
+# overflows
+_SN_2X2 = "0.5 * (hypot(j11 + j22, j21 - j12) + hypot(j11 - j22, j12 + j21))"
+_PAIR_NORM = ("(sqrt(s) if (s := {0} * {0} + {1} * {1}) != inf "
+              "else linalg.safe_norm(np.array(({0}, {1}))))")
 # Both dimension classes' loops. The first step is peeled: a state that it
 # leaves where it was cannot move, since every law's h and b are functions of
 # x alone. The emitted statements name helpers, non-finite literals and nodes;
@@ -99,25 +105,26 @@ def loop(x, r, eps, h, max_steps, {args}, trace, *, {bound}):
 {first}    if {unmoved}:
         raise SolverError(f"h = {{h!r}} at eps = {{eps!r}} leaves {state}: the state cannot move")
     if not {guard}:
-        return 1, t, x
+        return 1, t, {result}
     for n in range(1, max_steps):
 {step}        if not {guard}:
             break
     else:
         raise StepBudgetExceeded(f"exceeded {{max_steps}} steps at {state}")
-    return n + 1, t, x
+    return n + 1, t, {result}
 """
 
 
 def _compile(namespace: dict, args: str, prologue: str, step: str, guard: str, state: str,
-             unmoved: str = "x == x0"):
+             unmoved: str = "x == x0", result: str = "x"):
     """The loop of _LOOP whose steps run the statements step, which end by
-    advancing t and recording the trace; prologue saves the start state as x0."""
+    advancing t and recording the trace; prologue saves the start state as x0,
+    and the loop returns the state result."""
     namespace.update(SolverError=SolverError, StepBudgetExceeded=StepBudgetExceeded)
     bound = ", ".join(f"{name}={name}" for name in namespace)
     exec(_LOOP.format(args=args, bound=bound, prologue=textwrap.indent(prologue, " " * 4),
                       first=textwrap.indent(step, " " * 4), step=textwrap.indent(step, " " * 8),
-                      guard=guard, state=state, unmoved=unmoved), namespace)
+                      guard=guard, state=state, unmoved=unmoved, result=result), namespace)
     return namespace["loop"]
 
 
@@ -147,23 +154,45 @@ def _loop_1d(law: type, b, bd, trace: bool):
 
 
 @lru_cache(maxsize=64)
-def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool):
-    """solve_nd's loop for one law type, state form (a pair of floats or an
-    array updated in place) and J b access, generated and compiled once."""
+def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, b=None, dense=None):
+    """solve_nd's loop for one law type, state form, J b access and trace,
+    generated and compiled once. The state is an array updated in place, or a
+    pair of floats where it is planar. b and dense are a planar field's
+    functions when both carry trees: the loop then holds the state as the float
+    locals x1 and x2, and computes b(x), J(x) and the norms inline. They are
+    None for a field the loop calls: its b and dense arguments."""
     namespace = {"sqrt": math.sqrt, "linalg": linalg, "np": np}
-    # J(x) b(x) for AltND: from the jvp, from a planar dense Jacobian as two
-    # float expressions, or as dense(x) @ bx
-    jb_lines, jb = (("", "jvp(x, bx)") if has_jvp else ("", "dense(x) @ bx") if not planar
-                    else ("(j11, j12), (j21, j22) = dense(x)\nb1, b2 = bx\n",
-                          "(j11 * b1 + j12 * b2, j21 * b1 + j22 * b2)"))
-    update = ("x = (x[0] + bx[0] * h, x[1] + bx[1] * h)\n" if planar else
-              # x + bx h with no new array; bx may alias x, so its product comes first
-              "np.multiply(bx, h, step)\nx += step\n")
-    step = ("bx = b(x)\n" + _STEPS_ND.get(law, "").format(jb_lines=jb_lines, jb=jb) + update
-            + "nx = norm(x)\nt += h\n" + ("trace.append((t, nx))\n" if trace else ""))
-    return _compile(namespace, "b, norm, jac, jvp, dense, dim, cap, N",
-                    "x0 = x\n" if planar else "x0 = x.copy()\nstep = np.empty_like(x)\n",
-                    step, "nx <= r", "|x| = {nx!r}", "x == x0" if planar else "(x == x0).all()")
+    if b is not None:
+        namespace.update(hypot=math.hypot, inf=math.inf)
+        # b(x) and a per-state law's J(x) in one emission, which computes a node
+        # that they share once
+        trees = b.tree + (dense.tree[0] + dense.tree[1] if law in _STEPS_ND else ())
+        lines, values = expr.emit(trees, "x", namespace, "_f")
+        lines += [f"{n} = {v}" for n, v in zip(("b1", "b2", "j11", "j12", "j21", "j22"), values)]
+        field = "".join(f"{line}\n" for line in lines)
+        parts = {"sn": _SN_2X2, "nb": _PAIR_NORM.format("b1", "b2"),
+                 "jb_lines": "jb1 = j11 * b1 + j12 * b2\njb2 = j21 * b1 + j22 * b2\n",
+                 "njb": _PAIR_NORM.format("jb1", "jb2")}
+        update = f"x1 = x1 + b1 * h\nx2 = x2 + b2 * h\nnx = {_PAIR_NORM.format('x1', 'x2')}\n"
+        prologue, unmoved, result = "x0 = x\nx1, x2 = x\n", "(x1, x2) == x0", "(x1, x2)"
+    else:
+        # J(x) b(x) for AltND: from the jvp, from a planar dense Jacobian as two
+        # float expressions, or as dense(x) @ bx
+        jb_lines, jb = (("", "jvp(x, bx)") if has_jvp else ("", "dense(x) @ bx") if not planar
+                        else ("(j11, j12), (j21, j22) = dense(x)\nb1, b2 = bx\n",
+                              "(j11 * b1 + j12 * b2, j21 * b1 + j22 * b2)"))
+        field = "bx = b(x)\n"
+        parts = {"sn": "linalg.spectral_norm(jac, x, dim)", "jb_lines": jb_lines,
+                 "njb": f"norm({jb})", "nb": "norm(bx)"}
+        update = ("x = (x[0] + bx[0] * h, x[1] + bx[1] * h)\n" if planar else
+                  # x + bx h with no new array; bx may alias x, so its product comes first
+                  "np.multiply(bx, h, step)\nx += step\n") + "nx = norm(x)\n"
+        prologue = "x0 = x\n" if planar else "x0 = x.copy()\nstep = np.empty_like(x)\n"
+        unmoved, result = "x == x0" if planar else "(x == x0).all()", "x"
+    step = (field + _STEPS_ND.get(law, "").format(**parts) + update + "t += h\n"
+            + ("trace.append((t, nx))\n" if trace else ""))
+    return _compile(namespace, "b, norm, jac, jvp, dense, dim, cap, N", prologue, step,
+                    "nx <= r", "|x| = {nx!r}", unmoved, result)
 
 
 def run_setup(problem, eps: float, law, laws: tuple):
@@ -257,7 +286,9 @@ def solve_nd(
     # 2-element arrays cost more in numpy call overhead than the arithmetic they
     # carry. A field with a JVP keeps an array state, as other dimensions do.
     planar = problem.dim == 2 and jac.dense is not None
-    loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace)
+    inline = planar and hasattr(problem.rhs, "tree") and hasattr(jac.dense, "tree")
+    loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace,
+                    *((problem.rhs, jac.dense) if inline else ()))
     x = tuple(problem.x0.tolist()) if planar else np.array(problem.x0, dtype=float)
     norm = linalg.pair_norm if planar else linalg.safe_norm
     t = 0.0

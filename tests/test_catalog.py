@@ -39,6 +39,15 @@ def test_non_integral_m_is_rejected(m):
         catalog.get("rd", m=m)
 
 
+@pytest.mark.parametrize("pid", ["xlog_c", "slowlog_c"])
+@pytest.mark.parametrize("c", ["x", 1j, math.inf, math.nan, 0.0, -0.5], ids=repr)
+def test_c_that_is_not_a_finite_real_above_0_is_rejected(pid, c):
+    # "x" and 1j raised a bare ValueError and TypeError, slowlog_c's c = inf a bare
+    # OverflowError from its sampling grid, and xlog_c's c = inf gave an entry
+    with pytest.raises(UnknownId, match="needs a finite real c > 0"):
+        catalog.get(pid, c=c)
+
+
 @pytest.mark.parametrize("m", [8, 8.0, np.int64(8), np.int32(8)], ids=str)
 def test_integral_m_of_any_type_is_taken(m):
     assert catalog.get("rd", m=m).problem.dim == 7
@@ -66,6 +75,44 @@ def test_scalar_fields_carry_their_trees():
               for name in ("rhs", "rhs_deriv", "rhs_second")]
     untreed = [(pid, name) for pid, name, f in fields if f is not None and not hasattr(f, "tree")]
     assert len(fields) == 12 and not untreed
+
+
+def _points(rng, n):
+    """n planar points of every scale from 1e-300 to 1e300, with every fiftieth
+    first coordinate a signed zero, an infinity, NaN or 1e308."""
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]
+    points = []
+    for i in range(n):
+        scale = 10.0 ** rng.choice([0, 1, 5, 60, 150, 200, 300])
+        x1, x2 = (rng.uniform(-1.0, 1.0) * scale ** rng.uniform(-1.0, 1.0) for _ in range(2))
+        points.append((specials[i // 50 % 6] if i % 50 == 0 else x1, x2))
+    return points
+
+
+# The planar fields as closures, with the operation order their trees keep
+PLANAR_CLOSURES = {
+    "uncoupled": (
+        lambda x1, x2: (expr.float_pow(x1, 3), expr.float_pow(x2, 5)),
+        lambda x1, x2: ((3.0 * expr.float_pow(x1, 2), 0.0), (0.0, 5.0 * expr.float_pow(x2, 4))),
+    ),
+    "coupled": (
+        lambda x1, x2: (x1 * (x1 * x1 + x2 * x2), x2 * (x1 * x1 + x2 * x2)),
+        lambda x1, x2: ((3.0 * x1 * x1 + x2 * x2, 2.0 * x1 * x2),
+                        (2.0 * x1 * x2, x1 * x1 + 3.0 * x2 * x2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("pid", sorted(PLANAR_CLOSURES))
+def test_planar_trees_compute_the_closures_floats(pid):
+    # solve_nd's loop computes these trees inline, so a changed operation order
+    # would move tau_hat; arrays are what check_assumptions passes
+    problem = catalog.get(pid).problem
+    rhs, dense = PLANAR_CLOSURES[pid]
+    rng = np.random.default_rng(7)
+    with np.errstate(all="ignore"):
+        for x in _points(rng, 4000) + [np.array(x) for x in _points(rng, 400)]:
+            assert repr((problem.rhs(x), problem.jacobian.dense(x))) == repr((rhs(*x), dense(*x)))
 
 
 def test_xlog_derivative_takes_one_log():

@@ -260,6 +260,18 @@ class TestExitCodes:
         assert code == 3
         assert "Overflow: state is nan after 748 steps" in err
 
+    @pytest.mark.parametrize("expression, threshold, name", [
+        ("x1^2", "finverse:eps^-2", "x1"),
+        ("x^2", "finverse:x2", "x2"),
+        ("x^2", "radius:eps^-1 + x2", "x2"),
+    ])
+    def test_indexed_variable_in_a_1d_input_is_a_usage_error(self, capsys, expression,
+                                                             threshold, name):
+        # x1 .. xn name the variables of a vector field only
+        code, _, err = run_cli(capsys, "run", "--expr", expression, "--x0", "0.5",
+                               "--threshold", threshold, "--eps", "2^-8")
+        assert code == 1 and f"unknown identifier '{name}'" in err
+
     def test_nan_field_at_radius_is_3_for_uniform(self, capsys):
         # the same field is NaN at r = 256, so the uniform law has no step
         code, _, err = run_cli(

@@ -146,6 +146,36 @@ def test_emit_computes_a_shared_subtree_once():
     assert f.tree is tree and f(1.5) == 2.25 + math.exp(2.25)
 
 
+class TestIndexedVariables:
+    """parse(text, dim=n) reads x1 .. xn as Var(1) .. Var(n); a scalar parse
+    reads only x, and pretty and compile keep the index."""
+
+    def test_parse_and_pretty(self):
+        tree = parse("x1*x2^2 - x2", dim=2)
+        assert tree == expr.Sub(Mul(Var(1), Pow(Var(2), Num(2.0))), Var(2))
+        assert pretty(tree) == "x1*x2^2 - x2" and parse(pretty(tree), dim=2) == tree
+        assert pretty(tree, "u") == "u1*u2^2 - u2"
+
+    @pytest.mark.parametrize("text, dim, message", [
+        ("x1^2", 1, "unknown identifier 'x1' (variable is 'x')"),
+        ("x*x2", 2, "unknown identifier 'x' (variable is 'x1' or 'x2')"),
+        ("x1 + x3", 2, "unknown identifier 'x3' (variable is 'x1' or 'x2')"),
+    ])
+    def test_names_outside_the_dimension_are_unknown(self, text, dim, message):
+        with pytest.raises(ExprSyntaxError, match=re.escape(message)):
+            parse(text, dim=dim)
+
+    def test_compile_a_tuple_of_trees_of_a_vector(self):
+        # one emission for the whole tuple: x1*x2, which both entries hold, once
+        x12 = Mul(Var(1), Var(2))
+        tree = ((Add(x12, Var(1)), Num(0.0)), (x12,))
+        lines, values = expr.emit(tree, "x", {}, "v")
+        assert values == (("v1", "(0.0)"), ("v0",))
+        assert sum(line.endswith(" = x1 * x2") for line in lines) == 1
+        f = expr.compile(tree, dim=2)
+        assert f.tree is tree and f((3.0, 0.5)) == ((4.5, 0.0), (1.5,))
+
+
 class TestNestingBound:
     D = expr.MAX_DEPTH
 

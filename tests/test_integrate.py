@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import NESTING_SHAPES
 
-from blowup import catalog, expr, fit_rate, linalg
+from blowup import catalog, expr, fit_rate, integrate, linalg
 from blowup.baselines import solve_arclength, solve_rescaling_1d
 from blowup.errors import InputError, SolverError
 from blowup.integrate import (
@@ -455,7 +455,10 @@ class TestSolveND:
         assert res.final_state.tobytes() == x.tobytes()
 
     def test_spectral_norm_is_called_once_per_step(self, coupled, monkeypatch):
-        # the loop looks spectral_norm up on linalg at each step, so a patched one is seen
+        # a field without trees is called, and the loop looks spectral_norm up on
+        # linalg at each step, so a patched one is seen; the catalog's coupled
+        # carries trees, and its loop takes the closed form inline
+        coupled = _called(coupled)
         calls = []
 
         def counted(*args):
@@ -465,6 +468,110 @@ class TestSolveND:
         monkeypatch.setattr(linalg, "spectral_norm", counted)
         res = solve_nd(coupled, 2.0**-10, SolverConfig(law=AdaptiveND()))
         assert len(calls) == res.steps > 100
+
+
+def test_inline_norm_texts_match_linalg_bit_for_bit():
+    # the inline planar loop writes spectral_norm's 2x2 closed form and pair_norm
+    # as text; random Jacobians and pairs of every scale, with entries whose sums
+    # and squares overflow and NaN entries, give linalg's floats
+    rng = np.random.default_rng(3)
+    scope = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf, "linalg": linalg,
+             "np": np}
+    pair_norm = integrate._PAIR_NORM.format("p1", "p2")
+    specials = [math.nan, math.inf, -1.7e308, 0.0, -0.0]
+    for i in range(5000):
+        entries = [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 308.2))
+                   for _ in range(4)]
+        if i % 3 == 0:
+            entries[i % 4] = specials[i // 4 % 5]
+        j11, j12, j21, j22 = entries
+        J = ((j11, j12), (j21, j22))
+        values = dict(zip(("j11", "j12", "j21", "j22", "p1", "p2"), entries + entries[:2]))
+        assert repr(eval(integrate._SN_2X2, scope, values)) == repr(
+            spectral_norm(JacobianAccess(dense=lambda x: J), None))
+        with np.errstate(over="ignore", invalid="ignore"):  # solve_nd's, for safe_norm's dot
+            assert repr(eval(pair_norm, scope, values)) == repr(linalg.pair_norm((j11, j12)))
+
+
+def _called(problem):
+    """problem with its rhs and dense Jacobian wrapped in lambdas, which carry no
+    tree, so that solve_nd's loop calls them."""
+    rhs, dense = problem.rhs, problem.jacobian.dense
+    return dataclasses.replace(problem, rhs=lambda x: rhs(x),
+                               jacobian=JacobianAccess(dense=lambda x: dense(x)))
+
+
+class TestPlanarLoopPaths:
+    """solve_nd computes a planar field whose rhs and dense Jacobian carry trees
+    inline, on a state of two float locals, and calls any other: the same fields
+    wrapped in lambdas give the same results and errors, bit for bit."""
+
+    METHODS = ["adaptive", "alt", "uniform", "log-uniform"]
+
+    @staticmethod
+    def outcome(problem, eps, law, trace=False, max_steps=2**30):
+        """repr of the result's figures, or the error's type and text."""
+        try:
+            res = solve_nd(problem, eps, SolverConfig(law=law, record_trace=trace,
+                                                      max_steps=max_steps))
+        except Exception as exc:  # the error is part of the outcome
+            return type(exc), str(exc)
+        return repr((res.tau_hat, res.steps, res.final_state.tolist(), res.trace, res.warnings,
+                     res.meta))
+
+    def both_paths(self, problem, *args, **kwargs):
+        """The outcome of problem's fields inline, after checking that the same
+        fields called through lambdas give the same one."""
+        inline = self.outcome(problem, *args, **kwargs)
+        assert inline == self.outcome(_called(problem), *args, **kwargs)
+        return inline
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("pid", ["coupled", "uncoupled"])
+    def test_catalog_fields(self, pid, method, trace):
+        entry = catalog.get(pid)
+        for eps in (2.0**-3, 2.0**-6, 2.0**-9):
+            assert isinstance(self.both_paths(entry.problem, eps, entry.methods[method], trace),
+                              str)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("pid", ["coupled", "uncoupled"])
+    def test_errors(self, pid, method):
+        entry = catalog.get(pid)
+        law = entry.methods[method]
+        kind, text = self.both_paths(entry.problem, 2.0**-10, law, max_steps=10)
+        assert kind is StepBudgetExceeded and text.startswith("exceeded 10 steps at |x| = ")
+        if method != "uniform" or pid == "coupled":  # eps^2 underflows to a zero step
+            kind, text = self.both_paths(entry.problem, 1e-300, law, max_steps=1000)
+            assert kind is SolverError and "cannot move" in text
+        assert "degenerate radius" in self.both_paths(entry.problem, 0.6, law)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nan_field_raises_overflow(self, coupled, method):
+        # b1 gains exp(1000 (x1 - 3)) - exp(1000 (x1 - 3)), which is inf - inf
+        # once x1 passes about 3.71, below r = 16 at eps = 2^-8
+        x1, x2 = expr.Var(1), expr.Var(2)
+        e = expr.Call("exp", expr.Mul(expr.Num(1000.0), expr.Sub(x1, expr.Num(3.0))))
+        s = expr.Add(expr.Mul(x1, x1), expr.Mul(x2, x2))
+        rhs = expr.compile((expr.Add(expr.Mul(x1, s), expr.Sub(e, e)), expr.Mul(x2, s)), dim=2)
+        problem = dataclasses.replace(coupled, rhs=rhs)
+        kind, text = self.both_paths(problem, 2.0**-8, catalog.get("coupled").methods[method])
+        assert kind is Overflow and text.startswith("|state| is nan after ")
+
+    def test_fields_with_trees_are_not_called(self, coupled):
+        # nothing but the loop reads the field under the AdaptiveND law, and the
+        # loop computes fields that carry their trees itself
+        def refusing(tree):
+            def refuse(x):
+                raise AssertionError("called")
+            refuse.tree = tree
+            return refuse
+
+        uncalled = dataclasses.replace(coupled, rhs=refusing(coupled.rhs.tree), jacobian=(
+            JacobianAccess(dense=refusing(coupled.jacobian.dense.tree))))
+        assert self.outcome(uncalled, 2.0**-10, AdaptiveND()) == self.outcome(
+            coupled, 2.0**-10, AdaptiveND())
 
 
 class TestStateThatCannotMove:
