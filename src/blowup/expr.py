@@ -11,14 +11,14 @@ and binds tighter than unary minus:
     atom   := NUMBER | VAR | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := 'exp' | 'log' | 'sin' | 'cos' | 'sqrt'
 
-VAR is ``x``, or one of ``x1`` .. ``xn`` of a vector x as ``parse(text,
-dim=n)`` reads it (``var`` renames x). There is no implicit multiplication:
-``2x`` is a syntax error. ``log`` is the natural logarithm. ``a^b`` with
-non-integer ``b`` requires ``a >= 0``, and ``0^b`` requires ``b > 0``;
-``0^nan`` is NaN, as ``0.0 ** nan`` is. Each operator, function call and pair
-of parentheses nests one level, and input nested deeper than MAX_DEPTH levels
-is a syntax error, so that a tree and its first two derivatives stay within
-the recursion limit.
+There is no implicit multiplication: ``2x`` is a syntax error. ``log`` is the
+natural logarithm. ``a^b`` with non-integer ``b`` requires ``a >= 0``, and
+``0^b`` requires ``b > 0``; ``0^nan`` is NaN, as ``0.0 ** nan`` is. Each
+operator, function call and pair of parentheses nests one level, and input
+nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
+first two derivatives stay within the recursion limit. A tree built in code
+may also hold a vector's variables ``Var(1)`` .. ``Var(n)``, which ``pretty``
+prints as x1 .. xn and ``differentiate`` refuses.
 
 ``emit`` turns a tree into straight-line Python statements, one per distinct
 node. ``compile`` makes them a Python function of x that carries its tree, or
@@ -145,10 +145,8 @@ MAX_DEPTH = 48
 _BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
-def parse(text: str, var: str = "x", dim: int = 1) -> Expr:
-    """Parse ``text`` into an AST whose variable is named ``var``, or, where dim
-    is above 1, whose variables are named ``var1`` .. ``var<dim>``."""
-    names = {var: Var()} if dim == 1 else {f"{var}{i}": Var(i) for i in range(1, dim + 1)}
+def parse(text: str, var: str = "x") -> Expr:
+    """Parse ``text`` into an AST whose single variable is named ``var``."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -202,11 +200,10 @@ def parse(text: str, var: str = "x", dim: int = 1) -> Expr:
         if kind == "num":
             return Num(val), 1
         if kind == "ident":
-            if val in names:
-                return names[val], 1
+            if val == var:
+                return Var(), 1
             if val not in FUNCTIONS:
-                known = " or ".join(map(repr, names))
-                raise ExprSyntaxError(off, f"unknown identifier {val!r} (variable is {known})")
+                raise ExprSyntaxError(off, f"unknown identifier {val!r} (variable is {var!r})")
             expect("(")
         elif (kind, val) != ("op", "("):
             raise ExprSyntaxError(off, "expected a number, variable, function call or '('")
@@ -314,10 +311,10 @@ def emit(e, var: str, namespace: dict, tag: str) -> tuple[list[str], str | tuple
     two trees of a tuple may share one) is computed once into its own local, so
     the code grows with the distinct nodes, not with the expanded tree, which
     reaches 330,000 nodes for the second derivative of the deepest input.
-    Finite literals are written as source; the helpers, the
-    non-finite literals and the nodes (which a DomainError prints) are bound in
-    namespace. Every name emit makes starts with tag, which keeps the emissions
-    that share one namespace apart."""
+    Finite literals are written as source; the helpers, the non-finite literals
+    and the nodes (which a DomainError prints) are bound in namespace. Every
+    name emit makes starts with tag, which keeps the emissions that share one
+    namespace apart."""
     namespace.update(_HELPERS)
     texts: dict[int, str] = {}
     lines: list[str] = []
@@ -411,10 +408,13 @@ _add, _sub, _mul, _div, _pow, _neg = (partial(_fold, cls) for cls in (Add, Sub, 
 
 
 def differentiate(e: Expr) -> Expr:
-    """Symbolic derivative; literal subtrees are constant-folded, nothing more."""
+    """Symbolic derivative in the scalar x; literal subtrees are constant-folded,
+    nothing more. A tree of a vector's variables raises InputError."""
     if isinstance(e, Num):
         return Num(0.0)
     if isinstance(e, Var):
+        if e.index:
+            raise InputError(f"differentiate takes the scalar x only, not x{e.index}")
         return Num(1.0)
     if isinstance(e, Neg):
         return _neg(differentiate(e.a))

@@ -88,13 +88,6 @@ _STEPS_ND = {
            + "else:\n    h = eps * sqrt({nb}) / sqrt(jn)\nif h > cap:\n    h = cap\n",
     LogNDFixedN: "sn = {sn}\nh = sqrt(eps / (N * (sn if sn > 1.0 else 1.0)))\n",
 }
-# The inline planar loop's texts: linalg.spectral_norm's closed form of the 2x2
-# Jacobian ((j11, j12), (j21, j22)), and linalg.pair_norm of the float pair
-# ({0}, {1}) as one expression, which takes safe_norm where the sum of squares s
-# overflows
-_SN_2X2 = "0.5 * (hypot(j11 + j22, j21 - j12) + hypot(j11 - j22, j12 + j21))"
-_PAIR_NORM = ("(sqrt(s) if (s := {0} * {0} + {1} * {1}) != inf "
-              "else linalg.safe_norm(np.array(({0}, {1}))))")
 # Both dimension classes' loops. The first step is peeled: a state that it
 # leaves where it was cannot move, since every law's h and b are functions of
 # x alone. The emitted statements name helpers, non-finite literals and nodes;
@@ -163,17 +156,18 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, b=None, dense=
     None for a field the loop calls: its b and dense arguments."""
     namespace = {"sqrt": math.sqrt, "linalg": linalg, "np": np}
     if b is not None:
-        namespace.update(hypot=math.hypot, inf=math.inf)
+        namespace.update(linalg.TEXT_NAMES)
         # b(x) and a per-state law's J(x) in one emission, which computes a node
         # that they share once
         trees = b.tree + (dense.tree[0] + dense.tree[1] if law in _STEPS_ND else ())
         lines, values = expr.emit(trees, "x", namespace, "_f")
         lines += [f"{n} = {v}" for n, v in zip(("b1", "b2", "j11", "j12", "j21", "j22"), values)]
         field = "".join(f"{line}\n" for line in lines)
-        parts = {"sn": _SN_2X2, "nb": _PAIR_NORM.format("b1", "b2"),
+        pair = linalg.PAIR_NORM.format
+        parts = {"sn": linalg.SN_2X2, "nb": pair("b1", "b2"),
                  "jb_lines": "jb1 = j11 * b1 + j12 * b2\njb2 = j21 * b1 + j22 * b2\n",
-                 "njb": _PAIR_NORM.format("jb1", "jb2")}
-        update = f"x1 = x1 + b1 * h\nx2 = x2 + b2 * h\nnx = {_PAIR_NORM.format('x1', 'x2')}\n"
+                 "njb": pair("jb1", "jb2")}
+        update = f"x1 = x1 + b1 * h\nx2 = x2 + b2 * h\nnx = {pair('x1', 'x2')}\n"
         prologue, unmoved, result = "x0 = x\nx1, x2 = x\n", "(x1, x2) == x0", "(x1, x2)"
     else:
         # J(x) b(x) for AltND: from the jvp, from a planar dense Jacobian as two

@@ -52,6 +52,18 @@ def safe_norm(x) -> float:
     return m * math.sqrt(np.dot(u, u))
 
 
+# The float forms of spectral_norm on the 2x2 Jacobian ((j11, j12), (j21, j22))
+# and of pair_norm on the pair ({0}, {1}), which takes safe_norm where the sum of
+# squares s overflows: one text each, in the names of TEXT_NAMES, that both
+# functions compile here and solve_nd's inline planar loop writes out
+SN_2X2 = "0.5 * (hypot(j11 + j22, j21 - j12) + hypot(j11 - j22, j12 + j21))"
+PAIR_NORM = "(sqrt(s) if (s := {0} * {0} + {1} * {1}) != inf else safe_norm(np.array(({0}, {1}))))"
+TEXT_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf, "np": np,
+              "safe_norm": safe_norm}
+_closed_2x2 = eval(f"lambda j11, j12, j21, j22: {SN_2X2}", dict(TEXT_NAMES))
+_pair_floats = eval(f"lambda a, b: {PAIR_NORM.format('a', 'b')}", dict(TEXT_NAMES))
+
+
 def pair_norm(x) -> float:
     """safe_norm of a planar vector, with |x|^2 taken on Python floats when x is
     a pair of floats; an array, or a pair whose |x|^2 overflows, goes to
@@ -60,8 +72,7 @@ def pair_norm(x) -> float:
     if type(x) is np.ndarray:
         return safe_norm(x)
     a, b = x
-    s = a * a + b * b
-    return math.sqrt(s) if s != math.inf else safe_norm(np.array(x))
+    return _pair_floats(a, b)
 
 
 def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:
@@ -90,4 +101,4 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
     elif dim is not None and dim != 2:
         raise InputError(f"dense Jacobian is 2x2, expected dim {dim}")
     (a, b), (c, d) = J
-    return 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
+    return _closed_2x2(a, b, c, d)

@@ -267,7 +267,7 @@ class TestExitCodes:
     ])
     def test_indexed_variable_in_a_1d_input_is_a_usage_error(self, capsys, expression,
                                                              threshold, name):
-        # x1 .. xn name the variables of a vector field only
+        # the CLI's expressions have the one variable x
         code, _, err = run_cli(capsys, "run", "--expr", expression, "--x0", "0.5",
                                "--threshold", threshold, "--eps", "2^-8")
         assert code == 1 and f"unknown identifier '{name}'" in err

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from blowup import expr
+from blowup.errors import InputError
 from blowup.expr import (
     Add,
     Call,
@@ -147,23 +148,23 @@ def test_emit_computes_a_shared_subtree_once():
 
 
 class TestIndexedVariables:
-    """parse(text, dim=n) reads x1 .. xn as Var(1) .. Var(n); a scalar parse
-    reads only x, and pretty and compile keep the index."""
+    """Var(1) .. Var(n) are the variables of a vector x: pretty and compile keep
+    the index, parse reads only the scalar x, and differentiate takes only x."""
 
-    def test_parse_and_pretty(self):
-        tree = parse("x1*x2^2 - x2", dim=2)
-        assert tree == expr.Sub(Mul(Var(1), Pow(Var(2), Num(2.0))), Var(2))
-        assert pretty(tree) == "x1*x2^2 - x2" and parse(pretty(tree), dim=2) == tree
-        assert pretty(tree, "u") == "u1*u2^2 - u2"
+    def test_pretty(self):
+        tree = expr.Sub(Mul(Var(1), Pow(Var(2), Num(2.0))), Var(2))
+        assert pretty(tree) == "x1*x2^2 - x2" and pretty(tree, "u") == "u1*u2^2 - u2"
 
-    @pytest.mark.parametrize("text, dim, message", [
-        ("x1^2", 1, "unknown identifier 'x1' (variable is 'x')"),
-        ("x*x2", 2, "unknown identifier 'x' (variable is 'x1' or 'x2')"),
-        ("x1 + x3", 2, "unknown identifier 'x3' (variable is 'x1' or 'x2')"),
-    ])
-    def test_names_outside_the_dimension_are_unknown(self, text, dim, message):
+    def test_parse_reads_only_the_scalar_variable(self):
+        message = "unknown identifier 'x1' (variable is 'x')"
         with pytest.raises(ExprSyntaxError, match=re.escape(message)):
-            parse(text, dim=dim)
+            parse("x1^2")
+
+    def test_differentiate_refuses_a_vector_variable(self):
+        # d/dx of x1*x2 is no partial; summing the partials would be a silent wrong answer
+        with pytest.raises(InputError, match="scalar x only, not x2"):
+            differentiate(Mul(Num(3.0), Var(2)))
+        assert differentiate(Mul(Var(), Var())) == Add(Var(), Var())
 
     def test_compile_a_tuple_of_trees_of_a_vector(self):
         # one emission for the whole tuple: x1*x2, which both entries hold, once

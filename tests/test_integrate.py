@@ -471,13 +471,13 @@ class TestSolveND:
 
 
 def test_inline_norm_texts_match_linalg_bit_for_bit():
-    # the inline planar loop writes spectral_norm's 2x2 closed form and pair_norm
-    # as text; random Jacobians and pairs of every scale, with entries whose sums
-    # and squares overflow and NaN entries, give linalg's floats
+    # the inline planar loop writes linalg's texts of spectral_norm's 2x2 closed
+    # form and of pair_norm into its own namespace; random Jacobians and pairs of
+    # every scale, with entries whose sums and squares overflow and NaN entries,
+    # give the functions' floats, for a Jacobian of float pairs or an array
     rng = np.random.default_rng(3)
-    scope = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf, "linalg": linalg,
-             "np": np}
-    pair_norm = integrate._PAIR_NORM.format("p1", "p2")
+    scope = dict(linalg.TEXT_NAMES)
+    pair_norm = linalg.PAIR_NORM.format("p1", "p2")
     specials = [math.nan, math.inf, -1.7e308, 0.0, -0.0]
     for i in range(5000):
         entries = [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 308.2))
@@ -487,8 +487,9 @@ def test_inline_norm_texts_match_linalg_bit_for_bit():
         j11, j12, j21, j22 = entries
         J = ((j11, j12), (j21, j22))
         values = dict(zip(("j11", "j12", "j21", "j22", "p1", "p2"), entries + entries[:2]))
-        assert repr(eval(integrate._SN_2X2, scope, values)) == repr(
-            spectral_norm(JacobianAccess(dense=lambda x: J), None))
+        closed = repr(eval(linalg.SN_2X2, scope, values))
+        assert closed == repr(spectral_norm(JacobianAccess(dense=lambda x: J), None))
+        assert closed == repr(spectral_norm(JacobianAccess(dense=lambda x: np.array(J)), None))
         with np.errstate(over="ignore", invalid="ignore"):  # solve_nd's, for safe_norm's dot
             assert repr(eval(pair_norm, scope, values)) == repr(linalg.pair_norm((j11, j12)))
 
