@@ -17,7 +17,7 @@ import numpy as np
 from . import expr
 from .baselines import ArcLength, Rescaling
 from .errors import InputError
-from .expr import Add, Call, Mul, Num, Pow, Var
+from .expr import Add, Call, Div, Max, Mul, Num, Pow, Var
 from .linalg import JacobianAccess
 from .problems import ScalarProblem, VectorProblem
 from .stepping import (
@@ -213,43 +213,28 @@ def _coupled() -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _slowlog(c: float) -> CatalogEntry:
-    one_c = 1.0 + c
-
     # l1 = log(x1^2 + 2 x2^2) and l2 = log(2 x1^2 + x2^2), taken as 2 log(m) plus
     # the log of q1 or q2 over u = x/m, m = max|x_i|, so that squares near the
-    # float64 ceiling do not overflow
-    def rhs(x):
-        x1, x2 = x
-        m = max(abs(x1), abs(x2))
-        u1, u2 = x1 / m, x2 / m
-        log_m2 = 2.0 * math.log(m)
-        l1 = log_m2 + math.log(u1 * u1 + 2.0 * u2 * u2)
-        l2 = log_m2 + math.log(2.0 * u1 * u1 + u2 * u2)
-        return (x1 * l1**one_c, x2 * l2**one_c)
-
-    def jac(x):
-        x1, x2 = x
-        m = max(abs(x1), abs(x2))
-        u1, u2 = x1 / m, x2 / m
-        log_m2 = 2.0 * math.log(m)
-        q1 = u1 * u1 + 2.0 * u2 * u2
-        q2 = 2.0 * u1 * u1 + u2 * u2
-        l1 = log_m2 + math.log(q1)
-        l2 = log_m2 + math.log(q2)
-        g1 = one_c * l1**c
-        g2 = one_c * l2**c
-        return (
-            (l1**one_c + g1 * (2.0 * u1 * u1 / q1), g1 * (4.0 * u1 * u2 / q1)),
-            (g2 * (4.0 * u1 * u2 / q2), l2**one_c + g2 * (2.0 * u2 * u2 / q2)),
-        )
-
+    # float64 ceiling do not overflow. b_i = x_i l_i^(1+c), and J_ij is
+    # [i = j] l_i^(1+c) + (1+c) l_i^c x_i dl_i/dx_j, with m's scaling cancelled
+    one_c, m = Num(1.0 + c), Max(Call("abs", X1), Call("abs", X2))
+    u1, u2, log_m2 = Div(X1, m), Div(X2, m), Mul(Num(2.0), Call("log", m))
+    s1, s2 = Mul(Mul(Num(2.0), u1), u1), Mul(Mul(Num(2.0), u2), u2)
+    q1, q2 = Add(Mul(u1, u1), s2), Add(s1, Mul(u2, u2))
+    l1, l2 = Add(log_m2, Call("log", q1)), Add(log_m2, Call("log", q2))
+    p1, p2 = Pow(l1, one_c), Pow(l2, one_c)
+    g1, g2 = Mul(one_c, Pow(l1, Num(c))), Mul(one_c, Pow(l2, Num(c)))
+    w = Mul(Mul(Num(4.0), u1), u2)
+    rhs, jac = _planar((Mul(X1, p1), Mul(X2, p2)),
+                       ((Add(p1, Mul(g1, Div(s1, q1))), Mul(g1, Div(w, q1))),
+                        (Mul(g2, Div(w, q2)), Add(p2, Mul(g2, Div(s2, q2))))))
     # l_i >= log(x1^2 + x2^2) = 2 log|x| > 0 on |x| > delta, so b.x >= 2^(1+c) |x|^2
     # log(|x|)^(1+c), with equality on the axes; round that best constant down.
-    c_check = math.floor(10.0 * 2.0 ** one_c) / 10.0
+    c_check = math.floor(10.0 * 2.0 ** (1.0 + c)) / 10.0
     problem = VectorProblem(
         dim=2,
         rhs=rhs,
-        jacobian=JacobianAccess(dense=jac),
+        jacobian=jac,
         threshold=LogND(c_check=c_check, alpha=c),
         delta=5.0 * (1.0 - 1e-9),
         x0=np.array([4.0, 3.0]),

@@ -17,8 +17,9 @@ natural logarithm. ``a^b`` with non-integer ``b`` requires ``a >= 0``, and
 operator, function call and pair of parentheses nests one level, and input
 nested deeper than MAX_DEPTH levels is a syntax error, so that a tree and its
 first two derivatives stay within the recursion limit. A tree built in code
-may also hold a vector's variables ``Var(1)`` .. ``Var(n)``, which ``pretty``
-prints as x1 .. xn and ``differentiate`` refuses.
+may also hold a vector's variables ``Var(1)`` .. ``Var(n)``, ``Call("abs", u)``
+and ``Max(a, b)`` (builtin abs and max): ``pretty`` prints them as x1 .. xn,
+abs(u) and max(a, b), and ``differentiate`` refuses them.
 
 ``emit`` turns a tree into straight-line Python statements, one per distinct
 node. ``compile`` makes them a Python function of x that carries its tree, or
@@ -93,6 +94,12 @@ class Pow:
 
 
 @dataclass(frozen=True)
+class Max:
+    a: object
+    b: object
+
+
+@dataclass(frozen=True)
 class Neg:
     a: object
 
@@ -103,7 +110,7 @@ class Call:
     a: object
 
 
-Expr = Var | Num | Add | Sub | Mul | Div | Pow | Neg | Call
+Expr = Var | Num | Add | Sub | Mul | Div | Pow | Max | Neg | Call
 
 
 # --- scanner ------------------------------------------------------------------
@@ -278,6 +285,7 @@ _SEMANTICS = {
     Sub: "{v} = {0} - {1}",
     Mul: "{v} = {0} * {1}",
     Neg: "{v} = -{0}",
+    Max: "{v} = {1} if {1} > {0} else {0}",  # builtin max(a, b), NaN and -0.0 included
     Div: "{v} = {0} / {1} if {1} != 0.0 else _checked_div({n})",
     Pow: "try:\n    {v} = {0} ** {1} if {0} > 0.0 else _checked_pow({0}, {1}, {n})\n"
          "except OverflowError:\n    {v} = _checked_pow({0}, {1}, {n})",
@@ -286,6 +294,7 @@ _SEMANTICS = {
     "sin": "{v} = _sin({0}) if -_inf < {0} < _inf else _checked_trig({0}, {n})",
     "cos": "{v} = _cos({0}) if -_inf < {0} < _inf else _checked_trig({0}, {n})",
     "sqrt": "{v} = _sqrt({0}) if {0} >= 0.0 else _checked_sqrt({0}, {n})",
+    "abs": "{v} = abs({0})",
 }
 _HELPERS = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
             "_checked_log": _checked_log, "_checked_sqrt": _checked_sqrt,
@@ -409,12 +418,12 @@ _add, _sub, _mul, _div, _pow, _neg = (partial(_fold, cls) for cls in (Add, Sub, 
 
 def differentiate(e: Expr) -> Expr:
     """Symbolic derivative in the scalar x; literal subtrees are constant-folded,
-    nothing more. A tree of a vector's variables raises InputError."""
+    nothing more. A tree of a vector's variables, abs or max raises InputError."""
     if isinstance(e, Num):
         return Num(0.0)
+    if isinstance(e, Var) and e.index or isinstance(e, Max) or getattr(e, "fn", "") == "abs":
+        raise InputError(f"differentiate takes parsed trees of the scalar x only, not {pretty(e)}")
     if isinstance(e, Var):
-        if e.index:
-            raise InputError(f"differentiate takes the scalar x only, not x{e.index}")
         return Num(1.0)
     if isinstance(e, Neg):
         return _neg(differentiate(e.a))
@@ -453,7 +462,7 @@ def differentiate(e: Expr) -> Expr:
 
 # --- pretty printing -------------------------------------------------------------
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5, Call: 5}
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5, Call: 5, Max: 5}
 
 
 def pretty(e: Expr, var: str = "x") -> str:
@@ -489,4 +498,6 @@ def pretty(e: Expr, var: str = "x") -> str:
         return f"{base}^{wrap(e.b, 4)}"
     if isinstance(e, Call):
         return f"{e.fn}({pretty(e.a, var)})"
+    if isinstance(e, Max):
+        return f"max({pretty(e.a, var)}, {pretty(e.b, var)})"
     raise TypeError(f"not an expression node: {e!r}")

@@ -6,6 +6,7 @@ baseline); wall time is recorded but never asserted on.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -273,12 +274,12 @@ def _hand_out(sel, key, order) -> None:
 
 
 def _run_cells(cells: list) -> list[StudyRow]:
-    """_run_cell over the cells, in their order. With more than one CPU and
-    cell, the cells run in forked worker processes, longest first (smallest
-    eps, then largest m). Each worker has one cell in flight and is sent the
-    next index when its result arrives. The caller has looked every entry up,
-    so each worker finds it in the catalog cache it inherits; only the index
-    goes in and only the cell's row comes back.
+    """_run_cell over the cells, in their order. With more than one CPU and cell,
+    the cells run in forked worker processes, each pinned to a CPU of its own where
+    the platform allows, longest first (smallest eps, then largest m). Each worker
+    has one cell in flight and is sent the next index when its result arrives. The
+    caller has looked every entry up, so each worker finds it in the catalog cache
+    it inherits; only the index goes in and only the cell's row comes back.
 
     An exception in a cell is raised here with its type and message, or as
     the stand-in of _picklable where it does not survive pickling, and with
@@ -295,7 +296,7 @@ def _run_cells(cells: list) -> list[StudyRow]:
     results, pids, ends = [None] * len(cells), [], []  # ends: this process's pipe ends
     ok = False
     try:
-        for _ in range(workers):
+        for k in range(workers):
             (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
             ends += open(task_w, "wb", buffering=0), open(result_r, "rb")
             try:
@@ -304,6 +305,9 @@ def _run_cells(cells: list) -> list[StudyRow]:
                     try:
                         for end in ends:  # a worker holding another's task pipe keeps it alive
                             end.close()
+                        # worker k on CPU k, not where the caller's pipe writes wake it
+                        with contextlib.suppress(AttributeError, OSError):
+                            os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[k]})
                         _serve(cells, task_r, result_w)
                         os._exit(0)
                     finally:

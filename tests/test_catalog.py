@@ -89,30 +89,98 @@ def _points(rng, n):
     return points
 
 
-# The planar fields as closures, with the operation order their trees keep
+def _slowlog_closures(c):
+    """slowlog_c's field and Jacobian as the closures that the catalog held
+    before its trees, of (x1, x2)."""
+    one_c = 1.0 + c
+
+    def rhs(x1, x2):
+        m = max(abs(x1), abs(x2))
+        u1, u2 = x1 / m, x2 / m
+        log_m2 = 2.0 * math.log(m)
+        l1 = log_m2 + math.log(u1 * u1 + 2.0 * u2 * u2)
+        l2 = log_m2 + math.log(2.0 * u1 * u1 + u2 * u2)
+        return (x1 * l1**one_c, x2 * l2**one_c)
+
+    def jac(x1, x2):
+        m = max(abs(x1), abs(x2))
+        u1, u2 = x1 / m, x2 / m
+        log_m2 = 2.0 * math.log(m)
+        q1 = u1 * u1 + 2.0 * u2 * u2
+        q2 = 2.0 * u1 * u1 + u2 * u2
+        l1 = log_m2 + math.log(q1)
+        l2 = log_m2 + math.log(q2)
+        g1 = one_c * l1**c
+        g2 = one_c * l2**c
+        return (
+            (l1**one_c + g1 * (2.0 * u1 * u1 / q1), g1 * (4.0 * u1 * u2 / q1)),
+            (g2 * (4.0 * u1 * u2 / q2), l2**one_c + g2 * (2.0 * u2 * u2 / q2)),
+        )
+
+    return rhs, jac
+
+
+# The planar fields as closures, with the operation order their trees keep, by
+# test id: (problem id, c, field, Jacobian)
 PLANAR_CLOSURES = {
     "uncoupled": (
+        "uncoupled", None,
         lambda x1, x2: (expr.float_pow(x1, 3), expr.float_pow(x2, 5)),
         lambda x1, x2: ((3.0 * expr.float_pow(x1, 2), 0.0), (0.0, 5.0 * expr.float_pow(x2, 4))),
     ),
     "coupled": (
+        "coupled", None,
         lambda x1, x2: (x1 * (x1 * x1 + x2 * x2), x2 * (x1 * x1 + x2 * x2)),
         lambda x1, x2: ((3.0 * x1 * x1 + x2 * x2, 2.0 * x1 * x2),
                         (2.0 * x1 * x2, x1 * x1 + 3.0 * x2 * x2)),
     ),
+    **{f"slowlog_c-{c}": ("slowlog_c", c, *_slowlog_closures(c)) for c in (0.25, 0.5, 1.0, 2.0)},
 }
+# ties |x1| = |x2| of both signs, at every scale
+_TIES = [(s1 * t, s2 * t) for t in (1.0, 3.0, 1e-200, 1e150, 1e300, 5e-324)
+         for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
 
 
-@pytest.mark.parametrize("pid", sorted(PLANAR_CLOSURES))
-def test_planar_trees_compute_the_closures_floats(pid):
+@pytest.mark.parametrize("case", sorted(PLANAR_CLOSURES))
+def test_planar_trees_compute_the_closures_floats(case):
     # solve_nd's loop computes these trees inline, so a changed operation order
-    # would move tau_hat; arrays are what check_assumptions passes
-    problem = catalog.get(pid).problem
-    rhs, dense = PLANAR_CLOSURES[pid]
+    # would move tau_hat; arrays are what check_assumptions passes. slowlog_c is
+    # compared on its domain: every point but the origin where c is integral,
+    # else where max|x_i| >= 1, so that l_i >= 0 (test_slowlog_trees_raise_domain_error
+    # has the rest)
+    pid, c, rhs, dense = PLANAR_CLOSURES[case]
+    problem = catalog.get(pid, c=c).problem
     rng = np.random.default_rng(7)
+    points = [x for x in _points(rng, 4000) + _TIES + [np.array(x) for x in _points(rng, 400)]
+              if pid != "slowlog_c" or c.is_integer()
+              or math.isfinite(m := max(map(abs, x))) and m >= 1.0]
+    assert len(points) > 2000
     with np.errstate(all="ignore"):
-        for x in _points(rng, 4000) + [np.array(x) for x in _points(rng, 400)]:
+        for x in points:
             assert repr((problem.rhs(x), problem.jacobian.dense(x))) == repr((rhs(*x), dense(*x)))
+
+
+@pytest.mark.parametrize("x, closure_outcome", [
+    ((0.0, -0.0), ZeroDivisionError),  # the origin, at every c
+    ((0.3, -0.2), complex),  # l_i < 0 inside |x| < 1, to a non-integral power
+    ((math.inf, 1.0), math.nan),  # l_1 = nan, to a non-integral power
+    ((math.nan, 1.0), math.nan),
+])
+def test_slowlog_trees_raise_domain_error(x, closure_outcome):
+    # where the closures raised ZeroDivisionError or returned a complex or NaN
+    # b(x), the trees raise DomainError, as every expression off its domain does
+    problem = catalog.get("slowlog_c", c=0.5).problem
+    rhs, _ = _slowlog_closures(0.5)
+    if closure_outcome is ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            rhs(*x)
+    elif closure_outcome is complex:
+        assert isinstance(rhs(*x)[0], complex)
+    else:
+        assert math.isnan(rhs(*x)[0])
+    for f in (problem.rhs, problem.jacobian.dense):
+        with pytest.raises(expr.DomainError):
+            f(x)
 
 
 def test_xlog_derivative_takes_one_log():

@@ -11,6 +11,7 @@ from blowup.expr import (
     Call,
     DomainError,
     ExprSyntaxError,
+    Max,
     Mul,
     Neg,
     Num,
@@ -175,6 +176,38 @@ class TestIndexedVariables:
         assert sum(line.endswith(" = x1 * x2") for line in lines) == 1
         f = expr.compile(tree, dim=2)
         assert f.tree is tree and f((3.0, 0.5)) == ((4.5, 0.0), (1.5,))
+
+
+class TestCodeBuiltKinds:
+    """abs and Max, which only code builds: they compute as builtin abs and max,
+    NaN and signed zeros included, pretty prints them, differentiate refuses
+    them and parse knows neither."""
+
+    VALUES = [0.0, -0.0, 1.5, -1.5, 2.0, -2.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]
+
+    def test_floats_are_the_builtins(self):
+        f = expr.compile((Call("abs", Var(1)), Max(Var(1), Var(2))), dim=2)
+        for a in self.VALUES:
+            for b in self.VALUES:
+                assert repr(f((a, b))) == repr((abs(a), max(a, b)))
+        # max(a, b) keeps a unless b > a: the first of two equal zeros, and a NaN first
+        assert math.copysign(1.0, f((-0.0, 0.0))[1]) == -1.0
+        assert math.isnan(f((math.nan, 1.0))[1]) and f((1.0, math.nan))[1] == 1.0
+
+    def test_pretty(self):
+        assert pretty(Max(Call("abs", Var(1)), Num(1.0))) == "max(abs(x1), 1)"
+        assert pretty(Mul(Num(2.0), Max(Var(), Num(-1.0)))) == "2*max(x, -1)"
+
+    @pytest.mark.parametrize("e", [Call("abs", Var()), Max(Var(), Num(1.0)),
+                                   Mul(Var(), Call("exp", Call("abs", Var())))])
+    def test_differentiate_refuses_them(self, e):
+        with pytest.raises(InputError, match="scalar x only, not (abs|max)"):
+            differentiate(e)
+
+    @pytest.mark.parametrize("text", ["abs(x)", "max(x)", "max(x, 1)"])
+    def test_parse_knows_neither(self, text):
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
 
 
 class TestNestingBound:

@@ -534,6 +534,19 @@ class TestCellWorkerCount:
         assert harness_mod._cell_workers(10) == 1
 
 
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two CPUs")
+def test_pooled_workers_run_on_separate_cpus(monkeypatch):
+    # each worker is pinned to one CPU of the caller's, a different one each
+    monkeypatch.setattr(harness_mod, "_run_cell",
+                        lambda cell: (os.getpid(), sorted(os.sched_getaffinity(0))))
+    cpus = sorted(os.sched_getaffinity(0))
+    seen = dict(harness_mod._run_cells([("sq", None, None, "adaptive", 2.0**-k)
+                                        for k in range(len(cpus) + 2)]))
+    assert sorted(seen.values()) == [[cpu] for cpu in cpus]
+    _assert_no_children()
+
+
 class TestEmission:
     def test_csv_round_trip_and_determinism(self, tmp_path):
         grid = [2.0**-k for k in range(5, 9)]

@@ -101,11 +101,11 @@ def test_one_function_builds_every_run_record():
 
 def test_planar_catalog_fields_carry_their_trees():
     # solve_nd computes a planar field inline only when its rhs and dense Jacobian
-    # carry their trees; slowlog_c's field is called until it has a tree form
+    # carry their trees, and every planar field of the catalog does
     from blowup import catalog
 
     planar = [catalog.get(pid) for pid in catalog.IDS if getattr(catalog.get(pid).problem, "dim", 1) == 2]
     untreed = [entry.id for entry in planar
                if not (hasattr(entry.problem.rhs, "tree")
                        and hasattr(entry.problem.jacobian.dense, "tree"))]
-    assert len(planar) == 3 and untreed == ["slowlog_c"]
+    assert len(planar) == 3 and untreed == []

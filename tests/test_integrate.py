@@ -511,10 +511,12 @@ class TestPlanarLoopPaths:
 
     @staticmethod
     def outcome(problem, eps, law, trace=False, max_steps=2**30):
-        """repr of the result's figures, or the error's type and text."""
+        """repr of the result's figures, or the error's type and text; the
+        implicit-N law runs on solve_log_nd, whose passes run solve_nd."""
+        solve = solve_log_nd if isinstance(law, LogNDImplicitN) else solve_nd
         try:
-            res = solve_nd(problem, eps, SolverConfig(law=law, record_trace=trace,
-                                                      max_steps=max_steps))
+            res = solve(problem, eps, SolverConfig(law=law, record_trace=trace,
+                                                   max_steps=max_steps))
         except Exception as exc:  # the error is part of the outcome
             return type(exc), str(exc)
         return repr((res.tau_hat, res.steps, res.final_state.tolist(), res.trace, res.warnings,
@@ -547,6 +549,21 @@ class TestPlanarLoopPaths:
             kind, text = self.both_paths(entry.problem, 1e-300, law, max_steps=1000)
             assert kind is SolverError and "cannot move" in text
         assert "degenerate radius" in self.both_paths(entry.problem, 0.6, law)
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("method", ["adaptive", "uniform", "log-uniform"])
+    def test_slowlog_fields(self, method, trace):
+        # its abs and max nodes inline; adaptive is solve_log_nd's implicit-N law
+        entry = catalog.get("slowlog_c")
+        for eps in (2.0**-3, 2.0**-5, 2.0**-7):
+            assert isinstance(self.both_paths(entry.problem, eps, entry.methods[method], trace),
+                              str)
+
+    @pytest.mark.parametrize("method", ["adaptive", "uniform"])
+    def test_slowlog_errors(self, method):
+        entry = catalog.get("slowlog_c")
+        kind, text = self.both_paths(entry.problem, 2.0**-7, entry.methods[method], max_steps=10)
+        assert kind is StepBudgetExceeded and text.startswith("exceeded 10 steps at |x| = ")
 
     @pytest.mark.parametrize("method", METHODS)
     def test_nan_field_raises_overflow(self, coupled, method):
