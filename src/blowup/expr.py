@@ -252,9 +252,8 @@ def _checked_pow(base: float, exponent: float, node) -> float:
         return float_pow(base, exponent)  # +-0.0, or NaN for a NaN exponent
     if float(exponent).is_integer():
         return float_pow(base, int(exponent))
-    raise DomainError(
-        f"negative base {base!r} with non-integer exponent in '{pretty(node)}'"
-    )
+    what = "NaN base" if base != base else f"negative base {base!r}"
+    raise DomainError(f"{what} with non-integer exponent in '{pretty(node)}'")
 
 
 def _checked_log(v: float, node) -> float:

@@ -53,22 +53,22 @@ def safe_norm(x) -> float:
 
 
 # The float forms of spectral_norm on the 2x2 Jacobian ((j11, j12), (j21, j22))
-# and of pair_norm on the pair ({0}, {1}), which takes safe_norm where the sum of
-# squares s overflows: one text each, in the names of TEXT_NAMES, that both
-# functions compile here and solve_nd's inline planar loop writes out
+# and of pair_norm on the pair ({0}, {1}), with hypot only where the sum of squares
+# s overflows, as it rounds unlike sqrt(s) below: one text each, in the names of
+# TEXT_NAMES (floats only), that both functions and solve_nd's planar loop compile
 SN_2X2 = "0.5 * (hypot(j11 + j22, j21 - j12) + hypot(j11 - j22, j12 + j21))"
-PAIR_NORM = "(sqrt(s) if (s := {0} * {0} + {1} * {1}) != inf else safe_norm(np.array(({0}, {1}))))"
-TEXT_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf, "np": np,
-              "safe_norm": safe_norm}
+PAIR_NORM = "(sqrt(s) if (s := {0} * {0} + {1} * {1}) != inf else hypot({0}, {1}))"
+TEXT_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf}
 _closed_2x2 = eval(f"lambda j11, j12, j21, j22: {SN_2X2}", dict(TEXT_NAMES))
 _pair_floats = eval(f"lambda a, b: {PAIR_NORM.format('a', 'b')}", dict(TEXT_NAMES))
 
 
 def pair_norm(x) -> float:
-    """safe_norm of a planar vector, with |x|^2 taken on Python floats when x is
-    a pair of floats; an array, or a pair whose |x|^2 overflows, goes to
-    safe_norm. solve_nd picks it once per run for a planar state (dim 2 with a
-    dense Jacobian), so that array states pay no type test."""
+    """The Euclidean norm of a planar vector. A pair of floats stays on Python
+    floats: sqrt of |x|^2, or math.hypot where |x|^2 overflows (past 2^512),
+    which can differ from safe_norm's rescaled dot there by up to 2 ulps. An array
+    goes to safe_norm. solve_nd picks it once per run for a planar state (dim 2
+    with a dense Jacobian), so that array states pay no type test."""
     if type(x) is np.ndarray:
         return safe_norm(x)
     a, b = x

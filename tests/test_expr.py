@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from blowup import expr
+from blowup import catalog, expr
 from blowup.errors import InputError
 from blowup.expr import (
     Add,
@@ -264,6 +264,16 @@ class TestEvaluate:
     def test_negative_base_fractional_exponent(self):
         with pytest.raises(DomainError):
             evaluate(parse("(0-2)^0.5"), 0.0)
+
+    def test_nan_base_fractional_exponent(self):
+        # NaN is no negative base: the error names it as NaN, on a parsed tree and
+        # on slowlog_c's compiled field at an infinite coordinate, where l1 is NaN
+        with pytest.raises(DomainError, match=re.escape(
+                "NaN base with non-integer exponent in 'x^1.5'")):
+            evaluate(parse("x^1.5"), math.nan)
+        with pytest.raises(DomainError, match="^NaN base with non-integer exponent in '"):
+            catalog.get("slowlog_c").problem.rhs((math.inf, 1.0))
+        assert math.isnan(evaluate(parse("x^2"), math.nan))  # an integral power stays NaN
 
     @pytest.mark.parametrize("x", [0.0, -0.0], ids=["+0", "-0"])
     def test_zero_base(self, x):

@@ -8,7 +8,8 @@ that moves a cell on purpose rewrites the table in the same commit and lists
 each moved cell, with its ulp distance, in CHANGES.md. Norms of ndarray states
 go through numpy's dot, whose rounding of a sum of squares depends on the BLAS
 build (fused multiply-adds on some), so the cells that take them, such as the
-rd cells, may move by an ulp on another host.
+rd cells, may move by an ulp on another host. Planar cells take no numpy dot:
+their norms stay on Python floats, math.hypot included where |x|^2 overflows.
 
 Regenerate the table with
 

@@ -109,3 +109,21 @@ def test_planar_catalog_fields_carry_their_trees():
                if not (hasattr(entry.problem.rhs, "tree")
                        and hasattr(entry.problem.jacobian.dense, "tree"))]
     assert len(planar) == 3 and untreed == []
+
+
+def test_planar_norm_texts_name_no_numpy_object():
+    # solve_nd's inline planar loop and linalg's float-pair functions run the texts
+    # SN_2X2 and PAIR_NORM in the names of TEXT_NAMES, so a planar state stays on
+    # Python floats only while every free name of the texts is a math function or a
+    # float: a numpy name there would turn a pair back into an array
+    import ast
+    import math
+
+    from blowup import linalg
+
+    locals_ = {"j11", "j12", "j21", "j22", "s", "a", "b"}
+    for text in (linalg.SN_2X2, linalg.PAIR_NORM.format("a", "b")):
+        names = {n.id for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)}
+        assert names - locals_ <= set(linalg.TEXT_NAMES), text
+    assert all(isinstance(v, float) or v is getattr(math, k, None)
+               for k, v in linalg.TEXT_NAMES.items())

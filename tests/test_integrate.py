@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
+import pathlib
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -490,8 +493,41 @@ def test_inline_norm_texts_match_linalg_bit_for_bit():
         closed = repr(eval(linalg.SN_2X2, scope, values))
         assert closed == repr(spectral_norm(JacobianAccess(dense=lambda x: J), None))
         assert closed == repr(spectral_norm(JacobianAccess(dense=lambda x: np.array(J)), None))
-        with np.errstate(over="ignore", invalid="ignore"):  # solve_nd's, for safe_norm's dot
-            assert repr(eval(pair_norm, scope, values)) == repr(linalg.pair_norm((j11, j12)))
+        assert repr(eval(pair_norm, scope, values)) == repr(linalg.pair_norm((j11, j12)))
+
+
+def test_planar_norms_past_2_512_stay_on_floats(monkeypatch):
+    # slowlog_c's implicit-N run at 2^-6 takes 1,393 of its 8,849 steps (both
+    # passes) past |x| = 2^512, where x1 * x1 + x2 * x2 overflows; pair_norm's text
+    # takes math.hypot there, so no state of the run goes to safe_norm, whose only
+    # calls are require_valid's |x0| check, one a pass, and the run is its golden cell
+    passes = []
+
+    def traced(*args):
+        res = solve_nd(*args)
+        passes.append(res.trace)
+        return res
+
+    monkeypatch.setattr(integrate, "solve_nd", traced)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is safe_norm.__code__:
+            calls.append(frame.f_back.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        res = solve_log_nd(catalog.get("slowlog_c").problem, 2.0**-6,
+                           SolverConfig(record_trace=True))
+    finally:
+        sys.setprofile(None)
+    steps = [nx for trace in passes for _, nx in trace[1:]]
+    assert (len(steps), sum(nx > 2.0**512 for nx in steps)) == (8849, 1393)
+    assert [c for c in calls if not c.endswith("problems.py")] == []
+    table = pathlib.Path(__file__).with_name("golden_cells.json")
+    golden = json.loads(table.read_text())["slowlog_c/adaptive/2^-6"]
+    assert [res.tau_hat.hex(), res.steps, res.meta["n_guess"],
+            res.meta["outer_iterations"]] == golden
 
 
 def _called(problem):
