@@ -30,7 +30,7 @@ from . import thresholds
 from .errors import InputError, SolverError
 from .integrate import SolverConfig, StepBudgetExceeded, run_record, run_setup
 from .linalg import safe_norm
-from .problems import RunResult, ScalarProblem, VectorProblem
+from .problems import RunResult, ScalarProblem, VectorProblem, require_shapes
 
 
 class MinStepUnderflow(SolverError):
@@ -113,6 +113,8 @@ def solve_arclength(
     with np.errstate(over="ignore", invalid="ignore"):
         h = 0.01 * (1.0 + safe_norm(y))
         state_norm = safe_norm(y[:-1])
+        if state_norm < r and not scalar:  # once, where the first stage reads b(x0)
+            require_shapes(problem.dim, rhs(y[:-1]))
         while state_norm < r:
             if attempts >= cfg.max_steps:
                 raise StepBudgetExceeded(f"exceeded {cfg.max_steps} attempted RK steps")

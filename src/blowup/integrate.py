@@ -6,9 +6,10 @@ first crossing is the blow-up estimate, and a loop that ends on a NaN state
 raises Overflow instead. Both loops are generated from one template and cached:
 a per-state law's step is its text in _STEPS (1D) or _STEPS_ND (R^n), and a
 constant law's step comes from its step_size, called once per run. A 1D field
-function that carries an expression tree, as expr.compile's do, is computed
-inline; any other callable is called. A first step that leaves the state where
-it was raises SolverError, since no later step could move it.
+function, or a planar field and its Jacobian, that carries an expression tree,
+as expr.compile's do, is computed inline; any other callable is called. A first
+step that leaves the state where it was raises SolverError, since no later step
+could move it.
 solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop
 that predicts the next guess from the last pass, G <- ceil(N_actual^2 / G).
 run_setup and run_record are the start and the record of every solver's run,
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import expr, linalg, stepping, thresholds
 from .errors import InputError, SolverError
-from .problems import RunResult, ScalarProblem, VectorProblem, require_valid
+from .problems import RunResult, ScalarProblem, VectorProblem, require_shapes, require_valid
 from .stepping import Adaptive1D, AdaptiveND, AltND, LogNDFixedN, StepLaw, Taylor1D
 
 
@@ -77,8 +78,8 @@ _STEPS = {
 }
 # The step size of each per-state R^n law in solve_nd's generated loop, which
 # computes b(x) before it and the update after it. {sn} is ||J(x)||_2, {nb} is
-# |b(x)| and {njb} is |J(x) b(x)|, after the statements {jb_lines}. A called
-# spectral_norm is looked up on linalg at each step, so that a patched one is seen.
+# |b(x)| and {njb} is |J(x) b(x)|, after the statements {jb_lines}. An array loop
+# looks spectral_norm up on linalg at each step, so that a patched one is seen.
 _ADAPTIVE_ND = "sn = {sn}\nh = eps / sqrt(sn if sn > 1.0 else 1.0)\n"
 _STEPS_ND = {
     AdaptiveND: _ADAPTIVE_ND,
@@ -149,20 +150,25 @@ def _loop_1d(law: type, b, bd, trace: bool):
 @lru_cache(maxsize=64)
 def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, b=None, dense=None):
     """solve_nd's loop for one law type, state form, J b access and trace,
-    generated and compiled once. The state is an array updated in place, or a
-    pair of floats where it is planar. b and dense are a planar field's
-    functions when both carry trees: the loop then holds the state as the float
-    locals x1 and x2, and computes b(x), J(x) and the norms inline. They are
-    None for a field the loop calls: its b and dense arguments."""
-    namespace = {"sqrt": math.sqrt, "linalg": linalg, "np": np}
-    if b is not None:
-        namespace.update(linalg.TEXT_NAMES)
-        # b(x) and a per-state law's J(x) in one emission, which computes a node
-        # that they share once
-        trees = b.tree + (dense.tree[0] + dense.tree[1] if law in _STEPS_ND else ())
-        lines, values = expr.emit(trees, "x", namespace, "_f")
-        lines += [f"{n} = {v}" for n, v in zip(("b1", "b2", "j11", "j12", "j21", "j22"), values)]
-        field = "".join(f"{line}\n" for line in lines)
+    generated and compiled once. The state is an array updated in place, or the
+    float locals x1 and x2 where it is planar, with the norms inline. b and
+    dense are a planar field's functions when both carry trees, whose shapes are
+    checked here: the loop computes b(x) and J(x) inline. They are None for a
+    field the loop calls: its b and dense arguments."""
+    per_state = law in _STEPS_ND
+    if planar:
+        namespace = dict(linalg.TEXT_NAMES)
+        if b is not None:
+            require_shapes(2, b.tree, *((dense.tree,) if per_state else ()))
+            # b(x) and a per-state law's J(x) in one emission, which computes a
+            # node that they share once
+            trees = b.tree + (dense.tree[0] + dense.tree[1] if per_state else ())
+            lines, values = expr.emit(trees, "x", namespace, "_f")
+            lines += [f"{n} = {v}" for n, v in zip("b1 b2 j11 j12 j21 j22".split(), values)]
+            field = "".join(f"{line}\n" for line in lines)
+        else:
+            field = "x = (x1, x2)\nb1, b2 = b(x)\n" + (
+                "(j11, j12), (j21, j22) = dense(x)\n" if per_state else "")
         pair = linalg.PAIR_NORM.format
         parts = {"sn": linalg.SN_2X2, "nb": pair("b1", "b2"),
                  "jb_lines": "jb1 = j11 * b1 + j12 * b2\njb2 = j21 * b1 + j22 * b2\n",
@@ -170,23 +176,19 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, b=None, dense=
         update = f"x1 = x1 + b1 * h\nx2 = x2 + b2 * h\nnx = {pair('x1', 'x2')}\n"
         prologue, unmoved, result = "x0 = x\nx1, x2 = x\n", "(x1, x2) == x0", "(x1, x2)"
     else:
-        # J(x) b(x) for AltND: from the jvp, from a planar dense Jacobian as two
-        # float expressions, or as dense(x) @ bx
-        jb_lines, jb = (("", "jvp(x, bx)") if has_jvp else ("", "dense(x) @ bx") if not planar
-                        else ("(j11, j12), (j21, j22) = dense(x)\nb1, b2 = bx\n",
-                              "(j11 * b1 + j12 * b2, j21 * b1 + j22 * b2)"))
+        namespace = {"sqrt": math.sqrt, "linalg": linalg, "np": np, "norm": linalg.safe_norm}
         field = "bx = b(x)\n"
-        parts = {"sn": "linalg.spectral_norm(jac, x, dim)", "jb_lines": jb_lines,
-                 "njb": f"norm({jb})", "nb": "norm(bx)"}
-        update = ("x = (x[0] + bx[0] * h, x[1] + bx[1] * h)\n" if planar else
-                  # x + bx h with no new array; bx may alias x, so its product comes first
-                  "np.multiply(bx, h, step)\nx += step\n") + "nx = norm(x)\n"
-        prologue = "x0 = x\n" if planar else "x0 = x.copy()\nstep = np.empty_like(x)\n"
-        unmoved, result = "x == x0" if planar else "(x == x0).all()", "x"
+        # J(x) b(x) for AltND from the jvp, or as dense(x) @ bx
+        parts = {"sn": "linalg.spectral_norm(jac, x)", "jb_lines": "", "nb": "norm(bx)",
+                 "njb": "norm(jvp(x, bx))" if has_jvp else "norm(dense(x) @ bx)"}
+        # x + bx h with no new array; bx may alias x, so its product comes first
+        update = "np.multiply(bx, h, step)\nx += step\nnx = norm(x)\n"
+        prologue, unmoved, result = ("x0 = x.copy()\nstep = np.empty_like(x)\n",
+                                     "(x == x0).all()", "x")
     step = (field + _STEPS_ND.get(law, "").format(**parts) + update + "t += h\n"
             + ("trace.append((t, nx))\n" if trace else ""))
-    return _compile(namespace, "b, norm, jac, jvp, dense, dim, cap, N", prologue, step,
-                    "nx <= r", "|x| = {nx!r}", unmoved, result)
+    return _compile(namespace, "b, jac, jvp, dense, cap, N", prologue, step, "nx <= r",
+                    "|x| = {nx!r}", unmoved, result)
 
 
 def run_setup(problem, eps: float, law, laws: tuple):
@@ -268,21 +270,18 @@ def solve_nd(
 ) -> RunResult:
     """Estimate the blow-up time of a system by integrating to |x| > r(eps).
 
-    The loop is generated for the law, the state form and the Jacobian's J b
-    access (_loop_nd). A state that is not planar (dim 2 with a dense Jacobian)
-    is one array that each step updates in place, so an rhs that keeps its
-    argument must keep a copy."""
+    The loop is generated for the law, the state form and the field (_loop_nd).
+    A state that is not planar (dim 2 with a dense Jacobian) is one array that
+    each step updates in place, so an rhs that keeps its argument must keep a
+    copy. The field's shapes are checked once, before the first step."""
     cfg = cfg or SolverConfig()
     law = cfg.law or AdaptiveND()
     kind, r, warnings = run_setup(problem, eps, law, stepping.LAWS_ND)
     jac = problem.jacobian
-    # A planar state, dim 2 with a dense Jacobian, is a pair of Python floats:
-    # 2-element arrays cost more in numpy call overhead than the arithmetic they
-    # carry. A field with a JVP keeps an array state, as other dimensions do.
+    # A planar state is a pair of Python floats: 2-element arrays cost more in numpy
+    # call overhead than the arithmetic they carry. A field with a JVP keeps an
+    # array state, as other dimensions do.
     planar = problem.dim == 2 and jac.dense is not None
-    inline = planar and hasattr(problem.rhs, "tree") and hasattr(jac.dense, "tree")
-    loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace,
-                    *((problem.rhs, jac.dense) if inline else ()))
     x = tuple(problem.x0.tolist()) if planar else np.array(problem.x0, dtype=float)
     norm = linalg.pair_norm if planar else linalg.safe_norm
     t = 0.0
@@ -297,9 +296,14 @@ def solve_nd(
         else:
             h = _constant_step(law, problem, eps, r)
             cap = getattr(law, "cap", None)
-            n, t, x = loop(x, r, eps, h, cfg.max_steps, problem.rhs, norm, jac, jac.jvp,
-                           jac.dense, problem.dim, math.inf if cap is None else cap,
-                           getattr(law, "n", None), trace)
+            inline = planar and hasattr(problem.rhs, "tree") and hasattr(jac.dense, "tree")
+            loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace,
+                            *((problem.rhs, jac.dense) if inline else ()))
+            if not inline:  # b(x), then J(x) where the law reads it, as the loop does
+                dense = (jac.dense(x),) if kind in _STEPS_ND and jac.dense is not None else ()
+                require_shapes(problem.dim, problem.rhs(x), *dense)
+            n, t, x = loop(x, r, eps, h, cfg.max_steps, problem.rhs, jac, jac.jvp, jac.dense,
+                           math.inf if cap is None else cap, getattr(law, "n", None), trace)
             nx = norm(x)
             if nx != nx:
                 raise Overflow(f"|state| is nan after {n} steps below r = {r!r}")

@@ -64,13 +64,10 @@ _pair_floats = eval(f"lambda a, b: {PAIR_NORM.format('a', 'b')}", dict(TEXT_NAME
 
 
 def pair_norm(x) -> float:
-    """The Euclidean norm of a planar vector. A pair of floats stays on Python
-    floats: sqrt of |x|^2, or math.hypot where |x|^2 overflows (past 2^512),
-    which can differ from safe_norm's rescaled dot there by up to 2 ulps. An array
-    goes to safe_norm. solve_nd picks it once per run for a planar state (dim 2
-    with a dense Jacobian), so that array states pay no type test."""
-    if type(x) is np.ndarray:
-        return safe_norm(x)
+    """The Euclidean norm of a planar vector, a pair of floats, on Python floats:
+    sqrt of |x|^2, or math.hypot where |x|^2 overflows (past 2^512), which can
+    differ from safe_norm's rescaled dot there by up to 2 ulps. solve_nd's
+    planar loop computes the same text inline."""
     a, b = x
     return _pair_floats(a, b)
 
@@ -90,7 +87,7 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
             "|b'(x)b(x)|-based step law instead"
         )
     J = jac.dense(x)
-    if type(J) is not tuple:  # a planar field's Jacobian comes as nested float pairs
+    if type(J) is not tuple:  # nested float pairs, as expr.compile's planar Jacobians are
         J = np.asarray(J, dtype=float)
         n = J.shape[0]
         if dim is not None and n != dim:

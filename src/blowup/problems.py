@@ -34,10 +34,10 @@ class VectorProblem:
     """Autonomous system x' = b(x) on {|x| > delta} that blows up in finite time.
 
     ``threshold`` is the field's growth bound on b(x)·x, PolyND or LogND; it
-    also fixes the truncation radius r(eps). For dim 2 with a dense Jacobian,
-    solve_nd passes the state to ``rhs`` and the Jacobian as a pair of floats,
-    and they may return any length-2 sequence (nested for the Jacobian); every
-    other problem, a dim-2 one with a JVP included, is passed ndarrays.
+    also fixes the truncation radius r(eps). ``rhs`` returns dim components and
+    a dense Jacobian dim x dim, as sequences or arrays. For dim 2 with a dense
+    Jacobian, solve_nd passes them the state as a pair of floats; every other
+    problem, a dim-2 one with a JVP included, is passed ndarrays.
     """
 
     dim: int
@@ -259,7 +259,7 @@ def structural_violations(problem) -> list[str]:
 
 class InvalidProblem(InputError):
     """The problem breaks a structural condition that the estimate rests on:
-    x0 > 0 and k > 1 in 1D; |x0| > delta and a positive growth bound in R^n."""
+    x0 > 0 and k > 1 in 1D; |x0| > delta, a positive growth bound and field shapes in R^n."""
 
 
 def require_valid(problem) -> None:
@@ -268,3 +268,17 @@ def require_valid(problem) -> None:
     violations = structural_violations(problem)
     if violations:
         raise InvalidProblem("; ".join(violations))
+
+
+def require_shapes(dim: int, *values) -> None:
+    """Raise InvalidProblem unless values, an R^n field's b(x) and, where a step
+    law reads it, its dense J(x), or their trees, have dim and dim x dim
+    components: the solvers check a field once per run, not at each step."""
+    for name, value, expected in zip(("b(x)", "J(x)"), values, ((dim,), (dim, dim))):
+        try:
+            shape = np.shape(value)
+        except ValueError:  # numpy's error for nested sequences of unequal lengths
+            shape = None
+        if shape != expected:
+            found = "ragged" if shape is None else f"of shape {shape}"
+            raise InvalidProblem(f"{name} is {found}, expected shape {expected}")

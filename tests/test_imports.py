@@ -127,3 +127,19 @@ def test_planar_norm_texts_name_no_numpy_object():
         assert names - locals_ <= set(linalg.TEXT_NAMES), text
     assert all(isinstance(v, float) or v is getattr(math, k, None)
                for k, v in linalg.TEXT_NAMES.items())
+
+
+@pytest.mark.parametrize("trees", [True, False], ids=["trees", "called"])
+def test_planar_loops_bind_no_numpy(trees):
+    # solve_nd runs a planar state, whether its field carries trees or is called,
+    # as two float locals with ||J(x)|| and the norms inline; _compile binds every
+    # name a loop's text may read as a keyword default, so a planar loop that binds
+    # neither linalg nor np can reach no array and no spectral_norm
+    from blowup import catalog, integrate, stepping
+
+    problem = catalog.get("coupled").problem
+    fields = (problem.rhs, problem.jacobian.dense) if trees else ()
+    for law in stepping.LAWS_ND:
+        for trace in (False, True):
+            loop = integrate._loop_nd(law, True, False, trace, *fields)
+            assert {"linalg", "np"}.isdisjoint(loop.__kwdefaults__), (law, trace)

@@ -22,7 +22,7 @@ from blowup.integrate import (
     solve_nd,
 )
 from blowup.linalg import JacobianAccess, safe_norm, spectral_norm
-from blowup.problems import ScalarProblem, VectorProblem
+from blowup.problems import InvalidProblem, ScalarProblem, VectorProblem
 from blowup.stepping import (
     Adaptive1D, AdaptiveND, AltND, LogNDFixedN, LogNDImplicitN, NonpositiveDerivative,
     PowerUniformND, Taylor1D, Uniform1D, UniformND,
@@ -457,20 +457,30 @@ class TestSolveND:
         assert (res.tau_hat, res.steps) == (t, len(trace) - 1)
         assert res.final_state.tobytes() == x.tobytes()
 
-    def test_spectral_norm_is_called_once_per_step(self, coupled, monkeypatch):
-        # a field without trees is called, and the loop looks spectral_norm up on
-        # linalg at each step, so a patched one is seen; the catalog's coupled
-        # carries trees, and its loop takes the closed form inline
-        coupled = _called(coupled)
-        calls = []
+    @pytest.mark.parametrize("law, reads_jacobian", [
+        (AdaptiveND(), True), (AltND(), True), (LogNDFixedN(64), True), (UniformND(), False),
+    ], ids=["adaptive", "alt", "log-fixed-n", "uniform"])
+    def test_called_planar_field_once_per_step(self, coupled, monkeypatch, law,
+                                                reads_jacobian):
+        # a planar field without trees is called once a step for b(x) and, where
+        # the law reads it, once for J(x), and once more each for the shape rule
+        # before the first step; the loop takes ||J(x)|| inline, as for a field
+        # with trees, so spectral_norm is never called
+        calls = {"rhs": 0, "dense": 0, "spectral_norm": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return spectral_norm(*args)
+        def counted(name, fn):
+            def count(*args):
+                calls[name] += 1
+                return fn(*args)
+            return count
 
-        monkeypatch.setattr(linalg, "spectral_norm", counted)
-        res = solve_nd(coupled, 2.0**-10, SolverConfig(law=AdaptiveND()))
-        assert len(calls) == res.steps > 100
+        problem = dataclasses.replace(coupled, rhs=counted("rhs", coupled.rhs), jacobian=(
+            JacobianAccess(dense=counted("dense", coupled.jacobian.dense))))
+        monkeypatch.setattr(linalg, "spectral_norm", counted("spectral_norm", spectral_norm))
+        res = solve_nd(problem, 2.0**-10, SolverConfig(law=law))
+        assert res.steps > 100
+        assert calls == {"rhs": res.steps + 1, "dense": (res.steps + 1) * reads_jacobian,
+                         "spectral_norm": 0}
 
 
 def test_inline_norm_texts_match_linalg_bit_for_bit():
@@ -530,18 +540,19 @@ def test_planar_norms_past_2_512_stay_on_floats(monkeypatch):
             res.meta["outer_iterations"]] == golden
 
 
-def _called(problem):
+def _called(problem, wrap=lambda v: v):
     """problem with its rhs and dense Jacobian wrapped in lambdas, which carry no
-    tree, so that solve_nd's loop calls them."""
+    tree, so that solve_nd's loop calls them; wrap maps their values."""
     rhs, dense = problem.rhs, problem.jacobian.dense
-    return dataclasses.replace(problem, rhs=lambda x: rhs(x),
-                               jacobian=JacobianAccess(dense=lambda x: dense(x)))
+    return dataclasses.replace(problem, rhs=lambda x: wrap(rhs(x)),
+                               jacobian=JacobianAccess(dense=lambda x: wrap(dense(x))))
 
 
 class TestPlanarLoopPaths:
     """solve_nd computes a planar field whose rhs and dense Jacobian carry trees
-    inline, on a state of two float locals, and calls any other: the same fields
-    wrapped in lambdas give the same results and errors, bit for bit."""
+    inline and calls any other, on a state of two float locals either way: the
+    same fields wrapped in lambdas, returning tuples or arrays, give the same
+    results and errors, bit for bit."""
 
     METHODS = ["adaptive", "alt", "uniform", "log-uniform"]
 
@@ -560,9 +571,11 @@ class TestPlanarLoopPaths:
 
     def both_paths(self, problem, *args, **kwargs):
         """The outcome of problem's fields inline, after checking that the same
-        fields called through lambdas give the same one."""
+        fields called through lambdas, as they are and as ndarrays, give the
+        same one."""
         inline = self.outcome(problem, *args, **kwargs)
         assert inline == self.outcome(_called(problem), *args, **kwargs)
+        assert inline == self.outcome(_called(problem, np.array), *args, **kwargs)
         return inline
 
     @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
@@ -570,7 +583,7 @@ class TestPlanarLoopPaths:
     @pytest.mark.parametrize("pid", ["coupled", "uncoupled"])
     def test_catalog_fields(self, pid, method, trace):
         entry = catalog.get(pid)
-        for eps in (2.0**-3, 2.0**-6, 2.0**-9):
+        for eps in (2.0**-3, 2.0**-5, 2.0**-6, 2.0**-8, 2.0**-9):
             assert isinstance(self.both_paths(entry.problem, eps, entry.methods[method], trace),
                               str)
 
@@ -613,6 +626,34 @@ class TestPlanarLoopPaths:
         kind, text = self.both_paths(problem, 2.0**-8, catalog.get("coupled").methods[method])
         assert kind is Overflow and text.startswith("|state| is nan after ")
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("shape", ["3", "scalar"])
+    def test_rhs_of_another_shape(self, coupled, method, shape):
+        # a third component of b, which a loop without the shape rule reads as
+        # J11, or a single one; a run at a degenerate radius takes no step and
+        # evaluates nothing, so it warns as before
+        tree = coupled.rhs.tree
+        rhs = expr.compile(tree + (expr.Var(1),) if shape == "3" else tree[0], dim=2)
+        problem = dataclasses.replace(coupled, rhs=rhs)
+        law = catalog.get("coupled").methods[method]
+        found = "(3,)" if shape == "3" else "()"
+        assert self.both_paths(problem, 2.0**-8, law) == (
+            InvalidProblem, f"b(x) is of shape {found}, expected shape (2,)")
+        assert "degenerate radius" in self.both_paths(problem, 0.6, law)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_3x3_jacobian_where_the_law_reads_it(self, coupled, method):
+        x1 = expr.Var(1)
+        dense = tuple(row + (x1,) for row in coupled.jacobian.dense.tree) + ((x1, x1, x1),)
+        problem = dataclasses.replace(coupled, jacobian=JacobianAccess(
+            dense=expr.compile(dense, dim=2)))
+        law = catalog.get("coupled").methods[method]
+        if isinstance(law, UniformND):  # whose steps never read J(x)
+            assert self.both_paths(problem, 2.0**-8, law) == self.outcome(coupled, 2.0**-8, law)
+        else:
+            assert self.both_paths(problem, 2.0**-8, law) == (
+                InvalidProblem, "J(x) is of shape (3, 3), expected shape (2, 2)")
+
     def test_fields_with_trees_are_not_called(self, coupled):
         # nothing but the loop reads the field under the AdaptiveND law, and the
         # loop computes fields that carry their trees itself
@@ -626,6 +667,45 @@ class TestPlanarLoopPaths:
             JacobianAccess(dense=refusing(coupled.jacobian.dense.tree))))
         assert self.outcome(uncalled, 2.0**-10, AdaptiveND()) == self.outcome(
             coupled, 2.0**-10, AdaptiveND())
+
+
+class TestFieldShapes:
+    """b(x) must have dim components and a dense J(x) must be dim x dim, or the
+    R^n solvers raise InvalidProblem naming the shape, which numpy would
+    otherwise broadcast; each checks a called field once per run, at x0."""
+
+    @staticmethod
+    def radial(rhs, jacobian):
+        """b(x) = |x|^2 x in R^3, or rhs in its place."""
+        return VectorProblem(dim=3, rhs=rhs, jacobian=jacobian, threshold=PolyND(1.0, 2.0),
+                             delta=0.5, x0=np.array([1.0, 0.5, 0.25]))
+
+    @pytest.mark.parametrize("rhs, found", [
+        (lambda x: np.array([(x @ x) * x[0]]), "of shape (1,)"),
+        (lambda x: float(x @ x), "of shape ()"),
+    ], ids=["one-component", "scalar"])
+    def test_rhs_in_solve_nd_and_solve_arclength(self, rhs, found):
+        problem = self.radial(rhs, JacobianAccess(
+            jvp=lambda x, v: (x @ x) * v + 2.0 * (x @ v) * x))
+        text = re.escape(f"b(x) is {found}, expected shape (3,)")
+        with pytest.raises(InvalidProblem, match=text):
+            solve_nd(problem, 2.0**-6, SolverConfig(law=AltND()))
+        with pytest.raises(InvalidProblem, match=text):
+            solve_arclength(problem, 2.0**-6, 1e-8)
+
+    @pytest.mark.parametrize("law", [AdaptiveND(), AltND()], ids=["adaptive", "alt"])
+    def test_dense_jacobian_in_solve_nd(self, law):
+        problem = self.radial(lambda x: (x @ x) * x, JacobianAccess(dense=lambda x: np.eye(2)))
+        with pytest.raises(InvalidProblem, match=re.escape(
+                "J(x) is of shape (2, 2), expected shape (3, 3)")):
+            solve_nd(problem, 2.0**-6, SolverConfig(law=law))
+
+    def test_ragged_planar_jacobian(self, coupled):
+        problem = dataclasses.replace(coupled, jacobian=JacobianAccess(
+            dense=lambda x: ((1.0, 0.0), (0.0,))))
+        with pytest.raises(InvalidProblem, match=re.escape(
+                "J(x) is ragged, expected shape (2, 2)")):
+            solve_nd(problem, 2.0**-6)
 
 
 class TestStateThatCannotMove:
