@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import textwrap
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -258,6 +259,21 @@ def _slowlog(c: float) -> CatalogEntry:
     )
 
 
+try:  # the C function behind np.correlate, without its dispatcher
+    from numpy._core.multiarray import correlate2 as _correlate
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import correlate2 as _correlate
+
+
+def _kernel(text: str, args: str, data: dict):
+    """The function of args that runs the statements text, in {out}, {x} and {v},
+    on the names of data and returns out; solve_nd's array loop writes its text."""
+    body = textwrap.indent(text.format(out="out", x="x", v="v"), "    ")
+    exec(f"def kernel({args}):\n{body}    return out\n", scope := dict(data))
+    scope["kernel"].text, scope["kernel"].data = text, data
+    return scope["kernel"]
+
+
 @lru_cache(maxsize=None)
 def _rd(m: int) -> CatalogEntry:
     """Method-of-lines discretisation of u_t = u_xx + u^2 on (0,1) with zero
@@ -267,33 +283,21 @@ def _rd(m: int) -> CatalogEntry:
     m2 = float(m * m)
     n = m - 1
 
-    # One correlate call gives (v[i-1] - 2 v[i]) + v[i+1], summed left to right
-    # with exact products, so it equals the padded three-slice stencil bit for
-    # bit. Scaling by a power of two is exact (short of overflow and subnormals),
-    # so where m^2 is one it is folded into the stencil: correlate(v, m^2 [1, -2, 1])
-    # has the bytes of m^2 correlate(v, [1, -2, 1]). For n < 3 numpy swaps the
-    # operands and "same" returns 3 values, so those grids slice "full" instead.
+    # The Laplacian is one call of numpy's correlation kernel, which gives
+    # (v[i-1] - 2 v[i]) + v[i+1], summed left to right with exact products, so it
+    # equals the padded three-slice stencil bit for bit. Scaling by a power of two
+    # is exact (short of overflow and subnormals), so where m^2 is one it is folded
+    # into the stencil: correlate(v, m^2 [1, -2, 1]) has the bytes of
+    # m^2 correlate(v, [1, -2, 1]). For n < 3 numpy swaps the operands and "same"
+    # (mode 1) returns 3 values, so those grids slice "full" (mode 2) instead.
     folded = m & (m - 1) == 0
     stencil = np.array([1.0, -2.0, 1.0]) * (m2 if folded else 1.0)
-    mode = "same" if n >= 3 else "full"
-
-    def laplacian(v):
-        out = np.correlate(v, stencil, mode)
-        if n < 3:
-            out = out[1:-1]
-        if not folded:
-            out *= m2
-        return out
-
-    def rhs(x):
-        out = laplacian(x)
-        out += x * x
-        return out
-
-    def jvp(x, v):
-        out = laplacian(v)
-        out += 2.0 * x * v
-        return out
+    laplacian = ("{out} = correlate({v}, stencil, 1)\n" if n >= 3 else
+                 "{out} = correlate({v}, stencil, 2)[1:-1]\n")
+    laplacian += "" if folded else "{out} *= m2\n"
+    data = {"correlate": _correlate, "stencil": stencil, "m2": m2}
+    rhs = _kernel(laplacian.replace("{v}", "{x}") + "{out} += {x} * {x}\n", "x", data)
+    jvp = _kernel(laplacian + "{out} += 2.0 * {x} * {v}\n", "x, v", data)
 
     x0 = 100.0 * np.sin(np.pi * np.arange(1, m) / m)
     problem = VectorProblem(

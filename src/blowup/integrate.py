@@ -7,7 +7,8 @@ raises Overflow instead. Both loops are generated from one template and cached:
 a per-state law's step is its text in _STEPS (1D) or _STEPS_ND (R^n), and a
 constant law's step comes from its step_size, called once per run. A 1D field
 function, or a planar field and its Jacobian, that carries an expression tree,
-as expr.compile's do, is computed inline; any other callable is called. A first
+as expr.compile's do, and an array field and its JVP that carry statement texts,
+as the rd field's do, are computed inline; any other callable is called. A first
 step that leaves the state where it was raises SolverError, since no later step
 could move it.
 solve_log_nd finds the step count of the LogNDImplicitN law by an outer loop
@@ -148,26 +149,28 @@ def _loop_1d(law: type, b, bd, trace: bool):
 
 
 @lru_cache(maxsize=64)
-def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, b=None, dense=None):
-    """solve_nd's loop for one law type, state form, J b access and trace,
-    generated and compiled once. The state is an array updated in place, or the
-    float locals x1 and x2 where it is planar, with the norms inline. b and
-    dense are a planar field's functions when both carry trees, whose shapes are
-    checked here: the loop computes b(x) and J(x) inline. They are None for a
-    field the loop calls: its b and dense arguments."""
+def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, *field):
+    """solve_nd's loop for one law type, state form, J b access, trace and
+    field, generated and compiled once. The state is an array updated in place,
+    or the float locals x1 and x2 where it is planar, with the norms inline. field
+    is a planar field's b and dense when both carry trees, whose shapes are checked
+    here, or an array field's rhs and jvp texts and the names of the data they read,
+    which the prologue binds from b: the loop computes the field inline. It is
+    empty for a field the loop calls: its b, jvp and dense arguments."""
     per_state = law in _STEPS_ND
     if planar:
         namespace = dict(linalg.TEXT_NAMES)
-        if b is not None:
+        if field:
+            b, dense = field
             require_shapes(2, b.tree, *((dense.tree,) if per_state else ()))
             # b(x) and a per-state law's J(x) in one emission, which computes a
             # node that they share once
             trees = b.tree + (dense.tree[0] + dense.tree[1] if per_state else ())
             lines, values = expr.emit(trees, "x", namespace, "_f")
             lines += [f"{n} = {v}" for n, v in zip("b1 b2 j11 j12 j21 j22".split(), values)]
-            field = "".join(f"{line}\n" for line in lines)
+            lines = "".join(f"{line}\n" for line in lines)
         else:
-            field = "x = (x1, x2)\nb1, b2 = b(x)\n" + (
+            lines = "x = (x1, x2)\nb1, b2 = b(x)\n" + (
                 "(j11, j12), (j21, j22) = dense(x)\n" if per_state else "")
         pair = linalg.PAIR_NORM.format
         parts = {"sn": linalg.SN_2X2, "nb": pair("b1", "b2"),
@@ -176,16 +179,25 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, b=None, dense=
         update = f"x1 = x1 + b1 * h\nx2 = x2 + b2 * h\nnx = {pair('x1', 'x2')}\n"
         prologue, unmoved, result = "x0 = x\nx1, x2 = x\n", "(x1, x2) == x0", "(x1, x2)"
     else:
-        namespace = {"sqrt": math.sqrt, "linalg": linalg, "np": np, "norm": linalg.safe_norm}
-        field = "bx = b(x)\n"
-        # J(x) b(x) for AltND from the jvp, or as dense(x) @ bx
-        parts = {"sn": "linalg.spectral_norm(jac, x)", "jb_lines": "", "nb": "norm(bx)",
-                 "njb": "norm(jvp(x, bx))" if has_jvp else "norm(dense(x) @ bx)"}
+        namespace = {"sqrt": math.sqrt, "inf": math.inf, "norm": linalg.safe_norm,
+                     "linalg": linalg, "np": np}
+        array_norm = linalg.ARRAY_NORM.format
+        prologue = "x0 = x.copy()\nstep = np.empty_like(x)\n"
+        if field:
+            b_text, jvp_text, names = field
+            prologue += "".join(f"{name} = b.data[{name!r}]\n" for name in names)
+            lines = b_text.format(out="bx", x="x")
+            parts = {"nb": array_norm("bx"), "njb": array_norm("jb"),
+                     "jb_lines": jvp_text.format(out="jb", x="x", v="bx")}
+        else:  # a called b(x) may be a list; J(x) b(x) from the jvp, or as dense(x) @ bx
+            lines = "bx = b(x)\n"
+            parts = {"nb": "norm(bx)", "jb_lines": "",
+                     "njb": "norm(jvp(x, bx))" if has_jvp else "norm(dense(x) @ bx)"}
+        parts["sn"] = "linalg.spectral_norm(jac, x)"
         # x + bx h with no new array; bx may alias x, so its product comes first
-        update = "np.multiply(bx, h, step)\nx += step\nnx = norm(x)\n"
-        prologue, unmoved, result = ("x0 = x.copy()\nstep = np.empty_like(x)\n",
-                                     "(x == x0).all()", "x")
-    step = (field + _STEPS_ND.get(law, "").format(**parts) + update + "t += h\n"
+        update = f"np.multiply(bx, h, step)\nx += step\nnx = {array_norm('x')}\n"
+        unmoved, result = "(x == x0).all()", "x"
+    step = (lines + _STEPS_ND.get(law, "").format(**parts) + update + "t += h\n"
             + ("trace.append((t, nx))\n" if trace else ""))
     return _compile(namespace, "b, jac, jvp, dense, cap, N", prologue, step, "nx <= r",
                     "|x| = {nx!r}", unmoved, result)
@@ -273,7 +285,10 @@ def solve_nd(
     The loop is generated for the law, the state form and the field (_loop_nd).
     A state that is not planar (dim 2 with a dense Jacobian) is one array that
     each step updates in place, so an rhs that keeps its argument must keep a
-    copy. The field's shapes are checked once, before the first step."""
+    copy. The loop writes a planar field's trees, or an array field's rhs and
+    JVP texts, inline, with every norm, and calls any other field. The field's
+    shapes are checked once, before the first step: a called or text field by
+    one call of rhs at x0."""
     cfg = cfg or SolverConfig()
     law = cfg.law or AdaptiveND()
     kind, r, warnings = run_setup(problem, eps, law, stepping.LAWS_ND)
@@ -296,13 +311,16 @@ def solve_nd(
         else:
             h = _constant_step(law, problem, eps, r)
             cap = getattr(law, "cap", None)
-            inline = planar and hasattr(problem.rhs, "tree") and hasattr(jac.dense, "tree")
-            loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace,
-                            *((problem.rhs, jac.dense) if inline else ()))
-            if not inline:  # b(x), then J(x) where the law reads it, as the loop does
+            rhs, field = problem.rhs, ()
+            if planar and hasattr(rhs, "tree") and hasattr(jac.dense, "tree"):
+                field = (rhs, jac.dense)
+            elif hasattr(rhs, "text") and getattr(jac.jvp, "data", None) is rhs.data:
+                field = (rhs.text, jac.jvp.text, tuple(rhs.data))  # texts on one field's data
+            loop = _loop_nd(kind, planar, jac.jvp is not None, cfg.record_trace, *field)
+            if not (planar and field):  # b(x), then J(x) where the law reads it
                 dense = (jac.dense(x),) if kind in _STEPS_ND and jac.dense is not None else ()
-                require_shapes(problem.dim, problem.rhs(x), *dense)
-            n, t, x = loop(x, r, eps, h, cfg.max_steps, problem.rhs, jac, jac.jvp, jac.dense,
+                require_shapes(problem.dim, rhs(x), *dense)
+            n, t, x = loop(x, r, eps, h, cfg.max_steps, rhs, jac, jac.jvp, jac.dense,
                            math.inf if cap is None else cap, getattr(law, "n", None), trace)
             nx = norm(x)
             if nx != nx:

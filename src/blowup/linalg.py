@@ -59,6 +59,9 @@ def safe_norm(x) -> float:
 SN_2X2 = "0.5 * (hypot(j11 + j22, j21 - j12) + hypot(j11 - j22, j12 + j21))"
 PAIR_NORM = "(sqrt(s) if (s := {0} * {0} + {1} * {1}) != inf else hypot({0}, {1}))"
 TEXT_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf}
+# The norm of the array {0} with safe_norm's bits, in TEXT_NAMES' names and norm
+# (safe_norm, for an overflowing dot), which solve_nd's array loop writes inline
+ARRAY_NORM = "(sqrt(s) if (s := {0}.dot({0})) != inf else norm({0}))"
 _closed_2x2 = eval(f"lambda j11, j12, j21, j22: {SN_2X2}", dict(TEXT_NAMES))
 _pair_floats = eval(f"lambda a, b: {PAIR_NORM.format('a', 'b')}", dict(TEXT_NAMES))
 
@@ -75,8 +78,8 @@ def pair_norm(x) -> float:
 def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> float:
     """||J(x)||_2, exact on the dense Jacobian.
 
-    A 2x2 Jacobian [[a, b], [c, d]], whether an array or nested tuples of
-    floats, takes the closed form
+    A 2x2 Jacobian [[a, b], [c, d]], an array or nested sequences of floats,
+    takes the closed form
     sigma_max = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2 on Python
     floats; every other size takes the largest singular value from numpy's
     SVD. ``seed`` is accepted and ignored; both paths are deterministic.
@@ -86,16 +89,11 @@ def spectral_norm(jac: JacobianAccess, x, dim: int | None = None, seed=None) -> 
             "matrix-free Jacobian: 2-norm needs a transpose product; use the "
             "|b'(x)b(x)|-based step law instead"
         )
-    J = jac.dense(x)
-    if type(J) is not tuple:  # nested float pairs, as expr.compile's planar Jacobians are
-        J = np.asarray(J, dtype=float)
-        n = J.shape[0]
-        if dim is not None and n != dim:
-            raise InputError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
-        if J.shape != (2, 2):
-            return float(np.linalg.svd(J, compute_uv=False)[0])
-        J = J.tolist()
-    elif dim is not None and dim != 2:
-        raise InputError(f"dense Jacobian is 2x2, expected dim {dim}")
-    (a, b), (c, d) = J
+    J = np.asarray(jac.dense(x), dtype=float)
+    n = J.shape[0]
+    if dim is not None and n != dim:
+        raise InputError(f"dense Jacobian is {n}x{J.shape[1]}, expected dim {dim}")
+    if J.shape != (2, 2):
+        return float(np.linalg.svd(J, compute_uv=False)[0])
+    (a, b), (c, d) = J.tolist()
     return _closed_2x2(a, b, c, d)

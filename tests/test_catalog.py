@@ -293,6 +293,33 @@ class TestReactionDiffusion:
             for a, b in ((f, again), (f, x), (jv, prob.jacobian.jvp(x, v)), (jv, v)):
                 assert not np.shares_memory(a, b)
 
+    def test_bound_correlate_kernel_has_np_correlate_bytes(self):
+        # the rd texts call numpy's C correlation kernel with integer modes, 1 for
+        # "same" and 2 for "full"; on every length, the operand swap of n < 3
+        # included, it gives np.correlate's bytes for the folded and plain stencils
+        correlate = catalog.get("rd").problem.rhs.data["correlate"]
+        rng = np.random.default_rng(77)
+        for stencil in (np.array([1.0, -2.0, 1.0]), catalog.get("rd", m=64).problem.rhs.data[
+                "stencil"]):
+            for n in range(1, 41):
+                v = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 10.0, size=n)
+                assert correlate(v, stencil, 1).tobytes() == np.correlate(
+                    v, stencil, "same").tobytes()
+                assert correlate(v, stencil, 2)[1:-1].tobytes() == np.correlate(
+                    v, stencil, "full")[1:-1].tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 32])
+    def test_one_text_per_kernel(self, m):
+        # the called rhs and JVP are compiled from the texts that solve_nd's array
+        # loop writes inline, and they read one data dict, which the loop binds
+        prob = catalog.get("rd", m=m).problem
+        rhs, jvp = prob.rhs, prob.jacobian.jvp
+        assert rhs.data is jvp.data and set(rhs.data) == {"correlate", "stencil", "m2"}
+        assert rhs.text.endswith("{out} += {x} * {x}\n")
+        assert jvp.text.endswith("{out} += 2.0 * {x} * {v}\n")
+        assert ("{out} *= m2\n" in jvp.text) is (m in (3, 5))
+        assert ("[1:-1]" in jvp.text) is (m < 4)
+
     def test_m_validation(self):
         with pytest.raises(ValueError):
             catalog.get("rd", m=1)

@@ -669,6 +669,124 @@ class TestPlanarLoopPaths:
             coupled, 2.0**-10, AdaptiveND())
 
 
+def _untexted(problem):
+    """problem with its rhs and JVP wrapped in lambdas, as perfbench's counting
+    wrappers are, which carry no text, so that solve_nd's array loop calls them."""
+    rhs, jvp = problem.rhs, problem.jacobian.jvp
+    return dataclasses.replace(problem, rhs=lambda x: rhs(x),
+                               jacobian=JacobianAccess(jvp=lambda x, v: jvp(x, v)))
+
+
+class TestArrayLoopPaths:
+    """solve_nd writes the rd field's rhs and JVP texts inline in its array loop
+    and calls any other array field: the same kernels called through lambdas
+    give the same results and errors, bit for bit, on every grid form (the
+    "full" slice for m < 4, the separate m^2 scale where m is not a power of
+    two)."""
+
+    GRIDS = [2, 3, 5, 6, 8, 32]
+    METHODS = ["adaptive", "alt", "uniform"]
+    outcome = staticmethod(TestPlanarLoopPaths.outcome)
+
+    def both_paths(self, problem, *args, **kwargs):
+        inline = self.outcome(problem, *args, **kwargs)
+        assert inline == self.outcome(_untexted(problem), *args, **kwargs)
+        return inline
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("m", GRIDS)
+    def test_rd_fields(self, m, method, trace):
+        entry = catalog.get("rd", m=m)
+        for eps in (2.0**-8, 2.0**-10, 2.0**-11):
+            assert isinstance(self.both_paths(entry.problem, eps, entry.methods[method], trace),
+                              str)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("m", GRIDS)
+    def test_rd_errors(self, m, method):
+        entry = catalog.get("rd", m=m)
+        law = entry.methods[method]
+        kind, text = self.both_paths(entry.problem, 2.0**-10, law, max_steps=10)
+        assert kind is StepBudgetExceeded and text.startswith("exceeded 10 steps at |x| = ")
+        kind, text = self.both_paths(entry.problem, 1e-300, law, max_steps=1000)
+        assert kind is SolverError and "cannot move" in text
+        assert "degenerate radius" in self.both_paths(entry.problem, 0.5, law)
+
+    def test_adaptive_nd_needs_a_dense_jacobian_on_both_paths(self):
+        kind, text = self.both_paths(catalog.get("rd", m=8).problem, 2.0**-10, AdaptiveND())
+        assert kind is linalg.TransposeUnavailable and "matrix-free" in text
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("m", [3, 32])
+    def test_inline_loop_calls_no_kernel_or_norm_per_step(self, m, method):
+        # correlate and dot are C functions, which fire no "call" event: the
+        # inline loop runs no Python function of the field or of linalg, and a run
+        # of any length calls rhs once, for the shape rule, and safe_norm three
+        # times, for require_valid's |x0|, solve_nd's |x0| and the final |x|
+        entry = catalog.get("rd", m=m)
+        problem = entry.problem
+        names = {problem.rhs.__code__: "rhs", problem.jacobian.jvp.__code__: "jvp",
+                 safe_norm.__code__: "safe_norm"}
+        for eps in (2.0**-10, 2.0**-12):
+            calls = {"rhs": 0, "jvp": 0, "safe_norm": 0}
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code in names:
+                    calls[names[frame.f_code]] += 1
+
+            sys.setprofile(profile)
+            try:
+                res = solve_nd(problem, eps, SolverConfig(law=entry.methods[method]))
+            finally:
+                sys.setprofile(None)
+            assert res.steps > 50
+            assert calls == {"rhs": 1, "jvp": 0, "safe_norm": 3}
+
+    @pytest.mark.parametrize("law", [AltND, UniformND])
+    def test_one_loop_per_text(self, law):
+        # the loop binds a field's stencil and m^2 in its prologue, so every grid
+        # of one text, m = 4 to 64 in the rd-table's vary-m study, runs one loop
+        def loop(m):
+            p = catalog.get("rd", m=m).problem
+            return integrate._loop_nd(law, False, True, False, p.rhs.text,
+                                      p.jacobian.jvp.text, tuple(p.rhs.data))
+
+        assert all(loop(m) is loop(4) for m in (8, 16, 32, 64))
+        assert loop(5) is not loop(4) and loop(3) is not loop(2)
+
+    def test_norm_past_2_512_takes_safe_norm(self):
+        # b(x) = x in R^3 at a constant h = 1/2: |x| grows by 3/2 a step from
+        # |x0| = 1.15 past r = 200^100 in 1,307 steps, and x.dot(x) overflows for
+        # the last 433 states; ARRAY_NORM's text then takes safe_norm, and the
+        # trace holds its norms of the states, bit for bit
+        problem = VectorProblem(dim=3, rhs=lambda x: x, jacobian=JacobianAccess(
+            jvp=lambda x, v: v), threshold=PolyND(1.0, 0.01, nominal=True), delta=0.5,
+            x0=np.array([1.0, 0.5, 0.25]))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is safe_norm.__code__:
+                calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            res = solve_nd(problem, 0.5, SolverConfig(law=PowerUniformND(1.0), record_trace=True))
+        finally:
+            sys.setprofile(None)
+        x, norms, past = problem.x0.copy(), [safe_norm(problem.x0)], 0
+        with np.errstate(over="ignore"):
+            for _ in range(res.steps):
+                x += x * 0.5
+                norms.append(safe_norm(x))
+                past += x.dot(x) == math.inf
+        assert [nx for _, nx in res.trace] == norms
+        assert res.final_state.tobytes() == x.tobytes()
+        assert (res.steps, int(past)) == (1307, 433)
+        assert norms[-2] <= res.radius_used < norms[-1]
+        assert calls.count("loop") == past
+
+
 class TestFieldShapes:
     """b(x) must have dim components and a dense J(x) must be dim x dim, or the
     R^n solvers raise InvalidProblem naming the shape, which numpy would
