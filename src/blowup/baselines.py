@@ -28,7 +28,7 @@ import numpy as np
 
 from . import thresholds
 from .errors import InputError, SolverError
-from .integrate import SolverConfig, StepBudgetExceeded, run_record, run_setup
+from .integrate import DEGENERATE, SolverConfig, StepBudgetExceeded, run_record, run_setup
 from .linalg import safe_norm
 from .problems import RunResult, ScalarProblem, VectorProblem, require_shapes
 
@@ -113,7 +113,9 @@ def solve_arclength(
     with np.errstate(over="ignore", invalid="ignore"):
         h = 0.01 * (1.0 + safe_norm(y))
         state_norm = safe_norm(y[:-1])
-        if state_norm < r and not scalar:  # once, where the first stage reads b(x0)
+        if not state_norm < r:
+            warnings.append(DEGENERATE.format(r, "<=", "|x0|", state_norm))
+        elif not scalar:  # once, where the first stage reads b(x0)
             require_shapes(problem.dim, rhs(y[:-1]))
         while state_norm < r:
             if attempts >= cfg.max_steps:

@@ -263,13 +263,15 @@ try:  # the C function behind np.correlate, without its dispatcher
     from numpy._core.multiarray import correlate2 as _correlate
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import correlate2 as _correlate
+_compile = lru_cache(maxsize=None)(compile)  # the grids of one text share its code
 
 
-def _kernel(text: str, args: str, data: dict):
-    """The function of args that runs the statements text, in {out}, {x} and {v},
-    on the names of data and returns out; solve_nd's array loop writes its text."""
-    body = textwrap.indent(text.format(out="out", x="x", v="v"), "    ")
-    exec(f"def kernel({args}):\n{body}    return out\n", scope := dict(data))
+def _kernel(text: str, args: str, data: dict, tail: str = ""):
+    """The function of args that runs the statements text and then tail, in {out},
+    {x} and {v}, on data's names and returns out; solve_nd's loop writes text inline."""
+    body = textwrap.indent((text + tail).format(out="out", x="x", v="v"), "    ")
+    source = f"def kernel({args}):\n{body}    return out\n"
+    exec(_compile(source, "<kernel>", "exec"), scope := dict(data))
     scope["kernel"].text, scope["kernel"].data = text, data
     return scope["kernel"]
 
@@ -280,7 +282,7 @@ def _rd(m: int) -> CatalogEntry:
     boundary values and u(x, 0) = 100 sin(pi x), on the grid k/m, k = 1..m-1."""
     if m < 2:
         raise UnknownId(f"rd needs m >= 2, got {m!r}")
-    m2 = float(m * m)
+    m2 = np.array(float(m * m))  # 0-d: an array operand costs numpy less than a float
     n = m - 1
 
     # The Laplacian is one call of numpy's correlation kernel, which gives
@@ -295,9 +297,12 @@ def _rd(m: int) -> CatalogEntry:
     laplacian = ("{out} = correlate({v}, stencil, 1)\n" if n >= 3 else
                  "{out} = correlate({v}, stencil, 2)[1:-1]\n")
     laplacian += "" if folded else "{out} *= m2\n"
-    data = {"correlate": _correlate, "stencil": stencil, "m2": m2}
+    # The JVP text computes J(x)v / 2 = (L/2)v + x v on the halved stencil, one
+    # product fewer, bit for bit by the same exact scaling; jvp doubles it exactly
+    data = {"correlate": _correlate, "stencil": stencil, "half": stencil * 0.5, "m2": m2}
     rhs = _kernel(laplacian.replace("{v}", "{x}") + "{out} += {x} * {x}\n", "x", data)
-    jvp = _kernel(laplacian + "{out} += 2.0 * {x} * {v}\n", "x, v", data)
+    jvp = _kernel(laplacian.replace("stencil", "half") + "{out} += {x} * {v}\n", "x, v", data,
+                  "{out} += {out}\n")
 
     x0 = 100.0 * np.sin(np.pi * np.arange(1, m) / m)
     problem = VectorProblem(

@@ -90,6 +90,8 @@ _STEPS_ND = {
            + "else:\n    h = eps * sqrt({nb}) / sqrt(jn)\nif h > cap:\n    h = cap\n",
     LogNDFixedN: "sn = {sn}\nh = sqrt(eps / (N * (sn if sn > 1.0 else 1.0)))\n",
 }
+# A run that starts past its radius: r, the relation that fails the guard, the start
+DEGENERATE = "degenerate radius: r = {!r} {} {} = {!r}; no steps taken"
 # Both dimension classes' loops. The first step is peeled: a state that it
 # leaves where it was cannot move, since every law's h and b are functions of
 # x alone. The emitted statements name helpers, non-finite literals and nodes;
@@ -155,7 +157,8 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, *field):
     or the float locals x1 and x2 where it is planar, with the norms inline. field
     is a planar field's b and dense when both carry trees, whose shapes are checked
     here, or an array field's rhs and jvp texts and the names of the data they read,
-    which the prologue binds from b: the loop computes the field inline. It is
+    which the prologue binds from b: the loop computes the field inline. An array
+    field's JVP text computes half of J(x)v, and |J b| is twice its norm. field is
     empty for a field the loop calls: its b, jvp and dense arguments."""
     per_state = law in _STEPS_ND
     if planar:
@@ -182,12 +185,13 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, *field):
         namespace = {"sqrt": math.sqrt, "inf": math.inf, "norm": linalg.safe_norm,
                      "linalg": linalg, "np": np}
         array_norm = linalg.ARRAY_NORM.format
-        prologue = "x0 = x.copy()\nstep = np.empty_like(x)\n"
+        # hh is h as a 0-d array, a cheaper numpy operand than a float; per-state laws set it
+        prologue = "x0 = x.copy()\nstep = np.empty_like(x)\nhh = np.array(h, float)\n"
         if field:
             b_text, jvp_text, names = field
             prologue += "".join(f"{name} = b.data[{name!r}]\n" for name in names)
             lines = b_text.format(out="bx", x="x")
-            parts = {"nb": array_norm("bx"), "njb": array_norm("jb"),
+            parts = {"nb": array_norm("bx"), "njb": linalg.DOUBLED_NORM.format("jb"),
                      "jb_lines": jvp_text.format(out="jb", x="x", v="bx")}
         else:  # a called b(x) may be a list; J(x) b(x) from the jvp, or as dense(x) @ bx
             lines = "bx = b(x)\n"
@@ -195,7 +199,8 @@ def _loop_nd(law: type, planar: bool, has_jvp: bool, trace: bool, *field):
                      "njb": "norm(jvp(x, bx))" if has_jvp else "norm(dense(x) @ bx)"}
         parts["sn"] = "linalg.spectral_norm(jac, x)"
         # x + bx h with no new array; bx may alias x, so its product comes first
-        update = f"np.multiply(bx, h, step)\nx += step\nnx = {array_norm('x')}\n"
+        update = (("hh[()] = h\n" if per_state else "")
+                  + f"np.multiply(bx, hh, step)\nx += step\nnx = {array_norm('x')}\n")
         unmoved, result = "(x == x0).all()", "x"
     step = (lines + _STEPS_ND.get(law, "").format(**parts) + update + "t += h\n"
             + ("trace.append((t, nx))\n" if trace else ""))
@@ -271,7 +276,7 @@ def solve_1d(problem: ScalarProblem, eps: float, cfg: SolverConfig | None = None
         if x != x:
             raise Overflow(f"state is nan after {steps} steps below r = {r!r}")
     else:
-        warnings.append(f"degenerate radius: r = {r!r} <= x0 = {x!r}; no steps taken")
+        warnings.append(DEGENERATE.format(r, "<=", "x0", x))
     return run_record(law, t, steps, x, r, eps, start, warnings, trace)
 
 
@@ -286,7 +291,8 @@ def solve_nd(
     A state that is not planar (dim 2 with a dense Jacobian) is one array that
     each step updates in place, so an rhs that keeps its argument must keep a
     copy. The loop writes a planar field's trees, or an array field's rhs and
-    JVP texts, inline, with every norm, and calls any other field. The field's
+    JVP texts, inline, with every norm, and calls any other field; an array
+    field's JVP text computes half of J(x)v, as the rd field's does. The field's
     shapes are checked once, before the first step: a called or text field by
     one call of rhs at x0."""
     cfg = cfg or SolverConfig()
@@ -307,7 +313,7 @@ def solve_nd(
         nx = norm(x)
         trace = [(0.0, nx)] if cfg.record_trace else None
         if not nx <= r:
-            warnings.append(f"degenerate radius: r = {r!r} < |x0| = {nx!r}; no steps taken")
+            warnings.append(DEGENERATE.format(r, "<", "|x0|", nx))
         else:
             h = _constant_step(law, problem, eps, r)
             cap = getattr(law, "cap", None)

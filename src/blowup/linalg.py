@@ -62,6 +62,10 @@ TEXT_NAMES = {"hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf}
 # The norm of the array {0} with safe_norm's bits, in TEXT_NAMES' names and norm
 # (safe_norm, for an overflowing dot), which solve_nd's array loop writes inline
 ARRAY_NORM = "(sqrt(s) if (s := {0}.dot({0})) != inf else norm({0}))"
+# ARRAY_NORM's bits on 2 {0}: 2 sqrt(s) while the dot scales by exactly 4, from s = 2^-900
+# (far above the squares that round as subnormals) to 2^1022; else safe_norm({0} + {0})
+DOUBLED_NORM = ("(2.0 * sqrt(s) if 2.0 ** -900 <= (s := {0}.dot({0})) < 2.0 ** 1022"
+                " else norm({0} + {0}))")
 _closed_2x2 = eval(f"lambda j11, j12, j21, j22: {SN_2X2}", dict(TEXT_NAMES))
 _pair_floats = eval(f"lambda a, b: {PAIR_NORM.format('a', 'b')}", dict(TEXT_NAMES))
 

@@ -64,6 +64,18 @@ class TestArclength:
             res = solve_arclength(prob, 2.0**-6, rk_tol=1e-10)
         assert res.steps == 0 and res.tau_hat == 0.0 and res.final_state == 1e160
 
+    @pytest.mark.parametrize("pid, params, eps", [("rd", {"m": 32}, 2.0**-8),
+                                                   ("coupled", {}, 0.9)])
+    def test_degenerate_radius_warns_as_solve_nd_does(self, pid, params, eps):
+        # r = 256 < |x0| = 400 for rd at 2^-8, and r = 0.745 < |x0| = sqrt(5) for
+        # coupled at 0.9: no step is taken, and the run says so in solve_nd's words,
+        # with the "<=" that fails the arc-length loop's strict guard
+        entry = catalog.get(pid, **params)
+        res, nd = (run_method(entry, method, eps) for method in ("arclength", "adaptive"))
+        assert (res.steps, res.tau_hat, nd.steps) == (0, 0.0, 0)
+        assert res.warnings == tuple(w.replace(" < ", " <= ") for w in nd.warnings)
+        assert res.warnings[0].startswith(f"degenerate radius: r = {res.radius_used!r} <= ")
+
     def test_negative_start_is_rejected_not_estimated(self, sq):
         # an arc-length run from x0 = -1 returned tau_hat = 0.0 with no warning
         with pytest.raises(InvalidProblem, match=r"^x0 must be positive, got -1.0$"):

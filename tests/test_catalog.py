@@ -311,14 +311,24 @@ class TestReactionDiffusion:
     @pytest.mark.parametrize("m", [2, 3, 5, 32])
     def test_one_text_per_kernel(self, m):
         # the called rhs and JVP are compiled from the texts that solve_nd's array
-        # loop writes inline, and they read one data dict, which the loop binds
+        # loop writes inline, and they read one data dict, which the loop binds; the
+        # JVP text computes half of J(x)v on the halved stencil, which the called
+        # jvp doubles
         prob = catalog.get("rd", m=m).problem
         rhs, jvp = prob.rhs, prob.jacobian.jvp
-        assert rhs.data is jvp.data and set(rhs.data) == {"correlate", "stencil", "m2"}
-        assert rhs.text.endswith("{out} += {x} * {x}\n")
-        assert jvp.text.endswith("{out} += 2.0 * {x} * {v}\n")
+        data = rhs.data
+        assert jvp.data is data and set(data) == {"correlate", "stencil", "half", "m2"}
+        assert data["half"].tobytes() == (data["stencil"] / 2.0).tobytes()
+        assert data["m2"].shape == () and data["m2"] == m * m
+        assert rhs.text.endswith("{out} += {x} * {x}\n") and "stencil," in rhs.text
+        assert jvp.text.endswith("{out} += {x} * {v}\n") and "half," in jvp.text
+        assert "2.0" not in jvp.text
         assert ("{out} *= m2\n" in jvp.text) is (m in (3, 5))
         assert ("[1:-1]" in jvp.text) is (m < 4)
+        x, v = prob.x0, prob.x0[::-1] * 3.0
+        scope = dict(data, x=x, v=v)
+        exec(jvp.text.format(out="out", x="x", v="v"), scope)
+        assert jvp(x, v).tobytes() == (scope["out"] + scope["out"]).tobytes()
 
     def test_m_validation(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,11 @@ def test_planar_norm_texts_name_no_numpy_object():
         assert names - locals_ <= set(linalg.TEXT_NAMES), text
     assert all(isinstance(v, float) or v is getattr(math, k, None)
                for k, v in linalg.TEXT_NAMES.items())
+    # the array loop's norm texts read the same names, and norm (safe_norm) for
+    # the dots that overflow or, doubled, leave the range where 4s is exact
+    for text in (linalg.ARRAY_NORM.format("v"), linalg.DOUBLED_NORM.format("v")):
+        names = {n.id for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)}
+        assert names - {"s", "v"} <= {"norm", *linalg.TEXT_NAMES}, text
 
 
 @pytest.mark.parametrize("trees", [True, False], ids=["trees", "called"])

@@ -787,6 +787,164 @@ class TestArrayLoopPaths:
         assert calls.count("loop") == past
 
 
+def test_doubled_norm_text_is_safe_norm_of_twice():
+    # the array loop takes |J b| from the rd JVP text's half of J b by linalg's
+    # DOUBLED_NORM text: on vectors of every scale, with dots that overflow only
+    # at full scale, squares in the subnormal range, zeros, infs and NaNs, it
+    # gives the floats of safe_norm(2 w)
+    rng = np.random.default_rng(33)
+    scope = {**linalg.TEXT_NAMES, "norm": safe_norm}
+    text = linalg.DOUBLED_NORM.format("w")
+    specials = [math.nan, math.inf, -math.inf, 0.0, 2.0**1023]
+    for i in range(5000):
+        n = int(rng.integers(1, 40))
+        lo, hi = ((-1074.0, 1023.0), (-560.0, -450.0), (505.0, 515.0))[i % 3]
+        w = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(lo, hi, n)
+        if i % 7 == 0:
+            w[i % n] = specials[i // 7 % 5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(eval(text, scope, {"w": w})) == repr(safe_norm(2.0 * w))
+
+
+def _full_scale_jvp(m: int):
+    """The rd J(x)v as the full-scale formula correlate(v, stencil) (* m^2) + 2 x v,
+    which the JVP text halves."""
+    m2 = float(m * m)
+    folded = m & (m - 1) == 0
+    stencil = np.array([1.0, -2.0, 1.0]) * (m2 if folded else 1.0)
+
+    def jvp(x, v):
+        laplacian = np.correlate(v, stencil, "full")[1:-1]
+        return (laplacian if folded else laplacian * m2) + 2.0 * x * v
+
+    return jvp
+
+
+class TestHalfScaleJvp:
+    """The rd JVP text computes half of J(x)v on the halved stencil, and the
+    array loop takes |J b| as twice its norm: inline, called (the jvp doubles the
+    half) and through the full-scale formula, the runs are the same bit for bit,
+    on the grids with a 0-d m^2 and at both ends of the exponent range."""
+
+    @staticmethod
+    def three_ways(problem, m, *args, **kwargs):
+        outcome = TestPlanarLoopPaths.outcome
+        inline = outcome(problem, *args, **kwargs)
+        assert inline == outcome(_untexted(problem), *args, **kwargs)
+        rhs = problem.rhs
+        full = dataclasses.replace(problem, rhs=lambda x: rhs(x),
+                                   jacobian=JacobianAccess(jvp=_full_scale_jvp(m)))
+        assert inline == outcome(full, *args, **kwargs)
+        return inline
+
+    @staticmethod
+    def start(m, x0, eps, growth=1e-9):
+        """rd at m from x0, with the radius just past |x0| (growth above it) at
+        eps, and delta below |x0|."""
+        problem = catalog.get("rd", m=m).problem
+        r = safe_norm(x0) * (1.0 + growth)
+        return dataclasses.replace(problem, x0=x0, delta=safe_norm(x0) / 2.0,
+                                   threshold=PolyND(1.0 / (eps * r), 1.0, nominal=True))
+
+    @pytest.mark.parametrize("method", TestArrayLoopPaths.METHODS)
+    @pytest.mark.parametrize("m", [3, 5, 6])
+    def test_grids_with_a_0d_m2(self, m, method):
+        entry = catalog.get("rd", m=m)
+        assert entry.problem.rhs.data["m2"].shape == ()
+        for eps in (2.0**-9, 2.0**-11):
+            assert isinstance(self.three_ways(entry.problem, m, eps, entry.methods[method],
+                                              True), str)
+
+    @pytest.mark.parametrize("c, half_overflows", [(1.1e51, False), (1.5e51, True)])
+    def test_jb_norm_past_2_512(self, c, half_overflows):
+        # a flat state of 31 values c: |J b|^2 overflows at full scale, and at half
+        # scale only for the larger c, so 4s overflows in both and the loop takes
+        # safe_norm of jb + jb, the full-scale J b, at every step of the run
+        m = 32
+        x0 = np.full(m - 1, c)
+        problem = self.start(m, x0, 2.0**-120)
+        with np.errstate(over="ignore"):
+            jb = _full_scale_jvp(m)(x0, problem.rhs(x0))
+            assert jb.dot(jb) == math.inf
+            assert ((jb / 2.0).dot(jb / 2.0) == math.inf) == half_overflows
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is safe_norm.__code__:
+                calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            res = solve_nd(problem, 2.0**-120, SolverConfig(law=AltND(), record_trace=True))
+        finally:
+            sys.setprofile(None)
+        assert 40 < res.steps < 100 and calls.count("loop") == res.steps
+        assert isinstance(self.three_ways(problem, m, 2.0**-120, AltND(), True), str)
+
+    @pytest.mark.parametrize("state", ["flat", "flat-and-one", "alternating"])
+    def test_subnormal_products(self, state):
+        # x_i (b(x))_i is subnormal on most of the grid: on a flat state of 1e-105,
+        # where b(x) is x^2 inside, with one value 2 or not, and on an alternating
+        # state of 1e-160, where |J b|^2 at half scale is below 2^-900 and the loop
+        # takes safe_norm of jb + jb; every run is unchanged over its 200 steps
+        m = 32
+        x0 = {"flat": np.full(m - 1, 1e-105),
+              "flat-and-one": np.where(np.arange(m - 1) == 15, 2.0, 1e-105),
+              "alternating": 1e-160 * (-1.0) ** np.arange(m - 1)}[state]
+        problem = self.start(m, x0, 2.0**-10, growth=1.0)
+        xv = x0 * problem.rhs(x0)
+        assert np.count_nonzero((xv != 0.0) & (abs(xv) < 2.0**-1022)) > 20
+        jb = _full_scale_jvp(m)(x0, problem.rhs(x0))
+        assert (jb.dot(jb) / 4.0 < 2.0**-900) == (state == "alternating")
+        for law in (AltND(), catalog.get("rd", m=m).methods["adaptive"]):
+            kind, text = self.three_ways(problem, m, 2.0**-10, law, max_steps=200)
+            assert kind is StepBudgetExceeded
+
+    def test_stencil_overflow_at_full_scale_only(self):
+        # past |b| = 2^1012 on m = 32 the full-scale stencil's products overflow
+        # where the halved one's do not: at a flat state of 3e152, the full-scale
+        # J b holds NaN (inf - inf) where the half-scale one holds inf, as 2 x b
+        # does. |J b| is not finite either way, so no step can move the state: the
+        # full-scale run ends in a NaN state, and the half-scale one says h = 0
+        m = 32
+        x0 = np.full(m - 1, 3e152)
+        problem = self.start(m, x0, 2.0**-10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bx = problem.rhs(x0)
+            assert np.isnan(_full_scale_jvp(m)(x0, bx)).sum() == m - 2
+            assert np.isinf(problem.jacobian.jvp(x0, bx)).all()
+        outcome = TestPlanarLoopPaths.outcome
+        inline = outcome(problem, 2.0**-10, AltND())
+        assert inline == outcome(_untexted(problem), 2.0**-10, AltND())
+        assert inline[0] is SolverError and inline[1].endswith("the state cannot move")
+        full = dataclasses.replace(problem, rhs=lambda x: problem.rhs(x),
+                                   jacobian=JacobianAccess(jvp=_full_scale_jvp(m)))
+        kind, text = outcome(full, 2.0**-10, AltND())
+        assert kind is Overflow and text.startswith("|state| is nan after 1 steps below r = ")
+
+    @pytest.mark.parametrize("law", [AltND, UniformND])
+    def test_loop_text_takes_no_float_operand_for_arrays(self, monkeypatch, law):
+        # the generated rd loop doubles no array by 2.0 (its only 2.0 product is
+        # DOUBLED_NORM's float one) and multiplies b(x) by the 0-d array hh: made
+        # from h in the prologue, and set at each step for a per-state law
+        sources = []
+
+        def spy(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(integrate, "exec", spy, raising=False)
+        p = catalog.get("rd", m=32).problem
+        integrate._loop_nd.__wrapped__(law, False, True, False, p.rhs.text, p.jacobian.jvp.text,
+                                       tuple(p.rhs.data))
+        (source,) = sources
+        products = re.findall(r"2\.0 \* \w+", source)
+        assert products == (["2.0 * sqrt"] * 2 if law is AltND else [])  # the step is peeled
+        assert source.count("np.multiply(bx, hh, step)") == 2
+        assert "hh = np.array(h, float)\n" in source.split("    t = 0.0\n")[0]
+        assert source.count("hh[()] = h\n") == (2 if law is AltND else 0)
+
+
 class TestFieldShapes:
     """b(x) must have dim components and a dense J(x) must be dim x dim, or the
     R^n solvers raise InvalidProblem naming the shape, which numpy would
